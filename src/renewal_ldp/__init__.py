@@ -36,6 +36,7 @@ from .lambda_surface import (
 from .models import (
     INF,
     BUILTIN_MODELS,
+    MODEL_TABLE,
     DomainSpec,
     HoldingTimeModel,
     LscCase,
@@ -44,6 +45,7 @@ from .models import (
     classify_domain,
     make_model,
     model_from_descriptor,
+    model_of,
     parse_model_spec,
     phi_star,
 )

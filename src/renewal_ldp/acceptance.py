@@ -16,7 +16,7 @@ from . import conditional as cond
 from . import lambda_surface as surf
 from . import moderate as mod
 from . import simulate as sim
-from .models import builtin_models, make_model, phi_star
+from .models import BUILTIN_MODELS, builtin_models, make_model, model_of, phi_star
 from .rates import conditional_rate_J, rate_ld, rate_ld_poisson
 
 
@@ -62,7 +62,7 @@ def criterion_2_poisson_closed_form() -> CriterionResult:
     worst = 0.0
     checked = 0
     for lam in (0.5, 1.0, 2.0):
-        model = make_model("exponential", {"lam": lam})
+        model = model_of("exponential", lam)
         a1_grid = np.linspace(-1.5 * lam, 0.6 * lam, 20)
         a2_grid = np.linspace(-1.0 * lam, 0.3 * lam, 20)
         for a1 in a1_grid:
@@ -96,7 +96,7 @@ def criterion_3_rate_zero_and_cone() -> CriterionResult:
 
 def criterion_4_poisson_solver_equivalence() -> CriterionResult:
     """Generic Newton and the g-root path agree on the cone interior, lam=1."""
-    model = make_model("exponential", {"lam": 1.0})
+    model = model_of("exponential", 1.0)
     worst = 0.0
     for z1 in np.linspace(0.3, 3.0, 15):
         for t in np.linspace(0.08, 0.92, 15):
@@ -113,7 +113,7 @@ def criterion_5_variational_equality() -> CriterionResult:
     """kappa* equals the joint-minus-marginal conditional rate across lambdas."""
     worst = 0.0
     for lam in (0.5, 1.0, 3.0):
-        model = make_model("exponential", {"lam": lam})
+        model = model_of("exponential", lam)
         for z1 in np.linspace(0.4, 2.2, 7):
             for t in np.linspace(0.1, 0.9, 7):
                 z2 = float(z1 * t)
@@ -168,7 +168,7 @@ def criterion_7_conditional_mgf(quick: bool = False) -> CriterionResult:
 
 def criterion_8_tail_ldp_slope(quick: bool = False) -> CriterionResult:
     """Gamma-tail oracle slope for the passage-time event, plus a Monte Carlo check."""
-    model = make_model("exponential", {"lam": 1.0})
+    model = model_of("exponential", 1.0)
     event = sim.MarginalThreshold("z1", ">=", 1.5)
     target = phi_star(model, 1.5).value
     slopes = {}
@@ -194,15 +194,14 @@ def criterion_9_clt_covariance(quick: bool = False) -> CriterionResult:
     n = 2 * 10**4 if quick else 10**5
     ok = True
     details = []
-    for kind, params in (("exponential", {"lam": 1.0}), ("gamma", {"shape": 2.0, "rate": 2.0})):
-        model = make_model(kind, params)
+    for model in (model_of("exponential", 1.0), model_of("gamma", 2.0, 2.0)):
         out = sim.empirical_clt(model, x, n, seed=11)
         C = surf.hessian_origin(model).C
         rel = float(np.max(np.abs(out["cov"] - C) / np.abs(C)))
         corr_dev = abs(out["correlation"] - mod.CORRELATION_LIMIT) / mod.CORRELATION_LIMIT
         good = rel <= 0.05 and corr_dev <= 0.02
         ok = ok and good
-        details.append(f"{kind}: cov rel dev {rel:.2%}, corr dev {corr_dev:.2%}")
+        details.append(f"{model.kind}: cov rel dev {rel:.2%}, corr dev {corr_dev:.2%}")
     return CriterionResult(9, "CLT covariance", ok, "; ".join(details) + " (tol 5% / 2%)")
 
 
@@ -255,7 +254,7 @@ def criterion_11_moderate_trend(quick: bool = False) -> CriterionResult:
     gamma-tail oracle for the same event; Monte Carlo cross-checks the
     oracle at x=100 where hits are observable.
     """
-    model = make_model("exponential", {"lam": 1.0})
+    model = model_of("exponential", 1.0)
     n = 5000 if quick else 20000
     rows = sim.empirical_md(model, [100, 1000, 10000], p_exponent=0.5, delta=1.0,
                             n_samples=n, seed=5)
@@ -283,10 +282,8 @@ def criterion_12_regularity_taxonomy() -> CriterionResult:
         "noncentral_chi_squared": (True, True),
     }
     results = {}
-    for kind, params in (("inverse_gaussian", {"mu": 1.0}),
-                         ("exponential", {"lam": 1.0}),
-                         ("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})):
-        rep = surf.regularity_report(make_model(kind, params))
+    for kind in ("inverse_gaussian", "exponential", "noncentral_chi_squared"):
+        rep = surf.regularity_report(make_model(kind, BUILTIN_MODELS[kind]))
         results[kind] = (rep.lsc, rep.steep)
     passed = results == expected
     return CriterionResult(12, "regularity taxonomy", passed, f"{results}")

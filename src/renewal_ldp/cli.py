@@ -23,7 +23,7 @@ from . import conditional as cond
 from . import lambda_surface as surf
 from . import moderate as mod
 from . import simulate as sim
-from .models import classify_domain, parse_model_spec
+from .models import MODEL_TABLE, classify_domain, parse_model_spec
 from .rates import rate_ld, rate_ld_poisson
 
 SCHEMA = "v1"
@@ -154,7 +154,8 @@ def _rate_payload(model, z1, z2, method):
     if method == "poisson":
         if model.kind != "exponential":
             raise SystemExit("--method poisson requires an exponential model")
-        res = rate_ld_poisson(model.params["lam"], z1, z2)
+        (lam,) = model.params.values()
+        res = rate_ld_poisson(lam, z1, z2)
     else:
         res = rate_ld(model, z1, z2)
     return {
@@ -268,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Large/moderate deviations of first-passage times and areas of "
             "renewal processes.  Models use the mini-syntax kind:param[,param] "
-            "with positional parameters: exponential:lam, inverse_gaussian:mu, "
-            "noncentral_chi_squared:lam,k, gamma:shape,rate."
+            "with positional parameters: "
+            + ", ".join(f"{kind}:{','.join(row.params)}" for kind, row in MODEL_TABLE.items())
+            + "."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

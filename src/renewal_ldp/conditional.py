@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INF, RateEvaluation, make_model
+from .models import INF, RateEvaluation, model_of
 from .rates import conditional_rate_J
 
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
@@ -203,6 +203,6 @@ def chaganty_equality(lambda_param: float, z1: float, z2: float) -> dict:
     if not (z1 > 0 and 0.0 < z2 < z1):
         raise ValueError("requires z1 > 0 and z2 in (0, z1)")
     ks = kappa_star(z2, z1).value
-    model = make_model("exponential", {"lam": lambda_param})
+    model = model_of("exponential", lambda_param)
     j = conditional_rate_J(model, z1, z2)
     return {"kappa_star_value": ks, "J_value": j, "abs_diff": abs(ks - j)}

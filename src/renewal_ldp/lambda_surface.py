@@ -4,10 +4,13 @@ For a holding-time CGF phi, the limit function is
 
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
-on its effective domain, +inf outside.  This module evaluates L, its gradient
-and its Hessian at the origin, decides domain membership, and reports the
-regularity facts (lower semicontinuity, steepness, essential smoothness) that
-decide which form of the large-deviation principle is certified.
+on its effective domain, +inf outside.  This module evaluates L from the
+closed form in the model table, its gradient and Hessian (from phi, phi' and
+L itself), decides domain membership, and reports the regularity facts (lower
+semicontinuity, steepness, essential smoothness) that decide which form of
+the large-deviation principle is certified.  Adaptive quadrature of the
+defining integral is kept only as an independent oracle
+(``lambda_eval(..., method="quadrature")``).
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INF, HoldingTimeModel, LscCase, classify_domain
+from .models import INF, HoldingTimeModel, LscCase, classify_domain, model_of
 from .quadrature import adaptive_gauss_legendre
 
-# below this |a2| the 1/a2 cancellation dominates; use the Taylor branch.
-# The integral branch loses ~1e-16/|a2| absolute accuracy to cancellation,
-# the quadratic Taylor truncates at O(a2^3): both stay below ~1e-12 here.
+# below this |a2| the 1/a2 cancellation of the gradient and Hessian formulas
+# dominates; use their Taylor branches.  The integral branch loses
+# ~1e-16/|a2| absolute accuracy to cancellation, the quadratic Taylor
+# truncates at O(a2^3): both stay below ~1e-12 here.
 A2_SWITCH = 1e-4
 
 
@@ -37,12 +41,9 @@ class CovarianceStructure:
 
 def in_tilt_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
     """Membership in the set {a2>=0, a1+a2 in D(phi)} u {a2<0, a1 <= abar}."""
-    dom = model.domain
-    if dom.boundary == INF:
-        return True
     if a2 >= 0.0:
-        return dom.contains(a1 + a2)
-    return a1 <= dom.boundary
+        return model.domain.contains(a1 + a2)
+    return a1 <= model.domain.boundary
 
 
 def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
@@ -53,41 +54,22 @@ def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
     boundary it is the interior of the tilt set.  At a2<0 with a1 exactly at
     an open boundary the integral is finite only in the integrable case.
     """
-    case = classify_domain(model)
-    if case is LscCase.FULL_LINE:
-        return True
-    abar = model.domain.boundary
+    dom = model.domain
     if a2 >= 0.0:
-        top = a1 + a2
-        if case is LscCase.CLOSED_BOUNDARY:
-            return top <= abar
-        if a2 == 0.0:
-            return model.domain.contains(a1)
-        return top < abar
+        return dom.contains(a1 + a2)
     # a2 < 0: the integral runs over [a1+a2, a1]
-    if a1 < abar:
-        return True
-    if a1 > abar:
-        return False
-    if case is LscCase.CLOSED_BOUNDARY or case is LscCase.OPEN_INTEGRABLE:
-        return True
-    return False
+    return a1 < dom.boundary or (a1 == dom.boundary and dom.integrable_at_boundary)
 
 
 def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float, margin: float = 0.0) -> bool:
     """Strict-interior membership of D(L), with an optional safety margin."""
-    if model.domain.boundary == INF:
-        return True
-    abar = model.domain.boundary
     top = max(a1 + a2, a1)
-    return top < abar - margin
+    return top < model.domain.boundary - margin
 
 
 def in_finite_x_domain(model: HoldingTimeModel, x: float, a1: float, a2: float) -> bool:
     """Membership in the per-x MGF domain of the weighted-sum representation."""
     dom = model.domain
-    if dom.boundary == INF:
-        return True
     if a2 >= 0.0:
         return dom.contains(a1 + a2 * x)
     if float(x).is_integer():
@@ -95,30 +77,21 @@ def in_finite_x_domain(model: HoldingTimeModel, x: float, a1: float, a2: float) 
     return dom.contains(a1 + a2 * (x - math.floor(x)))
 
 
-def _integral_phi(model: HoldingTimeModel, lo: float, hi: float, use_quadrature: bool) -> float:
-    """Signed integral of phi over [lo, hi] (lo may exceed hi)."""
-    if model.antiderivative is not None and not use_quadrature:
-        return model.antiderivative(hi) - model.antiderivative(lo)
-    return adaptive_gauss_legendre(model.cgf, lo, hi, tol=1e-10)
-
-
 def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "auto") -> float:
     """Extended-real value of the limit function at the tilt (a1, a2).
 
-    ``method`` is ``auto`` (closed-form antiderivative when the model has
-    one), ``quadrature`` (force adaptive Gauss-Legendre) or ``closed_form``.
+    ``method`` is ``auto`` (the model's closed form) or ``quadrature``
+    (adaptive Gauss-Legendre over y in (0, 1), the independent oracle).
     """
-    if method == "closed_form" and model.antiderivative is None:
-        raise ValueError(f"model {model.kind!r} has no closed-form antiderivative")
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
     if not in_lambda_domain(model, a1, a2):
         return INF
     if a2 == 0.0:
         return model.phi(a1)
-    if abs(a2) < A2_SWITCH:
-        # Taylor in a2: phi(a1) + a2 phi'(a1)/2 + a2^2 phi''(a1)/6 + O(a2^3)
-        return model.cgf(a1) + 0.5 * a2 * model.cgf_d1(a1) + a2**2 * model.cgf_d2(a1) / 6.0
-    integral = _integral_phi(model, a1, a1 + a2, use_quadrature=(method == "quadrature"))
-    return integral / a2
+    if method == "quadrature":
+        return adaptive_gauss_legendre(lambda y: model.cgf(a1 + a2 * y), 0.0, 1.0, tol=1e-10)
+    return model.limit(a1, a2)
 
 
 def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, float]:
@@ -131,7 +104,7 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
                 0.5 * d1 + a2 * d2 / 3.0 + 0.125 * a2**2 * d3)
     top = a1 + a2
     phi_top, phi_lo = model.cgf(top), model.cgf(a1)
-    integral = _integral_phi(model, a1, top, use_quadrature=False)
+    integral = a2 * model.limit(a1, a2)
     return ((phi_top - phi_lo) / a2, (a2 * phi_top - integral) / a2**2)
 
 
@@ -150,7 +123,7 @@ def lambda_hessian(model: HoldingTimeModel, a1: float, a2: float) -> np.ndarray:
     top = a1 + a2
     dphi_top, dphi_lo = model.cgf_d1(top), model.cgf_d1(a1)
     phi_top, phi_lo = model.cgf(top), model.cgf(a1)
-    integral = _integral_phi(model, a1, top, use_quadrature=False)
+    integral = a2 * model.limit(a1, a2)
     h11 = (dphi_top - dphi_lo) / a2
     h12 = (a2 * dphi_top - (phi_top - phi_lo)) / a2**2
     h22 = dphi_top / a2 - 2.0 * (a2 * phi_top - integral) / a2**3
@@ -179,15 +152,14 @@ class RegularityReport:
 def regularity_report(model: HoldingTimeModel) -> RegularityReport:
     """Lower semicontinuity, steepness, and the resulting LDP certificate.
 
-    Steepness of the bivariate limit function holds iff D(phi) is open with a
-    finite boundary (and vacuously for the full line); a closed boundary
-    breaks it.  Lower semicontinuity fails exactly in the open-integrable
-    case.  The exponential kind gets its full LDP from the gradient image
-    covering the interior of the support cone.
+    Steepness of the bivariate limit function holds iff D(phi) is open; a
+    closed boundary breaks it.  Lower semicontinuity fails exactly in the
+    open-integrable case.  The exponential kind gets its full LDP from the
+    gradient image covering the interior of the support cone.
     """
     case = classify_domain(model)
     lsc = case is not LscCase.OPEN_INTEGRABLE
-    steep = case in (LscCase.OPEN_INTEGRABLE, LscCase.OPEN_NONINTEGRABLE, LscCase.FULL_LINE)
+    steep = case is not LscCase.CLOSED_BOUNDARY
     essentially_smooth = steep  # differentiability holds throughout the interior
     if lsc and essentially_smooth:
         certificate = "gartner_ellis_c"
@@ -206,14 +178,4 @@ def regularity_report(model: HoldingTimeModel) -> RegularityReport:
 
 def poisson_lambda_closed_form(lam: float, a1: float, a2: float) -> float:
     """Closed form of the limit function for exponential holding times."""
-    if a2 == 0.0:
-        return math.log(lam / (lam - a1)) if a1 < lam else INF
-    top = a1 + a2
-    if a2 > 0.0:
-        if top >= lam:
-            return INF
-    elif a1 > lam:
-        return INF
-    def xlogx(t):
-        return t * math.log(t) if t > 0.0 else 0.0
-    return math.log(lam) + 1.0 + (xlogx(lam - top) - xlogx(lam - a1)) / a2
+    return lambda_eval(model_of("exponential", lam), a1, a2)

@@ -74,17 +74,16 @@ class MomentReport:
 
 
 def psi(model: HoldingTimeModel, a1: float, a2: float) -> float:
-    """Quadratic form (1/2) a^T C a; globally finite."""
-    C = hessian_origin(model).C
-    a = np.array([a1, a2])
-    return 0.5 * float(a @ C @ a)
+    """Quadratic form (1/2) a^T C a = (phi''(0)/2)(a1^2 + a1 a2 + a2^2/3); globally finite."""
+    return 0.5 * model.variance * (a1 * a1 + a1 * a2 + a2 * a2 / 3.0)
 
 
 def psi_star(model: HoldingTimeModel, z1: float, z2: float) -> float:
-    """Conjugate quadratic form (1/2) z^T C^{-1} z; the moderate rate."""
-    C_inv = hessian_origin(model).C_inv
-    z = np.array([z1, z2])
-    return 0.5 * float(z @ C_inv @ z)
+    """Conjugate quadratic form (1/2) z^T C^{-1} z; the moderate rate.
+
+    With C^{-1} = (1/phi''(0)) [[4, -6], [-6, 12]] it is (2z1^2 - 6z1 z2 + 6z2^2)/phi''(0).
+    """
+    return (2.0 * z1 * z1 - 6.0 * z1 * z2 + 6.0 * z2 * z2) / model.variance
 
 
 def exact_moments(model: HoldingTimeModel, x: float) -> MomentReport:

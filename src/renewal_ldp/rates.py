@@ -20,7 +20,7 @@ from .lambda_surface import (
     lambda_grad,
     lambda_hessian,
 )
-from .models import INF, HoldingTimeModel, RateEvaluation, phi_star
+from .models import INF, HoldingTimeModel, RateEvaluation, model_of, phi_star
 
 GRAD_TOL = 1e-10
 STAGNATION_TOL = 1e-14
@@ -157,11 +157,9 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
     shares the sign of gamma = (2*z2 - z1)/(2*z2*(z1 - z2)); the midline
     2*z2 = z1 collapses to the one-dimensional transform of phi.
     """
-    from .models import make_model
-
     if not (0.0 < z2 < z1):
         raise ValueError("rate_ld_poisson requires 0 < z2 < z1")
-    model = make_model("exponential", {"lam": lambda_param})
+    model = model_of("exponential", lambda_param)
     gamma = (2.0 * z2 - z1) / (2.0 * z2 * (z1 - z2))
     if gamma == 0.0:
         a2_star = 0.0

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -27,6 +28,16 @@ class TestModelCommand:
     def test_unknown_model_usage_error(self, capsys):
         code = main(["model", "--model", "weibull:1"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["model", "--model", "exponential:inf"],
+        ["rate", "--model", "gamma:2,inf", "--z1", "1", "--z2", "0.4"],
+        ["model", "--model", "inverse_gaussian:1e200"],
+    ])
+    def test_parameters_that_break_the_domain_usage_error(self, args, capsys):
+        code, out = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestLambdaCommand:
@@ -202,11 +213,13 @@ class TestJsonRoundTrip:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # the child imports the package from wherever this process found it
         proc = subprocess.run(
             [sys.executable, "-m", "renewal_ldp.cli", "model", "--model",
              "exponential:1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == "v1"

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renewal_ldp import (
+    BUILTIN_MODELS,
     INF,
     adaptive_gauss_legendre,
     builtin_models,
@@ -57,6 +58,11 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             adaptive_gauss_legendre(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
 
+    def test_exhausted_budget_raises(self):
+        # the log singularity needs ~100 panels at this tolerance
+        with pytest.raises(QuadratureError):
+            adaptive_gauss_legendre(math.log, 0.0, 1.0, tol=1e-10, max_subdivisions=16)
+
 
 class TestLambdaEval:
     @pytest.mark.parametrize("a1,a2", INTERIOR_TILTS)
@@ -65,6 +71,38 @@ class TestLambdaEval:
             if not in_lambda_domain_interior(m, a1, a2, margin=1e-9):
                 continue
             assert lambda_eval(m, a1, a2) == pytest.approx(quad_oracle(m, a1, a2), abs=1e-9)
+
+    @given(kind=st.sampled_from(sorted(BUILTIN_MODELS)),
+           u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_against_direct_quadrature_at_drawn_tilts(self, kind, u, v):
+        # the segment [a1, a1+a2] has both ends in [-4, abar - 0.05]: an interior tilt.
+        # Closer to the boundary, phi(a1 + a2*y) carries roundoff of relative size
+        # eps*|a|/(abar - a) that the oracle's tolerance cannot resolve
+        m = make_model(kind, BUILTIN_MODELS[kind])
+        lo, hi = -4.0, m.domain.boundary - 0.05
+        a1 = lo + u * (hi - lo)
+        a2 = lo + v * (hi - lo) - a1
+        assume(a2 != 0.0)
+        value = lambda_eval(m, a1, a2)
+        assert value == pytest.approx(quad_oracle(m, a1, a2), abs=1e-9)
+        assert value == pytest.approx(lambda_eval(m, a1 + a2, -a2), rel=1e-13)
+
+    @pytest.mark.parametrize("a1,a2", [(0.49999999999999994, -0.5008929958017458),
+                                       (-1.1861311219284174e-06, 0.5000011861311219),
+                                       (-0.052486917872394505, 0.5524869178723945)])
+    def test_finite_next_to_nonintegrable_boundary(self, a1, a2):
+        # the segment ends within an ulp of 1/2, where 1/(1-2a) cannot be integrated;
+        # the mean of phi over it is large but finite
+        ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
+        assert in_lambda_domain(ncx, a1, a2)
+        value = lambda_eval(ncx, a1, a2)
+        assert math.isfinite(value) and value > 0.0
+        assert value == pytest.approx(lambda_eval(ncx, a1 + a2, -a2), rel=1e-13)
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError):
+            lambda_eval(EXP1, -0.5, 0.3, method="quadratur")
 
     def test_a2_zero_reduces_to_phi(self):
         for m in builtin_models():

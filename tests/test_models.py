@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from renewal_ldp import (
     INF,
+    DomainSpec,
     LscCase,
     RateEvaluation,
     builtin_models,
@@ -80,20 +81,22 @@ class TestDerivatives:
 
 
 class TestAntiderivative:
+    # the integral of phi over [a, b] is (b - a) * L(a, b - a), from the model table's closed L
+
     @pytest.mark.parametrize("a,b", [(-1.0, 0.5), (-3.0, -0.5), (0.0, 0.9)])
     def test_exponential_antiderivative_vs_quadrature(self, a, b):
         from renewal_ldp import adaptive_gauss_legendre
 
         m = make_model("exponential", {"lam": 1.0})
-        exact = m.antiderivative(b) - m.antiderivative(a)
+        exact = (b - a) * m.limit(a, b - a)
         quad = adaptive_gauss_legendre(m.cgf, a, b, tol=1e-12)
         assert exact == pytest.approx(quad, abs=1e-10)
 
     def test_antiderivative_continuous_at_boundary(self):
-        # the xlogx extension makes the antiderivative finite at alpha = lam
+        # the integral of phi over [0, b] stays finite as b reaches the open boundary lam
         m = make_model("exponential", {"lam": 1.0})
-        at_boundary = m.antiderivative(1.0)
-        near = m.antiderivative(1.0 - 1e-9)
+        at_boundary = 1.0 * m.limit(0.0, 1.0)
+        near = (1.0 - 1e-9) * m.limit(0.0, 1.0 - 1e-9)
         assert abs(at_boundary - near) < 1e-7
 
 
@@ -177,6 +180,16 @@ class TestDescriptors:
             parse_model_spec("gamma:2")
         with pytest.raises(ValueError):
             make_model("exponential", {"lam": -1.0})
+
+    @pytest.mark.parametrize("spec", ["exponential:inf", "gamma:2,inf", "inverse_gaussian:1e200"])
+    def test_parameters_that_break_the_domain_are_rejected(self, spec):
+        # an infinite parameter, or one whose domain boundary overflows, has no finite boundary
+        with pytest.raises(ValueError):
+            parse_model_spec(spec)
+
+    def test_domain_boundary_must_be_finite(self):
+        with pytest.raises(ValueError):
+            DomainSpec(INF, boundary_closed=False, integrable_at_boundary=True)
 
 
 class TestSamplers:
