@@ -36,7 +36,6 @@ from .lambda_surface import (
 from .models import (
     INF,
     BUILTIN_MODELS,
-    MODEL_TABLE,
     DomainSpec,
     HoldingTimeModel,
     LscCase,
@@ -45,7 +44,6 @@ from .models import (
     classify_domain,
     make_model,
     model_from_descriptor,
-    model_of,
     parse_model_spec,
     phi_star,
 )

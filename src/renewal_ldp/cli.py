@@ -154,7 +154,7 @@ def _rate_payload(model, z1, z2, method):
     if method == "poisson":
         if model.kind != "exponential":
             raise SystemExit("--method poisson requires an exponential model")
-        (lam,) = model.params.values()
+        lam = model.domain.boundary
         res = rate_ld_poisson(lam, z1, z2)
     else:
         res = rate_ld(model, z1, z2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INF, HoldingTimeModel, LscCase, classify_domain, model_of
+from .models import INF, HoldingTimeModel, LscCase, classify_domain
 from .quadrature import adaptive_gauss_legendre
 
 # below this |a2| the 1/a2 cancellation of the gradient and Hessian formulas
@@ -177,5 +177,19 @@ def regularity_report(model: HoldingTimeModel) -> RegularityReport:
 
 
 def poisson_lambda_closed_form(lam: float, a1: float, a2: float) -> float:
-    """Closed form of the limit function for exponential holding times."""
-    return lambda_eval(model_of("exponential", lam), a1, a2)
+    """Closed form of the limit function for exponential holding times.
+
+    Written with x log x independently of the model table, as a reference
+    for the table's exponential L.
+    """
+    if a2 == 0.0:
+        return math.log(lam / (lam - a1)) if a1 < lam else INF
+    top = a1 + a2
+    if a2 > 0.0:
+        if top >= lam:
+            return INF
+    elif a1 > lam:
+        return INF
+    def xlogx(t):
+        return t * math.log(t) if t > 0.0 else 0.0
+    return math.log(lam) + 1.0 + (xlogx(lam - top) - xlogx(lam - a1)) / a2

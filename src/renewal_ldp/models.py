@@ -152,8 +152,8 @@ def _gamma_cgf(shape: float, rate: float, a: float) -> float:
 class ModelKind:
     """One row of the model table.
 
-    The math callables and the sampler take the row's arguments first: the
-    parameter values in the order of ``params``, mapped through ``args``.
+    The math callables and the sampler take the parameter values first, in
+    the order of ``params``.
     """
 
     params: tuple
@@ -168,12 +168,10 @@ class ModelKind:
     limit: Callable[..., float]  # (*args, lo, hi, width) -> mean of phi over [lo, hi]
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
-    args: Callable[..., tuple] = lambda *values: values
 
 
 _GAMMA_FUNCTIONS = dict(
     boundary=lambda shape, rate: rate,
-    case=LscCase.OPEN_INTEGRABLE,
     cgf=_gamma_cgf,
     cgf_d1=lambda shape, rate, a: shape / (rate - a),
     cgf_d2=lambda shape, rate, a: shape / (rate - a) ** 2,
@@ -185,11 +183,11 @@ MODEL_TABLE = {
     "exponential": ModelKind(
         params=("lam",), example=(1.0,),
         cgf_text="log(lam/(lam-a)) on (-inf, lam)",
+        case=LscCase.OPEN_INTEGRABLE,
         # gamma with shape 1; only the sampler differs
-        args=lambda lam: (1.0, lam),
-        sampler=lambda shape, rate, rng, size: rng.exponential(scale=1.0 / rate, size=size),
+        **{name: partial(f, 1.0) for name, f in _GAMMA_FUNCTIONS.items()},
+        sampler=lambda rate, rng, size: rng.exponential(scale=1.0 / rate, size=size),
         sampler_spec="inverse-cdf exponential",
-        **_GAMMA_FUNCTIONS,
     ),
     "inverse_gaussian": ModelKind(
         params=("mu",), example=(1.0,),
@@ -220,9 +218,10 @@ MODEL_TABLE = {
     "gamma": ModelKind(
         params=("shape", "rate"), example=(2.0, 2.0),
         cgf_text="-shape log(1 - a/rate) on (-inf, rate)",
+        case=LscCase.OPEN_INTEGRABLE,
+        **_GAMMA_FUNCTIONS,
         sampler=lambda shape, rate, rng, size: rng.standard_gamma(shape, size=size) / rate,
         sampler_spec="Marsaglia-Tsang rejection (numpy standard_gamma)",
-        **_GAMMA_FUNCTIONS,
     ),
 }
 
@@ -237,15 +236,16 @@ def _row(kind: str) -> ModelKind:
 def make_model(kind: str, params: dict) -> HoldingTimeModel:
     """Build one of the supported holding-time models from its table row.
 
-    Parameters must be finite and strictly positive.  Supported kinds, with
-    their parameters, CGFs phi(a) and domains:
+    Parameters must be finite and strictly positive.  The supported kinds,
+    with their parameter names, CGFs phi(a) and domains, are the rows of
+    :data:`MODEL_TABLE`.
     """
     for name, value in params.items():
         if not 0.0 < value < INF:
             raise ValueError(f"parameter {name!r} must be finite and strictly positive, got {value}")
     row = _row(kind)
     values = {name: params[name] for name in row.params}
-    args = row.args(*values.values())
+    args = tuple(values.values())
     try:
         boundary = row.boundary(*args)
     except OverflowError as exc:
@@ -263,13 +263,6 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
     )
-
-
-if make_model.__doc__:
-    make_model.__doc__ += "".join(
-        f"\n    * ``{kind}`` ({', '.join(row.params)}): {row.cgf_text}"
-        for kind, row in MODEL_TABLE.items()
-    ) + "\n"
 
 
 def model_of(kind: str, *values: float) -> HoldingTimeModel:
@@ -328,7 +321,7 @@ def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
     if z1 <= 0.0:
         return RateEvaluation(INF, method="closed_form")
     if model.kind == "exponential":
-        (lam,) = model.params.values()
+        lam = model.domain.boundary
         value = lam * z1 - 1.0 - math.log(lam * z1)
         return RateEvaluation(max(value, 0.0), argmax_tilt=(lam - 1.0 / z1,), method="closed_form")
     root, iters, ok = _solve_phi_prime(model, z1)

@@ -222,7 +222,7 @@ def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[floa
         return None
     if not isinstance(event, MarginalThreshold) or event.coord != "z1":
         return None
-    (lam,) = model.params.values()
+    lam = model.domain.boundary
     n = int(x)
     if event.op == ">=":
         return float(sps.gamma.sf(event.c * x, a=n, scale=1.0 / lam))
@@ -233,7 +233,7 @@ def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[
     """Log of :func:`exact_tail_oracle`, stable for deep tails."""
     if exact_tail_oracle(model, event, x) is None:
         return None
-    (lam,) = model.params.values()
+    lam = model.domain.boundary
     n = int(x)
     if event.op == ">=":
         return float(sps.gamma.logsf(event.c * x, a=n, scale=1.0 / lam))
@@ -410,7 +410,7 @@ def _md_oracle_log_prob(model: HoldingTimeModel, x: float, scale: float, delta: 
     """
     if model.kind != "exponential" or not float(x).is_integer() or delta <= 0.0:
         return None
-    (lam,) = model.params.values()
+    lam = model.domain.boundary
     phi1 = 1.0 / lam
     n = int(x)
     thr = delta / scale

@@ -245,6 +245,31 @@ class TestPoissonClosedForm:
         assert math.isfinite(val)
         assert lambda_eval(EXP1, 1.0, -0.5) == pytest.approx(val, abs=1e-7)
 
+    @pytest.mark.parametrize("s", [0.0, 2.0**-52, 2.0**-40, 2.0**-24, 2.0**-14, 2.0**-10])
+    def test_table_next_to_open_boundary(self, s):
+        # segment [0, 1 - s] ending s short of the boundary lam = 1 (s a power
+        # of two, so 1 - s is exact), both directions; the exact value is
+        # 1 + s log(s)/(1 - s)
+        exact = 1.0 + (s * math.log(s) / (1.0 - s) if s > 0.0 else 0.0)
+        if s > 0.0:
+            assert poisson_lambda_closed_form(1.0, 0.0, 1.0 - s) == pytest.approx(exact, rel=1e-14)
+        assert poisson_lambda_closed_form(1.0, 1.0 - s, s - 1.0) == pytest.approx(exact, rel=1e-14)
+        if s > 0.0:
+            assert lambda_eval(EXP1, 0.0, 1.0 - s) == pytest.approx(exact, rel=1e-14)
+        assert lambda_eval(EXP1, 1.0 - s, s - 1.0) == pytest.approx(exact, rel=1e-14)
+        # gamma phi is shape times the exponential phi at lam = rate
+        gamma = make_model("gamma", {"shape": 2.0, "rate": 2.0})
+        a1, a2 = -1.0, 3.0 - 2.0 * s
+        ref = 2.0 * poisson_lambda_closed_form(2.0, a1 + a2, -a2)
+        if s > 0.0:
+            assert lambda_eval(gamma, a1, a2) == pytest.approx(ref, rel=1e-13)
+        assert lambda_eval(gamma, a1 + a2, -a2) == pytest.approx(ref, rel=1e-13)
+
+    def test_boundary_end_exact(self):
+        # integral of -log(y/2) over (0, 1) is 1 + log 2
+        assert lambda_eval(EXP1, 1.0, -0.5) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+        assert poisson_lambda_closed_form(1.0, 1.0, -0.5) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+
 
 class TestRegularity:
     def test_certificates(self):
