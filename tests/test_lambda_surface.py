@@ -244,6 +244,9 @@ class TestPoissonClosedForm:
         val = poisson_lambda_closed_form(1.0, 1.0, -0.5)
         assert math.isfinite(val)
         assert lambda_eval(EXP1, 1.0, -0.5) == pytest.approx(val, abs=1e-7)
+        # integral of -log(y/2) over (0, 1)
+        assert val == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+        assert lambda_eval(EXP1, 1.0, -0.5) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("s", [0.0, 2.0**-52, 2.0**-40, 2.0**-24, 2.0**-14, 2.0**-10])
     def test_table_next_to_open_boundary(self, s):
@@ -264,11 +267,6 @@ class TestPoissonClosedForm:
         if s > 0.0:
             assert lambda_eval(gamma, a1, a2) == pytest.approx(ref, rel=1e-13)
         assert lambda_eval(gamma, a1 + a2, -a2) == pytest.approx(ref, rel=1e-13)
-
-    def test_boundary_end_exact(self):
-        # integral of -log(y/2) over (0, 1) is 1 + log 2
-        assert lambda_eval(EXP1, 1.0, -0.5) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
-        assert poisson_lambda_closed_form(1.0, 1.0, -0.5) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
 
 
 class TestRegularity:
