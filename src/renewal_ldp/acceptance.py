@@ -95,7 +95,7 @@ def criterion_3_rate_zero_and_cone() -> CriterionResult:
 
 
 def criterion_4_poisson_solver_equivalence() -> CriterionResult:
-    """Generic Newton and the g-root path agree on the cone interior, lam=1."""
+    """The generic solver and the g-root path agree on the cone interior, lam=1."""
     model = model_of("exponential", 1.0)
     worst = 0.0
     for z1 in np.linspace(0.3, 3.0, 15):
@@ -106,7 +106,7 @@ def criterion_4_poisson_solver_equivalence() -> CriterionResult:
             worst = max(worst, abs(generic - special))
     passed = worst <= 1e-6
     return CriterionResult(4, "poisson solver equivalence", passed,
-                           f"max |newton - g_root| {worst:.2e} on 15x15 grid (tol 1e-6)")
+                           f"max |generic - g_root| {worst:.2e} on 15x15 grid (tol 1e-6)")
 
 
 def criterion_5_variational_equality() -> CriterionResult:

@@ -55,7 +55,10 @@ def kappa_d1(beta: float, z1: float) -> float:
     t = beta * z1
     if abs(t) < SMALL_BETA_Z:
         return 0.5 * z1 + beta * z1 * z1 / 12.0
-    return z1 / -math.expm1(-t) - 1.0 / beta
+    if t > 0:
+        return z1 / -math.expm1(-t) - 1.0 / beta
+    # z1/(1 - e^{-t}) = z1 e^t/(e^t - 1); e^{-t} would overflow for t < -709
+    return z1 * math.exp(t) / math.expm1(t) - 1.0 / beta
 
 
 def kappa_star(z2: float, z1: float) -> RateEvaluation:

@@ -49,16 +49,16 @@ def in_tilt_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
 def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
     """Membership in D(L), i.e. finiteness of the defining integral.
 
-    Depends on the domain taxonomy: with a closed phi-boundary or an open
-    integrable one, D(L) is the whole tilt set; with an open non-integrable
-    boundary it is the interior of the tilt set.  At a2<0 with a1 exactly at
-    an open boundary the integral is finite only in the integrable case.
+    For a2 != 0 the integral runs over the segment between a1 and a1 + a2 and
+    depends only on its top: below the phi-boundary it is finite, and on it
+    it is finite exactly when phi is integrable there (a closed boundary or an
+    open integrable one), whichever end of the segment touches it.
     """
     dom = model.domain
-    if a2 >= 0.0:
-        return dom.contains(a1 + a2)
-    # a2 < 0: the integral runs over [a1+a2, a1]
-    return a1 < dom.boundary or (a1 == dom.boundary and dom.integrable_at_boundary)
+    if a2 == 0.0:
+        return dom.contains(a1)
+    top = max(a1, a1 + a2)
+    return top < dom.boundary or (top == dom.boundary and dom.integrable_at_boundary)
 
 
 def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float, margin: float = 0.0) -> bool:
@@ -95,17 +95,24 @@ def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "au
 
 
 def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, float]:
-    """Gradient of the limit function on the interior of its domain."""
-    if not in_lambda_domain_interior(model, a1, a2):
+    """Gradient of the limit function on the interior of its domain.
+
+    On a closed boundary face (a2 != 0 and the segment's top at abar) it is
+    the one-sided gradient from inside: phi' is infinite at abar but phi is
+    finite, so the difference forms hold there and the Taylor branch does not.
+    """
+    dom = model.domain
+    top = max(a1, a1 + a2)
+    on_face = dom.boundary_closed and a2 != 0.0 and top == dom.boundary
+    if not (top < dom.boundary or on_face):
         raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
-    if abs(a2) < A2_SWITCH:
+    if abs(a2) < A2_SWITCH and not on_face:
         d1, d2, d3 = model.cgf_d1(a1), model.cgf_d2(a1), model.cgf_d3(a1)
         return (d1 + 0.5 * a2 * d2 + a2**2 * d3 / 6.0,
                 0.5 * d1 + a2 * d2 / 3.0 + 0.125 * a2**2 * d3)
-    top = a1 + a2
-    phi_top, phi_lo = model.cgf(top), model.cgf(a1)
+    phi_end, phi_lo = model.cgf(a1 + a2), model.cgf(a1)
     integral = a2 * model.limit(a1, a2)
-    return ((phi_top - phi_lo) / a2, (a2 * phi_top - integral) / a2**2)
+    return ((phi_end - phi_lo) / a2, (a2 * phi_end - integral) / a2**2)
 
 
 def lambda_hessian(model: HoldingTimeModel, a1: float, a2: float) -> np.ndarray:

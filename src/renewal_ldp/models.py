@@ -311,12 +311,30 @@ class RateEvaluation:
     on_boundary: bool = False
 
 
+def increasing_root(f: Callable[[float], float], top: float) -> tuple[float, int]:
+    """Root of an increasing function f on (-inf, top], with the iterations spent.
+
+    Every transform in the package is the maximiser of a concave objective
+    whose derivative is -f.  When f(top) <= 0 that maximiser is top itself, a
+    face of the domain.  Otherwise the lower end of the bracket doubles its
+    distance from top until f < 0, and Brent's method finds the root.
+    """
+    if f(top) <= 0.0:
+        return top, 0
+    hi, step, doublings = top, 1.0, 0
+    while f(top - step) > 0.0:
+        hi, step, doublings = top - step, 2.0 * step, doublings + 1
+    root, info = brentq(f, top - step, hi, xtol=1e-15, full_output=True)
+    return root, doublings + info.iterations
+
+
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
     """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}.
 
     Infinite for z1 <= 0 (holding times are positive); zero exactly at the
-    mean z1 = phi'(0).  Solved by the monotone root phi'(a) = z1, with the
-    exponential closed form short-circuited.
+    mean z1 = phi'(0).  The maximiser is the root of phi'(a) = z1, with the
+    exponential closed form short-circuited.  phi' is infinite at every
+    built-in boundary, closed or open, so the search stops one double below it.
     """
     if z1 <= 0.0:
         return RateEvaluation(INF, method="closed_form")
@@ -324,39 +342,10 @@ def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
         lam = model.domain.boundary
         value = lam * z1 - 1.0 - math.log(lam * z1)
         return RateEvaluation(max(value, 0.0), argmax_tilt=(lam - 1.0 / z1,), method="closed_form")
-    root, iters, ok = _solve_phi_prime(model, z1)
-    if not ok:
-        return RateEvaluation(
-            max(root * z1 - model.phi(root), 0.0),
-            argmax_tilt=(root,),
-            converged=False,
-            iterations=iters,
-            method="newton",
-        )
-    value = root * z1 - model.cgf(root)
-    return RateEvaluation(max(value, 0.0), argmax_tilt=(root,), iterations=iters, method="newton")
-
-
-def _solve_phi_prime(model: HoldingTimeModel, z1: float, maxiter: int = 200):
-    """Unique root of phi'(a) = z1 on the interior of D(phi).
-
-    phi' is strictly increasing, so a bracketed solve is safe: the lower end
-    expands to -inf, the upper end approaches the boundary geometrically.
-    """
-    abar = model.domain.boundary
-    lo = -1.0
-    iters = 0
-    while model.cgf_d1(lo) > z1 and iters < maxiter:
-        lo *= 2.0
-        iters += 1
-    hi = 0.5 * abar
-    while model.cgf_d1(hi) < z1 and iters < maxiter:
-        hi = abar - (abar - hi) * 0.5
-        iters += 1
-    if iters >= maxiter:
-        return hi, iters, False
-    root = brentq(lambda a: model.cgf_d1(a) - z1, lo, hi, xtol=1e-14, rtol=1e-15)
-    return root, iters, True
+    top = math.nextafter(model.domain.boundary, -INF)
+    root, iterations = increasing_root(lambda a: model.cgf_d1(a) - z1, top)
+    return RateEvaluation(max(root * z1 - model.cgf(root), 0.0), argmax_tilt=(root,),
+                          iterations=iterations, method="monotone_root")
 
 
 BUILTIN_MODELS = {kind: dict(zip(row.params, row.example)) for kind, row in MODEL_TABLE.items()}

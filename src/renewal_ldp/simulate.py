@@ -190,16 +190,11 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     """Predicted exponential decay rate: inf of the joint rate over the event."""
     if isinstance(event, MarginalThreshold):
-        mean = model.mean
-        if event.coord == "z1":
-            target = event.c
-            if (event.op == ">=" and target <= mean) or (event.op == "<=" and target >= mean):
-                return 0.0
-            return phi_star(model, target).value
-        target = event.c
-        if (event.op == ">=" and target <= 0.5 * mean) or (event.op == "<=" and target >= 0.5 * mean):
+        # the marginal rates are convex with their zero at the mean point
+        if event.contains(model.mean, 0.5 * model.mean):
             return 0.0
-        return marginal_I2(model, target).value
+        marginal = phi_star if event.coord == "z1" else marginal_I2
+        return marginal(model, event.c).value
     # generic region: coarse grid minimum of the joint rate over the cone
     mean = model.mean
     zs = np.linspace(1e-3, 6.0 * mean, 40)

@@ -56,6 +56,11 @@ class TestKappa:
             fd = (kappa(beta + h, 1.5) - kappa(beta - h, 1.5)) / (2 * h)
             assert kappa_d1(beta, 1.5) == pytest.approx(fd, rel=1e-6)
 
+    def test_derivative_far_below_zero(self):
+        # at beta*z1 < -709 the form with e^{-beta z1} overflows
+        for t in (-708.0, -710.0, -1e4):
+            assert kappa_d1(t / 1.5, 1.5) == pytest.approx(-1.5 / t, rel=1e-14)
+
     def test_derivative_range(self):
         # kappa' is the tilted mean: increases from 0 to z1
         z1 = 2.0
@@ -77,6 +82,13 @@ class TestKappaStar:
     def test_endpoints_diverge(self):
         assert kappa_star(0.0, 2.0).value == INF
         assert kappa_star(2.0, 2.0).value == INF
+
+    @pytest.mark.parametrize("f", [1e-3, 1.0 - 1e-3])
+    def test_next_to_the_endpoints(self, f):
+        # beta -> -z1/z2: kappa*(z2) = -1 - log(z2/z1) up to e^{-1/f}, symmetric about z1/2
+        z1 = 1.5
+        near = min(f, 1.0 - f)
+        assert kappa_star(f * z1, z1).value == pytest.approx(-1.0 - math.log(near), rel=1e-9)
 
     def test_against_grid_search(self):
         # frozen oracle: dense grid over the tilt beta

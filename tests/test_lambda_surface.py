@@ -164,6 +164,14 @@ class TestDomains:
         assert not in_lambda_domain(ncx, 0.5, -0.25)
         assert not in_lambda_domain(ncx, 0.25, 0.25)
 
+    def test_membership_decided_by_the_top_of_the_segment(self):
+        # (a1, a2) and its reflection (a1 + a2, -a2) run over the same segment
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
+        assert lambda_eval(EXP1, 0.0, 1.0) == lambda_eval(EXP1, 1.0, -1.0) == 1.0
+        assert in_lambda_domain(ig, 0.0, 0.5) and in_lambda_domain(ig, 0.5, -0.5)
+        assert not in_lambda_domain(ncx, 0.0, 0.5) and not in_lambda_domain(ncx, 0.5, -0.5)
+
     def test_lambda_finite_exactly_on_domain(self):
         for m in builtin_models():
             for a1, a2 in [(0.2, 0.3), (1.0, -0.5), (0.5, 0.0), (-1.0, 0.2)]:
@@ -193,6 +201,22 @@ class TestGradient:
     def test_gradient_outside_interior_raises(self):
         with pytest.raises(ValueError):
             lambda_grad(EXP1, 0.9, 0.2)
+
+    @pytest.mark.parametrize("a2", [-0.3, -3e-5])
+    def test_one_sided_gradient_on_closed_face(self, a2):
+        # inverse Gaussian mu = 1 at a1 = 1/2: phi'(1/2 + a2 y) = (2|a2| y)^(-1/2),
+        # so the two partials are sqrt(2/|a2|) and (2/3)/sqrt(2|a2|)
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        g1, g2 = lambda_grad(ig, 0.5, a2)
+        assert g1 == pytest.approx(math.sqrt(2.0 / -a2), rel=1e-9)
+        assert g2 == pytest.approx(2.0 / 3.0 / math.sqrt(-2.0 * a2), rel=1e-9)
+        assert lambda_grad(ig, 0.5 + a2, -a2) == pytest.approx((g1, g1 - g2), rel=1e-9)
+
+    def test_gradient_on_boundary_without_face_raises(self):
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        for model, a1, a2 in [(ig, 0.5, 0.0), (EXP1, 1.0, -0.3), (EXP1, 0.7, 0.3)]:
+            with pytest.raises(ValueError):
+                lambda_grad(model, a1, a2)
 
 
 class TestHessian:

@@ -17,6 +17,7 @@ from renewal_ldp import (
     parse_model_spec,
     phi_star,
 )
+from renewal_ldp.models import increasing_root
 
 
 def finite_diff(f, a, h=1e-6):
@@ -117,6 +118,18 @@ class TestDomainTaxonomy:
         assert not m.domain.contains(2.0 + 1e-15)
         e = make_model("exponential", {"lam": 1.0})
         assert not e.domain.contains(1.0)   # open boundary
+
+
+class TestIncreasingRoot:
+    def test_face_when_nonpositive_at_top(self):
+        assert increasing_root(lambda a: a - 5.0, 2.0) == (2.0, 0)
+        assert increasing_root(lambda a: a - 2.0, 2.0) == (2.0, 0)
+
+    @pytest.mark.parametrize("root", [1.5, -0.25, -3e6])
+    def test_root_below_top(self, root):
+        found, iterations = increasing_root(lambda a: math.atan(a - root), 2.0)
+        assert found == pytest.approx(root, rel=1e-15, abs=1e-15)
+        assert iterations > 0
 
 
 class TestPhiStar:

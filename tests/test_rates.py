@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from renewal_ldp import (
     INF,
@@ -11,6 +12,7 @@ from renewal_ldp import (
     conditional_rate_J,
     in_support_cone,
     lambda_eval,
+    lambda_grad,
     make_model,
     marginal_I1,
     marginal_I2,
@@ -19,9 +21,12 @@ from renewal_ldp import (
     rate_ld,
     rate_ld_poisson,
 )
-from renewal_ldp.lambda_surface import in_lambda_domain_interior
+from renewal_ldp.conditional import kappa_star
+from renewal_ldp.lambda_surface import in_lambda_domain, in_lambda_domain_interior
 
 EXP1 = make_model("exponential", {"lam": 1.0})
+IG1 = make_model("inverse_gaussian", {"mu": 1.0})
+MODELS = builtin_models()
 
 
 def grid_search_rate(model, z1, z2, a1_range, a2_range, n=251):
@@ -115,6 +120,91 @@ class TestRateValues:
         assert math.isfinite(v)
 
 
+def exact_pair(z1, f):
+    """An area z2 near f*z1 whose reflection z1 - z2 is exact in both directions."""
+    c = z1 - f * z1
+    return z1 - c, c
+
+
+class TestConeEdges:
+    """The whole support cone of all four models, edges included."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_edges_infinite(self, model):
+        for z1 in (0.5, 1.5):
+            for z2 in (0.0, z1):
+                res = rate_ld(model, z1, z2)
+                assert res.value == INF
+                assert res.on_boundary
+
+    @given(kind=st.integers(0, 3), log_z1=st.floats(-2.5, 2.5), log_f=st.floats(-8.0, -0.3),
+           upper=st.booleans(), log_a2=st.floats(-6.0, 4.0), a2_sign=st.booleans(),
+           log_gap=st.floats(-12.0, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_weak_duality(self, kind, log_z1, log_f, upper, log_a2, a2_sign, log_gap):
+        # I(z) >= a.z - L(a) at every tilt of D(L), down to z2/z1 = 1e-8 from both edges
+        model = MODELS[kind]
+        z1 = model.mean * math.exp(log_z1)
+        f = 10.0**log_f
+        z2 = z1 * (1.0 - f if upper else f)
+        value = rate_ld(model, z1, z2).value
+        assert 0.0 <= value < INF
+        a2 = (1.0 if a2_sign else -1.0) * 10.0**log_a2
+        top = model.domain.boundary * (1.0 - 10.0**log_gap)
+        a1 = top if a2 < 0.0 else top - a2
+        assume(in_lambda_domain(model, a1, a2))
+        assert value >= a1 * z1 + a2 * z2 - lambda_eval(model, a1, a2) - 1e-10 * max(1.0, value)
+
+    @given(kind=st.integers(0, 3), log_z1=st.floats(-2.5, 2.5), log_f=st.floats(-8.0, -0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_reflection(self, kind, log_z1, log_f):
+        # I(z1, z2) = I(z1, z1 - z2), with the tilt mapped by (a1, a2) -> (a1 + a2, -a2)
+        model = MODELS[kind]
+        z1 = model.mean * math.exp(log_z1)
+        z2, c = exact_pair(z1, 10.0**log_f)
+        low, high = rate_ld(model, z1, z2), rate_ld(model, z1, c)
+        assert low.value == pytest.approx(high.value, rel=1e-9)
+        (a1, a2), (b1, b2) = low.argmax_tilt, high.argmax_tilt
+        assert (b1, b2) == (a1 + a2, -a2)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_exponential_identity(self, lam):
+        # I = phi* + kappa* for exponential holding times, by both solvers
+        model = make_model("exponential", {"lam": lam})
+        edges = np.geomspace(1e-3, 0.5, 12)
+        near_midline = 0.5 - np.array([1e-2, 1e-4, 1e-6])
+        fractions = np.concatenate([edges, 1.0 - edges, near_midline, 1.0 - near_midline])
+        for z1 in (0.5, 1.5, 3.0):
+            for f in fractions:
+                z2 = float(f * z1)
+                oracle = phi_star(model, z1).value + kappa_star(z2, z1).value
+                assert rate_ld(model, z1, z2).value == pytest.approx(oracle, abs=1e-10)
+                assert rate_ld_poisson(lam, z1, z2).value == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("z1,z2,frozen", [
+        # scipy L-BFGS-B over a1 <= 1/2, a2 <= 0 with L by scipy.integrate.quad,
+        # best of four starts; both sit on the face a1 = mu^2/2, where the
+        # optimum in a2 gives the exact value z1/2 - 1 + 2/(9 z2)
+        (1.5, 0.3, 0.49074074074074076),
+        (1.5, 0.015, 14.564814814779286),
+    ])
+    def test_inverse_gaussian_face(self, z1, z2, frozen):
+        res = rate_ld(IG1, z1, z2)
+        assert res.value == pytest.approx(frozen, rel=1e-11)
+        assert res.argmax_tilt[0] == IG1.domain.boundary
+        assert lambda_grad(IG1, *res.argmax_tilt)[1] == pytest.approx(z2, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_marginal_I2_against_dense_scan(self, model):
+        # inf over z1 of the joint rate, scanned densely, at z2 = 0.2 * mean
+        z2 = 0.2 * model.mean
+        i2 = marginal_I2(model, z2).value
+        scan = min(rate_ld(model, float(z1), z2).value
+                   for z1 in np.linspace(z2, 3.0 * model.mean, 2000)[1:])
+        assert i2 <= scan + 1e-12
+        assert i2 == pytest.approx(scan, abs=2e-3)
+
+
 class TestPoissonPath:
     def test_equivalence_with_newton(self):
         for z1 in np.linspace(0.3, 3.0, 8):
@@ -161,12 +251,27 @@ class TestMarginals:
     def test_I2_infinite_negative(self):
         assert marginal_I2(EXP1, -0.5).value == INF
 
+    def test_I2_infinite_at_zero(self):
+        for m in builtin_models():
+            assert marginal_I2(m, 0.0).value == INF
+
     def test_I2_below_joint(self):
         # I2(z2) = inf over z1 of the joint rate, so it never exceeds it
         for z2 in (0.2, 0.8, 1.5):
             i2 = marginal_I2(EXP1, z2).value
             for z1 in (max(2 * z2, 1.0), 3 * z2 + 0.5):
                 assert i2 <= rate_ld(EXP1, z1, z2).value + 1e-8
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_I2_equals_nested_minimum(self, model):
+        # contraction: I2(z2) = min over z1 of the joint rate, found here by a
+        # bounded scalar search around the solver
+        for f in (0.2, 0.35, 0.8):
+            z2 = f * model.mean
+            nested = minimize_scalar(lambda z1: rate_ld(model, z1, z2).value,
+                                     bounds=(z2 * (1.0 + 1e-9), 20.0 * model.mean),
+                                     method="bounded", options={"xatol": 1e-10})
+            assert marginal_I2(model, z2).value == pytest.approx(nested.fun, rel=1e-10)
 
     def test_I2_against_coarse_scan(self):
         z2 = 1.2
