@@ -47,18 +47,24 @@ def in_tilt_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
 
 
 def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
-    """Membership in D(L), i.e. finiteness of the defining integral.
+    """Membership in D(L), the domain of the limit of the scaled log-MGFs.
 
-    For a2 != 0 the integral runs over the segment between a1 and a1 + a2 and
-    depends only on its top: below the phi-boundary it is finite, and on it
-    it is finite exactly when phi is integrable there (a closed boundary or an
-    open integrable one), whichever end of the segment touches it.
+    Depends on the domain taxonomy: with a closed phi-boundary or an open
+    integrable one, D(L) is the whole tilt set; with an open non-integrable
+    boundary it is the interior of the tilt set.  At a2<0 with a1 exactly at
+    an open boundary the integral is finite only in the integrable case.
+
+    The rule is not symmetric under the reflection (a1, a2) -> (a1 + a2, -a2)
+    on an open boundary, because the limit is not: in the weighted sum the
+    first holding time carries the tilt a1 + a2, so at a2 > 0 with a1 + a2 on
+    the boundary every MGF is infinite, while at a2 < 0 every tilt of the
+    sum lies strictly below a1.  The reflection of L holds off that edge only.
     """
     dom = model.domain
-    if a2 == 0.0:
-        return dom.contains(a1)
-    top = max(a1, a1 + a2)
-    return top < dom.boundary or (top == dom.boundary and dom.integrable_at_boundary)
+    if a2 >= 0.0:
+        return dom.contains(a1 + a2)
+    # a2 < 0: the integral runs over [a1+a2, a1]
+    return a1 < dom.boundary or (a1 == dom.boundary and dom.integrable_at_boundary)
 
 
 def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float, margin: float = 0.0) -> bool:

@@ -47,6 +47,18 @@ class DomainSpec:
             return alpha <= self.boundary
         return alpha < self.boundary
 
+    def search_top(self, finite_at_face: bool) -> float:
+        """Highest tilt at which a root search evaluates its function.
+
+        abar itself when it is closed and the function is finite there, else
+        the last double below abar.  phi' is infinite at every built-in
+        boundary, closed or open; the segment means d1L and d2L at a2 != 0
+        are finite on a closed face, because phi is.
+        """
+        if finite_at_face and self.boundary_closed:
+            return self.boundary
+        return math.nextafter(self.boundary, -INF)
+
 
 @dataclass(frozen=True)
 class HoldingTimeModel:
@@ -305,8 +317,8 @@ class RateEvaluation:
 
     value: float
     argmax_tilt: Optional[tuple] = None
-    converged: bool = True
-    iterations: int = 0
+    converged: bool = True  # False only from kappa_star; a root solve converges or raises
+    iterations: int = 0     # root-finding steps, inner solves included
     method: str = "closed_form"
     on_boundary: bool = False
 
@@ -332,9 +344,8 @@ def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
     """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}.
 
     Infinite for z1 <= 0 (holding times are positive); zero exactly at the
-    mean z1 = phi'(0).  The maximiser is the root of phi'(a) = z1, with the
-    exponential closed form short-circuited.  phi' is infinite at every
-    built-in boundary, closed or open, so the search stops one double below it.
+    mean z1 = phi'(0).  The maximiser is the root of phi'(a) = z1 below the
+    boundary, with the exponential closed form short-circuited.
     """
     if z1 <= 0.0:
         return RateEvaluation(INF, method="closed_form")
@@ -342,7 +353,7 @@ def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
         lam = model.domain.boundary
         value = lam * z1 - 1.0 - math.log(lam * z1)
         return RateEvaluation(max(value, 0.0), argmax_tilt=(lam - 1.0 / z1,), method="closed_form")
-    top = math.nextafter(model.domain.boundary, -INF)
+    top = model.domain.search_top(finite_at_face=False)
     root, iterations = increasing_root(lambda a: model.cgf_d1(a) - z1, top)
     return RateEvaluation(max(root * z1 - model.cgf(root), 0.0), argmax_tilt=(root,),
                           iterations=iterations, method="monotone_root")

@@ -28,13 +28,6 @@ def in_support_cone(z1: float, z2: float) -> bool:
     return 0.0 <= z2 <= z1
 
 
-def _top(model: HoldingTimeModel) -> float:
-    """Highest end of a tilt segment that the solvers try: abar when the
-    boundary is closed (a face of D(L)), else the last double below it."""
-    abar = model.domain.boundary
-    return abar if model.domain.boundary_closed else math.nextafter(abar, -INF)
-
-
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     """Bivariate rate function sup_a {a.z - L(a)}.
 
@@ -46,31 +39,37 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     the domain, or that top (the inverse-Gaussian face).  The envelope
     d2L(a1*(a2), a2) - w is then increasing in a2 and equals z1/2 - w at 0,
     so a2 is its root on (-inf, 0]; a2 = 0 is the midline, where I = phi*(z1).
+    ``iterations`` counts the steps of the outer root and of every inner one.
     """
     if not in_support_cone(z1, z2):
         return RateEvaluation(INF, method="closed_form")
     if z2 == 0.0 or z2 == z1:
         return RateEvaluation(INF, method="closed_form", on_boundary=True)
     w = min(z2, z1 - z2)
-    top = _top(model)
+    top = model.domain.search_top(finite_at_face=True)
+    inner = []
 
     def a1_star(a2):
-        return increasing_root(lambda a1: lambda_grad(model, a1, a2)[0] - z1, top)[0]
+        a1, steps = increasing_root(lambda a1: lambda_grad(model, a1, a2)[0] - z1, top)
+        inner.append(steps)
+        return a1
 
     def envelope(a2):
         if a2 == 0.0:
             return 0.5 * z1 - w
         return lambda_grad(model, a1_star(a2), a2)[1] - w
 
-    a2, iterations = increasing_root(envelope, 0.0)
+    a2, outer = increasing_root(envelope, 0.0)
     if a2 == 0.0:
         mid = phi_star(model, z1)
         a1, value, method = mid.argmax_tilt[0], mid.value, mid.method
+        inner.append(mid.iterations)
     else:
         a1 = a1_star(a2)
         value, method = a1 * z1 + a2 * w - lambda_eval(model, a1, a2), "monotone_root"
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
-    return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=iterations, method=method)
+    return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=outer + sum(inner),
+                          method=method)
 
 
 def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation:
@@ -133,7 +132,8 @@ def marginal_I2(model: HoldingTimeModel, z2: float) -> RateEvaluation:
     """
     if z2 <= 0.0:
         return RateEvaluation(INF, method="closed_form", on_boundary=z2 == 0.0)
-    t, iterations = increasing_root(lambda t: lambda_grad(model, 0.0, t)[1] - z2, _top(model))
+    top = model.domain.search_top(finite_at_face=True)
+    t, iterations = increasing_root(lambda t: lambda_grad(model, 0.0, t)[1] - z2, top)
     value = t * z2 - lambda_eval(model, 0.0, t)
     return RateEvaluation(max(value, 0.0), argmax_tilt=(0.0, t), iterations=iterations,
                           method="monotone_root")

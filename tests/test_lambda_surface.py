@@ -164,11 +164,14 @@ class TestDomains:
         assert not in_lambda_domain(ncx, 0.5, -0.25)
         assert not in_lambda_domain(ncx, 0.25, 0.25)
 
-    def test_membership_decided_by_the_top_of_the_segment(self):
-        # (a1, a2) and its reflection (a1 + a2, -a2) run over the same segment
+    def test_reflection_at_the_boundary_edge(self):
+        # (a1, a2) and (a1 + a2, -a2) share a segment, but on an open boundary
+        # the limit is infinite when the first holding time's tilt a1 + a2
+        # sits on it and finite when only a1 does
         ig = make_model("inverse_gaussian", {"mu": 1.0})
         ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
-        assert lambda_eval(EXP1, 0.0, 1.0) == lambda_eval(EXP1, 1.0, -1.0) == 1.0
+        assert lambda_eval(EXP1, 0.0, 1.0) == INF
+        assert lambda_eval(EXP1, 1.0, -1.0) == 1.0
         assert in_lambda_domain(ig, 0.0, 0.5) and in_lambda_domain(ig, 0.5, -0.5)
         assert not in_lambda_domain(ncx, 0.0, 0.5) and not in_lambda_domain(ncx, 0.5, -0.5)
 
