@@ -1,10 +1,11 @@
 """Command-line front end: structured, reproducible access to every computation.
 
 Subcommands: model, lambda, rate, moderate, simulate, conditional, validate.
-All JSON outputs carry a top-level ``"schema": "v1"`` key; floats in emitted
-artifacts are serialized with 17 significant digits so runs with identical
-arguments and seed produce byte-identical files.  Randomized subcommands
-require an explicit --seed.
+All JSON outputs carry a top-level ``"schema": "v1"`` key.  JSON floats are
+written as the shortest decimal that round-trips (non-finite ones as the
+strings "inf", "-inf", "nan"), and CSV floats with 17 significant digits, so
+runs with identical arguments and seed produce byte-identical files.
+Randomized subcommands require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -54,12 +55,8 @@ def _jsonable(obj):
         obj = float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return float(_fmt(obj))
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt(obj)
     return obj
 
 

@@ -75,21 +75,25 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
     if z2 < 0.0 or z2 > z1:
         return RateEvaluation(INF, method="closed_form")
     if z2 == 0.0 or z2 == z1:
-        return RateEvaluation(INF, converged=False, on_boundary=True, method="newton")
+        return RateEvaluation(INF, converged=False, on_boundary=True, method="closed_form")
     if z2 == 0.5 * z1:
         return RateEvaluation(0.0, argmax_tilt=(0.0,), method="closed_form")
-    # bisection bracket [-B, B] doubling until kappa' straddles z2
-    B = 1.0
+    # the uniform law is symmetric about z1/2, so kappa*(z2) = kappa*(z1 - z2)
+    # with the tilt negated.  Folding onto w <= z1/2 (z1 - z2 is exact for
+    # z2 >= z1/2) puts the tilt below 0, where kappa' = z1 e^t/(e^t - 1) - 1/beta
+    # has no cancellation.  The bracket [lo, 0] doubles until kappa'(lo) < w,
+    # which takes lo of about -1/w: beyond the double range only for w < ~1e-308.
+    w = min(z2, z1 - z2)
+    lo, hi = -1.0, 0.0
     iters = 0
-    while not (kappa_d1(-B, z1) < z2 < kappa_d1(B, z1)):
-        B *= 2.0
+    while kappa_d1(lo, z1) >= w:
+        lo *= 2.0
         iters += 1
-        if iters > 200:
-            return RateEvaluation(0.0, converged=False, iterations=iters, method="newton")
-    lo, hi = -B, B
+        if math.isinf(lo):
+            raise OverflowError(f"no finite tilt brackets kappa'(beta; {z1}) = {w}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if kappa_d1(mid, z1) < z2:
+        if kappa_d1(mid, z1) < w:
             lo = mid
         else:
             hi = mid
@@ -97,8 +101,9 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
             break
         iters += 1
     beta = 0.5 * (lo + hi)
-    value = beta * z2 - kappa(beta, z1)
-    return RateEvaluation(max(value, 0.0), argmax_tilt=(beta,), iterations=iters, method="newton")
+    value = beta * w - kappa(beta, z1)
+    tilt = beta if w == z2 else -beta
+    return RateEvaluation(max(value, 0.0), argmax_tilt=(tilt,), iterations=iters, method="bisection")
 
 
 def log_conditional_mgf(x: int, y: float, beta: float) -> float:

@@ -74,13 +74,11 @@ def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float, mar
 
 
 def in_finite_x_domain(model: HoldingTimeModel, x: float, a1: float, a2: float) -> bool:
-    """Membership in the per-x MGF domain of the weighted-sum representation."""
-    dom = model.domain
-    if a2 >= 0.0:
-        return dom.contains(a1 + a2 * x)
-    if float(x).is_integer():
-        return dom.contains(a1 + a2)
-    return dom.contains(a1 + a2 * (x - math.floor(x)))
+    """Membership in the per-x MGF domain: a1 + a2 w in D(phi) at every passage weight w."""
+    from .moderate import n_terms_for  # moderate imports this module
+
+    w = x if a2 >= 0.0 else x - (n_terms_for(x) - 1)  # the first or the last weight
+    return model.domain.contains(a1 + a2 * w)
 
 
 def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "auto") -> float:

@@ -86,25 +86,28 @@ def psi_star(model: HoldingTimeModel, z1: float, z2: float) -> float:
     return (2.0 * z1 * z1 - 6.0 * z1 * z2 + 6.0 * z2 * z2) / model.variance
 
 
+def n_terms_for(x: float) -> int:
+    """Number of holding times in the passage at level x: ceil(x)."""
+    return math.ceil(x)
+
+
+def passage_weights(x: float) -> np.ndarray:
+    """Weights of the holding times inside the passage area: x, x-1, ..., x - (n - 1)."""
+    return x - np.arange(n_terms_for(x))
+
+
 def exact_moments(model: HoldingTimeModel, x: float) -> MomentReport:
-    """Moments of the weighted holding-time sums, for integer or fractional x."""
+    """Moments of the weighted holding-time sums, for integer or fractional x.
+
+    Over the n passage weights, with m = n - 1: sum w = n (x - m/2) and
+    sum w^2 = n (12 x (x - m) + 2 m (2m + 1)) / 12.
+    """
     if x <= 0:
         raise ValueError("x must be positive")
     phi1 = model.mean
     phi2 = model.variance
-    if float(x).is_integer():
-        n = int(x)
-        return MomentReport(
-            x=x,
-            n_terms=n,
-            mean_tau=n * phi1,
-            var_tau=n * phi2,
-            mean_area=phi1 * n * (n + 1) / 2.0,
-            var_area=phi2 * n * (n + 1) * (2 * n + 1) / 6.0,
-            cov=phi2 * n * (n + 1) / 2.0,
-        )
-    m = math.floor(x)
-    n = m + 1
+    n = n_terms_for(x)
+    m = n - 1
     return MomentReport(
         x=x,
         n_terms=n,
@@ -114,12 +117,6 @@ def exact_moments(model: HoldingTimeModel, x: float) -> MomentReport:
         var_area=phi2 * n * (12.0 * x * (x - m) + 2.0 * m * (2 * m + 1)) / 12.0,
         cov=phi2 * n * (x - m / 2.0),
     )
-
-
-def passage_weights(x: float) -> np.ndarray:
-    """Weights of the holding times inside the passage area: x, x-1, ..."""
-    n = int(x) if float(x).is_integer() else math.floor(x) + 1
-    return x - np.arange(n)
 
 
 def correlation_limit(model: HoldingTimeModel, x: float) -> dict:
@@ -185,7 +182,7 @@ class Rectangle:
     y_hi: float
 
     def contains(self, z1, z2):
-        return (self.x_lo <= z1 <= self.x_hi) and (self.y_lo <= z2 <= self.y_hi)
+        return (self.x_lo <= z1) & (z1 <= self.x_hi) & (self.y_lo <= z2) & (z2 <= self.y_hi)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ class RegionUnion:
     parts: tuple = field(default_factory=tuple)
 
     def contains(self, z1, z2):
-        return any(p.contains(z1, z2) for p in self.parts)
+        return np.logical_or.reduce([p.contains(z1, z2) for p in self.parts])
 
 
 def sup_norm_exceedance(delta: float) -> RegionUnion:

@@ -17,13 +17,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import stats as sps
-from scipy.optimize import minimize_scalar
 
 from .lambda_surface import in_finite_x_domain
-from .models import INF, HoldingTimeModel, phi_star
+from .models import INF, HoldingTimeModel, increasing_root, phi_star
 from .moderate import (
     ModerateScaling,
     md_event_rate,
+    n_terms_for,
     passage_weights,
     sup_norm_exceedance,
 )
@@ -123,10 +123,6 @@ class TailEstimate:
     zero_hit_bound: Optional[float] = None
 
 
-def n_terms_for(x: float) -> int:
-    return int(x) if float(x).is_integer() else math.floor(x) + 1
-
-
 def sample_passage(model: HoldingTimeModel, x: float, rng: np.random.Generator) -> PassageSample:
     """One exact draw of (tau(x), A(x)) from a caller-provided stream."""
     if x <= 0:
@@ -213,26 +209,21 @@ def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[floa
     tau(x) is Gamma(x, rate lam), so the event is a regularized incomplete
     gamma tail.
     """
-    if model.kind != "exponential" or not float(x).is_integer():
-        return None
-    if not isinstance(event, MarginalThreshold) or event.coord != "z1":
-        return None
-    lam = model.domain.boundary
-    n = int(x)
-    if event.op == ">=":
-        return float(sps.gamma.sf(event.c * x, a=n, scale=1.0 / lam))
-    return float(sps.gamma.cdf(event.c * x, a=n, scale=1.0 / lam))
+    return _gamma_tail(model, event, x, sps.gamma.sf, sps.gamma.cdf)
 
 
 def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
     """Log of :func:`exact_tail_oracle`, stable for deep tails."""
-    if exact_tail_oracle(model, event, x) is None:
+    return _gamma_tail(model, event, x, sps.gamma.logsf, sps.gamma.logcdf)
+
+
+def _gamma_tail(model, event, x, upper_tail, lower_tail) -> Optional[float]:
+    if model.kind != "exponential" or not float(x).is_integer():
         return None
-    lam = model.domain.boundary
-    n = int(x)
-    if event.op == ">=":
-        return float(sps.gamma.logsf(event.c * x, a=n, scale=1.0 / lam))
-    return float(sps.gamma.logcdf(event.c * x, a=n, scale=1.0 / lam))
+    if not isinstance(event, MarginalThreshold) or event.coord != "z1":
+        return None
+    tail = upper_tail if event.op == ">=" else lower_tail
+    return float(tail(event.c * x, a=n_terms_for(x), scale=1.0 / model.domain.boundary))
 
 
 def estimate_tail(config: SimulationConfig, event) -> TailEstimate:
@@ -268,30 +259,6 @@ def estimate_tail(config: SimulationConfig, event) -> TailEstimate:
     )
 
 
-def empirical_clt(model: HoldingTimeModel, x: float, n_samples: int, seed: int, workers: int = 1) -> dict:
-    """Mean and covariance of sqrt(x) * (tau/x - phi'(0), A/x^2 - phi'(0)/2)."""
-    config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
-    phi1 = model.mean
-    sx = math.sqrt(x)
-    x2 = x * x
-
-    def block_stats(tau, area):
-        v1 = sx * (tau / x - phi1)
-        v2 = sx * (area / x2 - 0.5 * phi1)
-        return (v1.sum(), v2.sum(), (v1 * v1).sum(), (v1 * v2).sum(), (v2 * v2).sum(), v1.size)
-
-    parts = map_blocks(config, block_stats)
-    s1, s2, s11, s12, s22, n = (math.fsum(p[i] for p in parts) for i in range(6))
-    n = int(n)
-    mean = np.array([s1 / n, s2 / n])
-    cov = np.array([
-        [s11 / n - mean[0] ** 2, s12 / n - mean[0] * mean[1]],
-        [s12 / n - mean[0] * mean[1], s22 / n - mean[1] ** 2],
-    ]) * (n / (n - 1))
-    corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
-    return {"mean": mean, "cov": cov, "correlation": corr, "n_samples": n}
-
-
 def empirical_moments(model: HoldingTimeModel, x: float, n_samples: int, seed: int, workers: int = 1) -> dict:
     """Raw empirical moments of (tau, area) for comparison with the exact formulas."""
     config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
@@ -315,28 +282,39 @@ def empirical_moments(model: HoldingTimeModel, x: float, n_samples: int, seed: i
     }
 
 
+def empirical_clt(model: HoldingTimeModel, x: float, n_samples: int, seed: int, workers: int = 1) -> dict:
+    """Mean and covariance of sqrt(x) * (tau/x - phi'(0), A/x^2 - phi'(0)/2).
+
+    A rescaling of :func:`empirical_moments`: the covariance of the scaled
+    pair is [[Var tau/x, Cov/x^2], [Cov/x^2, Var A/x^3]].
+    """
+    m = empirical_moments(model, x, n_samples, seed, workers)
+    phi1, x2 = model.mean, x * x
+    mean = math.sqrt(x) * np.array([m["mean_tau"] / x - phi1, m["mean_area"] / x2 - 0.5 * phi1])
+    c12 = m["cov"] / x2
+    cov = np.array([[m["var_tau"] / x, c12], [c12, m["var_area"] / (x2 * x)]])
+    corr = c12 / math.sqrt(cov[0, 0] * cov[1, 1])
+    return {"mean": mean, "cov": cov, "correlation": corr, "n_samples": m["n_samples"]}
+
+
 def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upper: bool) -> float:
     """Chernoff bound on log P(A(x)/x^2 >= threshold) (or <= for upper=False).
 
-    Uses log E[exp(b*A)] = sum_k phi(b*w_k) over the passage weights; exact
-    for every finite x, so the bound is rigorous.
+    K(b) = sum_k phi(b w_k) over the passage weights is the exact log-MGF of
+    A(x), so inf [K(b) - b threshold x^2] over b >= 0 (b <= 0 for the lower
+    face) is a rigorous bound, attained at the root of the increasing K'(b) -
+    threshold x^2.  The root is searched in t = b x: the tilts t w_k/x are at
+    most t, exactly, so the upper face runs below the domain boundary.
     """
-    weights = passage_weights(x)
-    abar = model.domain.boundary
-
-    def neg_exponent(b):
-        if upper:
-            b = abs(b)
-        else:
-            b = -abs(b)
-        top = b * weights.max() if b > 0 else b * weights.min()
-        if not model.domain.contains(top) or top >= abar:
-            return INF
-        return math.fsum(model.phi(b * w) for w in weights) - b * threshold * x * x
-
-    res = minimize_scalar(lambda t: neg_exponent(t), bounds=(1e-12, abar / max(x, 1.0)),
-                          method="bounded")
-    return float(res.fun)
+    u = passage_weights(x) / x
+    level = threshold * x  # threshold x^2 per unit of t
+    if level <= 0.0:
+        return 0.0 if upper else -INF  # A(x) > 0
+    top = model.domain.search_top(finite_at_face=False) if upper else 0.0
+    t, _ = increasing_root(lambda t: float(u @ model.cgf_d1(t * u)) - level, top)
+    if upper:
+        t = max(t, 0.0)  # a threshold below the mean: the bound is 0 at b = 0
+    return math.fsum(model.phi(t * v) for v in u) - t * level
 
 
 def empirical_md(
@@ -352,9 +330,9 @@ def empirical_md(
 
     Plain Monte Carlo is attached for every x; when the probability is below
     Monte Carlo reach the rule-of-three bound is reported.  For exponential
-    holding times an exact-oracle column is added: the dominant passage-time
-    faces are regularized gamma tails and the area faces are verified to be
-    negligible by a Chernoff bound.
+    holding times at integer x an oracle column is added: an upper bound made
+    of the exact gamma tails of the passage-time faces plus a Chernoff bound on
+    each area face.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -397,28 +375,26 @@ def empirical_md(
 
 
 def _md_oracle_log_prob(model: HoldingTimeModel, x: float, scale: float, delta: float):
-    """Exact log-probability of the sup-norm event, exponential integer-x only.
+    """Upper bound on the log-probability of the sup-norm event; exponential integer x only.
 
-    The union is split into passage-time faces (exact gamma tails) and area
-    faces; the latter are bounded by Chernoff and folded in only if they are
-    not negligible at the double-precision level.
+    The event is the union of two passage-time faces and two area faces.  The
+    passage-time faces are exact gamma tails, each area face is bounded by
+    Chernoff, and the union is bounded by the sum of the four, so the result
+    is an upper bound: exact up to the area faces, which are always added.
     """
-    if model.kind != "exponential" or not float(x).is_integer() or delta <= 0.0:
+    if delta <= 0.0:
         return None
-    lam = model.domain.boundary
-    phi1 = 1.0 / lam
-    n = int(x)
+    phi1 = model.mean
     thr = delta / scale
-    log_up = sps.gamma.logsf((phi1 + thr) * x, a=n, scale=1.0 / lam)
-    lower = (phi1 - thr) * x
-    log_lo = sps.gamma.logcdf(lower, a=n, scale=1.0 / lam) if lower > 0 else -INF
-    log_tau = np.logaddexp(log_up, log_lo)
-    # area faces: rigorous Chernoff upper bounds
+    log_up = log_exact_tail_oracle(model, MarginalThreshold("z1", ">=", phi1 + thr), x)
+    if log_up is None:
+        return None
+    log_lo = log_exact_tail_oracle(model, MarginalThreshold("z1", "<=", phi1 - thr), x)
     log_area = np.logaddexp(
         _area_face_chernoff(model, x, 0.5 * phi1 + thr, upper=True),
         _area_face_chernoff(model, x, 0.5 * phi1 - thr, upper=False),
     )
-    return float(np.logaddexp(log_tau, log_area))
+    return float(np.logaddexp(np.logaddexp(log_up, log_lo), log_area))
 
 
 def mgf_empirical_check(

@@ -238,3 +238,30 @@ class TestChaganty:
             chaganty_equality(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             chaganty_equality(1.0, 1.0, 0.0)
+
+
+class TestKappaStarFarFromTheMidline:
+    @pytest.mark.parametrize("f", [1e-100, 1e-61, 1.0 - 1e-15])
+    def test_endpoint_asymptote(self, f):
+        # kappa*(z2) = -1 - log(d/z1) up to e^{-z1/d}, d the distance to the nearer endpoint
+        z1 = 1.0
+        z2 = f * z1
+        near = min(z2, z1 - z2) / z1
+        res = kappa_star(z2, z1)
+        assert res.method == "bisection"
+        assert res.value == pytest.approx(-1.0 - math.log(near), rel=1e-12)
+        # the tilt is below 0 under the midline and above it over the midline
+        assert (res.argmax_tilt[0] < 0) == (z2 < 0.5 * z1)
+
+    def test_unbracketable_level_raises(self):
+        # the tilt would be about -1/z2, beyond the double range
+        with pytest.raises(OverflowError):
+            kappa_star(5e-324, 1.0)
+
+    def test_exact_symmetry(self):
+        # z1 - z2 is exact for z2 in [z1/2, z1], and both sides solve the same root
+        z1 = 2.0
+        for z2 in (1.3, 1.7, 1.999, 2.0 - 1e-12):
+            a, b = kappa_star(z1 - z2, z1), kappa_star(z2, z1)
+            assert a.value == b.value
+            assert a.argmax_tilt[0] == -b.argmax_tilt[0]

@@ -311,3 +311,27 @@ class TestRegularity:
         assert not rep.lsc and rep.steep
         rep = regularity_report(make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0}))
         assert rep.lsc and rep.steep
+
+
+class TestFiniteXDomain:
+    def test_last_weight_is_exact_below_one_half(self):
+        from renewal_ldp import in_finite_x_domain
+        from renewal_ldp.moderate import passage_weights
+
+        # at x = 0.1 the only weight is 0.1 itself; x - ceil(x) + 1 would give
+        # 0.09999999999999998 and put the tilt a1 - 10 w on the boundary 1
+        assert passage_weights(0.1).tolist() == [0.1]
+        a1 = math.nextafter(2.0, -math.inf)
+        assert a1 - 10.0 * 0.1 < 1.0
+        assert in_finite_x_domain(EXP1, 0.1, a1, -10.0)
+        assert not in_finite_x_domain(EXP1, 0.1, 2.0, -10.0)
+
+    @pytest.mark.parametrize("x", [1.0, 7.0, 7.25, 0.4])
+    def test_largest_tilt_over_the_weights(self, x):
+        from renewal_ldp import in_finite_x_domain
+        from renewal_ldp.moderate import passage_weights
+
+        w = passage_weights(x)
+        for a1, a2 in ((0.5, 0.05), (0.9, -0.3), (1.2, -0.3), (-0.5, 0.3)):
+            expected = bool(np.max(a1 + a2 * w) < 1.0)
+            assert in_finite_x_domain(EXP1, x, a1, a2) == expected

@@ -239,3 +239,24 @@ class TestCentering:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             centering_mode(EXP1, 10.0, "other")
+
+
+class TestMomentsFromPassageWeights:
+    @pytest.mark.parametrize("x", [0.3, 1.0, 10.0, 10.5, 1e5 + 0.25])
+    def test_direct_sums_over_the_weights(self, x):
+        w = passage_weights(x)
+        sum_w, sum_w2 = math.fsum(w), math.fsum(w * w)
+        for model in builtin_models():
+            rep = exact_moments(model, x)
+            phi1, phi2 = model.mean, model.variance
+            assert rep.n_terms == w.size
+            assert rep.mean_tau == pytest.approx(w.size * phi1, rel=1e-14)
+            assert rep.var_tau == pytest.approx(w.size * phi2, rel=1e-14)
+            assert rep.mean_area == pytest.approx(phi1 * sum_w, rel=1e-12)
+            assert rep.cov == pytest.approx(phi2 * sum_w, rel=1e-12)
+            assert rep.var_area == pytest.approx(phi2 * sum_w2, rel=1e-12)
+
+    def test_last_weight_below_one_half(self):
+        # one holding time, weighted by x itself
+        assert passage_weights(0.3).tolist() == [0.3]
+        assert exact_moments(EXP1, 0.3).var_area == pytest.approx(0.09, rel=1e-15)

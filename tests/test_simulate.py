@@ -275,3 +275,83 @@ class TestEmpiricalMd:
         rows = empirical_md(ig, [100], p_exponent=0.5, delta=1.0,
                             n_samples=2000, seed=9)
         assert "oracle_exponent" not in rows[0]
+
+
+class TestAreaFaceChernoff:
+    @pytest.mark.parametrize("kind, params", [("exponential", {"lam": 1.0}),
+                                              ("gamma", {"shape": 2.0, "rate": 2.0})])
+    @pytest.mark.parametrize("x", [100, 1000])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_no_larger_than_a_scan(self, kind, params, x, upper):
+        from renewal_ldp.moderate import passage_weights
+        from renewal_ldp.simulate import _area_face_chernoff
+
+        model = make_model(kind, params)
+        shape = params.get("shape", 1.0)
+        rate = model.domain.boundary
+        thr = x ** -0.25  # the sup-norm faces of criterion 11 at delta = 1
+        threshold = 0.5 * model.mean + (thr if upper else -thr)
+        level = threshold * x * x
+        # independent oracle: K(b) = sum_k -shape log(1 - b w_k / rate), scanned on the face
+        w = passage_weights(x)
+        if upper:
+            b = np.linspace(0.0, rate / x, 2002)[1:-1]
+        else:
+            b = np.linspace(-10.0 * rate / x, 0.0, 2001)[:-1]
+        K = -shape * np.log1p(-np.outer(b, w) / rate).sum(axis=1)
+        scan = float(np.min(K - b * level))
+        bound = _area_face_chernoff(model, x, threshold, upper)
+        assert bound <= scan + 1e-9 * abs(scan)
+        assert bound == pytest.approx(scan, rel=1e-4)
+
+    def test_face_beyond_the_support(self):
+        from renewal_ldp.simulate import _area_face_chernoff
+
+        # A(x) > 0: P(A/x^2 <= 0) = 0 and P(A/x^2 >= 0) = 1
+        assert _area_face_chernoff(EXP1, 100, 0.0, upper=False) == -math.inf
+        assert _area_face_chernoff(EXP1, 100, -1.0, upper=True) == 0.0
+        # an upper face below the mean 0.55 of A/x^2 at x = 10: the infimum is at b = 0
+        assert _area_face_chernoff(EXP1, 10, 0.5, upper=True) == 0.0
+
+
+class TestCltFromMoments:
+    @pytest.mark.parametrize("kind, params", [("exponential", {"lam": 1.0}),
+                                              ("gamma", {"shape": 2.0, "rate": 2.0})])
+    @pytest.mark.parametrize("x", [10.5, 1000.0])
+    def test_matches_centred_block_sums(self, kind, params, x):
+        model = make_model(kind, params)
+        n_samples, seed = 9000, 3
+        out = empirical_clt(model, x, n_samples, seed, workers=2)
+        # oracle: centre and scale every sample, then reduce the block sums
+        config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed)
+        phi1, sx, x2 = model.mean, math.sqrt(x), x * x
+
+        def block_stats(tau, area):
+            v1 = sx * (tau / x - phi1)
+            v2 = sx * (area / x2 - 0.5 * phi1)
+            return (v1.sum(), v2.sum(), (v1 * v1).sum(), (v1 * v2).sum(), (v2 * v2).sum(), v1.size)
+
+        parts = map_blocks(config, block_stats)
+        s1, s2, s11, s12, s22, n = (math.fsum(p[i] for p in parts) for i in range(6))
+        mean = np.array([s1 / n, s2 / n])
+        cov = np.array([
+            [s11 / n - mean[0] ** 2, s12 / n - mean[0] * mean[1]],
+            [s12 / n - mean[0] * mean[1], s22 / n - mean[1] ** 2],
+        ]) * (n / (n - 1))
+        assert out["n_samples"] == n_samples
+        np.testing.assert_allclose(out["mean"], mean, rtol=1e-10)
+        np.testing.assert_allclose(out["cov"], cov, rtol=1e-10)
+        assert out["correlation"] == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]),
+                                                   rel=1e-10)
+
+
+class TestRegionEvents:
+    def test_rectangle_and_union_count_like_a_threshold(self):
+        from renewal_ldp import Rectangle, RegionUnion
+
+        config = SimulationConfig(model=EXP1, x=20.0, n_samples=20000, seed=4)
+        rect = Rectangle(1.5, math.inf, 0.0, math.inf)
+        hits = estimate_tail(config, MarginalThreshold("z1", ">=", 1.5)).hit_count
+        assert hits > 0
+        assert estimate_tail(config, rect).hit_count == hits
+        assert estimate_tail(config, RegionUnion((rect,))).hit_count == hits
