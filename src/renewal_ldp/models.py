@@ -326,16 +326,18 @@ class RateEvaluation:
 def increasing_root(f: Callable[[float], float], top: float) -> tuple[float, int]:
     """Root of an increasing function f on (-inf, top], with the iterations spent.
 
-    Every transform in the package is the maximiser of a concave objective
-    whose derivative is -f.  When f(top) <= 0 that maximiser is top itself, a
-    face of the domain.  Otherwise the lower end of the bracket doubles its
-    distance from top until f < 0, and Brent's method finds the root.
+    Every transform in the package maximises a concave objective whose
+    derivative is -f; when f(top) <= 0 the maximiser is top, a face of the
+    domain.  Else the bracket's lower end doubles its distance from top until
+    f < 0 (OverflowError if it leaves the doubles first); Brent finds the root.
     """
     if f(top) <= 0.0:
         return top, 0
     hi, step, doublings = top, 1.0, 0
     while f(top - step) > 0.0:
         hi, step, doublings = top - step, 2.0 * step, doublings + 1
+        if math.isinf(top - step):
+            raise OverflowError(f"no finite bracket below {top} for an increasing root")
     root, info = brentq(f, top - step, hi, xtol=1e-15, full_output=True)
     return root, doublings + info.iterations
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,15 @@ from .rates import marginal_I2, rate_ld
 
 BLOCK_SIZE = 4096          # samples per random stream; independent of worker count
 CHUNK_DRAWS = 1 << 23      # max holding-time draws materialized at once
+N_RAYS = 64                # angles of the boundary search in ld_event_rate
+# radii of a ray's march, in units of the mean: 0, then 8 per doubling from where p + r d first
+# moves off p to the top of the doubles.  A ray steps over an event it crosses within less
+# than a factor 2**(1/8) in radius.
+MARCH = np.append(0.0, 2.0 ** (np.arange(-53 * 8, 1024 * 8) / 8))
+SECTIONS = 64              # points per refinement of a ray's first crossing
+REFINEMENTS = 9            # 64**-9 < 2**-53: a bracket in [0, r] shrinks below one ulp of r
+ANGLE_TOL = 1e-7           # width of the final golden-section bracket, radians
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -184,22 +194,59 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 
 
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
-    """Predicted exponential decay rate: inf of the joint rate over the event."""
+    """Predicted exponential decay rate: the infimum of the joint rate I over the event.
+
+    A :class:`MarginalThreshold` takes its marginal rate in closed form.  Else I,
+    convex and 0 at p = (mean, mean/2), never decreases along a ray from p, so
+    its infimum is where rays first enter the event: N_RAYS rays march out to
+    those points in the cone, and a golden-section search in the angle refines
+    each ray that is a local minimum.  0.0 if p is in the event, INF if no ray
+    enters it, else I at a point of the event: exact when that first-hit rate is
+    unimodal in the angle near those rays, an upper bound otherwise.
+    """
+    p = (model.mean, 0.5 * model.mean)
+    if event.contains(*p):  # the rates are convex with their zero at p
+        return 0.0
     if isinstance(event, MarginalThreshold):
-        # the marginal rates are convex with their zero at the mean point
-        if event.contains(model.mean, 0.5 * model.mean):
-            return 0.0
-        marginal = phi_star if event.coord == "z1" else marginal_I2
-        return marginal(model, event.c).value
-    # generic region: coarse grid minimum of the joint rate over the cone
-    mean = model.mean
-    zs = np.linspace(1e-3, 6.0 * mean, 40)
-    best = INF
-    for z1 in zs:
-        for z2 in zs:
-            if 0 <= z2 <= z1 and event.contains(z1, z2):
-                best = min(best, rate_ld(model, float(z1), float(z2)).value)
-    return best
+        return (phi_star if event.coord == "z1" else marginal_I2)(model, event.c).value
+    rate_at = partial(_first_hit_rate, model, event, p, p[0] * MARCH[MARCH <= np.finfo(float).max / p[0]])
+    step = 2.0 * math.pi / N_RAYS
+    rates = [rate_at(step * k) for k in range(N_RAYS)]
+    refined = [_golden_min(rate_at, step * (j - 1), step * (j + 1)) for j, rate in enumerate(rates)
+               if rate < INF and rate <= rates[j - 1] and rate <= rates[(j + 1) % N_RAYS]]
+    return min(rates + refined)
+
+
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Least value of f seen by a golden-section search of [lo, hi] down to ANGLE_TOL."""
+    fc, fd = f(c := hi - GOLDEN * (hi - lo)), f(d := lo + GOLDEN * (hi - lo))
+    while hi - lo > ANGLE_TOL:  # the kept interior point holds the least value seen
+        if fc <= fd:
+            hi, d, fd, c = d, c, fc, d - GOLDEN * (d - lo)
+            fc = f(c)
+        else:
+            lo, c, fc, d = c, d, fd, c + GOLDEN * (hi - c)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def _first_hit_rate(model, event, p, radii, angle) -> float:
+    """I where the ray p + r (cos a, sin a) first enters the event on the given radii; INF if never."""
+
+    def first_in(radii):
+        # the cone is convex and holds p, so the ray's points in it are a prefix
+        z1, z2 = p[0] + radii * math.cos(angle), p[1] + radii * math.sin(angle)
+        with np.errstate(over="ignore", invalid="ignore"):  # the march ends at the largest doubles
+            hit = (0.0 <= z2) & (z2 <= z1) & np.asarray(event.contains(z1, z2))
+        return (k := int(hit.argmax())), hit[k], float(z1[k]), float(z2[k])
+
+    k, entered, z1, z2 = first_in(radii)
+    if not entered:
+        return INF
+    for _ in range(REFINEMENTS):  # the event holds at radii[k] and not at radii[k - 1]
+        radii = np.linspace(radii[k - 1], radii[k], SECTIONS + 1)  # both ends exact
+        k, _, z1, z2 = first_in(radii)
+    return rate_ld(model, z1, z2).value
 
 
 def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:

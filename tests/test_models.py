@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -22,6 +24,21 @@ from renewal_ldp.models import increasing_root
 
 def finite_diff(f, a, h=1e-6):
     return (f(a + h) - f(a - h)) / (2 * h)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the body once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCgfValues:
@@ -131,6 +148,11 @@ class TestIncreasingRoot:
         assert found == pytest.approx(root, rel=1e-15, abs=1e-15)
         assert iterations > 0
 
+    def test_positive_down_to_minus_infinity_raises(self):
+        # no root at all: the bracket doubles until it leaves the doubles
+        with within(1.0), pytest.raises(OverflowError):
+            increasing_root(lambda a: 1.0, 0.0)
+
 
 class TestPhiStar:
     def test_exponential_closed_form(self):
@@ -147,6 +169,12 @@ class TestPhiStar:
         for m in builtin_models():
             assert phi_star(m, 0.0).value == INF
             assert phi_star(m, -1.0).value == INF
+
+    def test_root_below_the_double_range_raises(self):
+        # gamma:2,2 at z1 = 1e-320: the tilt 2 - 2/z1 is about -2e320
+        model = make_model("gamma", {"shape": 2.0, "rate": 2.0})
+        with within(1.0), pytest.raises(OverflowError):
+            phi_star(model, 1e-320)
 
     @pytest.mark.parametrize("z1", [0.5, 0.8, 1.3, 2.5])
     def test_against_grid_search(self, z1):

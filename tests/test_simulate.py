@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from renewal_ldp import (
+    INF,
+    HalfPlane,
     MarginalThreshold,
     PredicateEvent,
+    Rectangle,
+    RegionUnion,
     SimulationConfig,
     block_rng,
     builtin_models,
@@ -15,6 +19,7 @@ from renewal_ldp import (
     estimate_tail,
     exact_moments,
     hessian_origin,
+    lambda_eval,
     ld_event_rate,
     make_model,
     map_blocks,
@@ -22,7 +27,9 @@ from renewal_ldp import (
     mgf_empirical_check,
     parse_event,
     phi_star,
+    rate_ld,
     sample_passage,
+    sup_norm_exceedance,
     wilson_interval,
 )
 from renewal_ldp.simulate import exact_tail_oracle, log_exact_tail_oracle, n_terms_for
@@ -139,10 +146,105 @@ class TestPredictedRates:
             marginal_I2(EXP1, 1.0).value
         )
 
-    def test_generic_region_grid(self):
+    def test_generic_region_boundary_search(self):
         event = PredicateEvent(lambda z1, z2: z1 >= 1.5, "z1>=1.5 (generic)")
         generic = ld_event_rate(EXP1, event, 100)
-        assert generic == pytest.approx(phi_star(EXP1, 1.5).value, abs=2e-2)
+        assert generic == pytest.approx(phi_star(EXP1, 1.5).value, rel=1e-12)
+
+
+MODELS = builtin_models()
+MODEL_IDS = [m.kind for m in MODELS]
+
+
+def boundary_scan(model, event, segments, n=201):
+    """Least rate_ld over the points of straight segments that lie in the event and the open cone."""
+    best = math.inf
+    for (a1, a2), (b1, b2) in segments:
+        for s in np.linspace(0.0, 1.0, n):
+            z1, z2 = a1 + s * (b1 - a1), a2 + s * (b2 - a2)
+            if 0.0 < z2 < z1 and event.contains(z1, z2):
+                best = min(best, rate_ld(model, z1, z2).value)
+    return best
+
+
+class TestBoundarySearch:
+    # (coordinate, op, level in multiples of the mean): both tails of both coordinates
+    AXIS_CASES = [("z1", ">=", 1.5), ("z1", "<=", 0.6), ("z2", ">=", 0.8), ("z2", "<=", 0.3)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("coord, op, level", AXIS_CASES)
+    def test_axis_half_planes_equal_the_marginal_rates(self, model, coord, op, level):
+        c = level * model.mean
+        marginal = phi_star if coord == "z1" else marginal_I2
+        exact = marginal(model, c).value
+        axis = np.array([1.0, 0.0] if coord == "z1" else [0.0, 1.0])
+        sign = 1.0 if op == ">=" else -1.0
+        plane = HalfPlane(tuple(sign * axis), sign * c)
+        opaque = PredicateEvent(lambda z1, z2: MarginalThreshold(coord, op, c).contains(z1, z2), "axis")
+        assert ld_event_rate(model, plane, 100) == pytest.approx(exact, rel=1e-12)
+        assert ld_event_rate(model, opaque, 100) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    # the bounding line n.z = c across the cone, in multiples of the mean: from
+    # the edge z2 = z1 to z2 = 0, and from z2 = 0 out to z1 = 4
+    @pytest.mark.parametrize("normal, level, ends", [
+        ((1.0, 1.0), 2.4, ((1.2, 1.2), (2.4, 0.0))),
+        ((1.0, -2.0), 0.5, ((0.5, 0.0), (4.0, 1.75))),
+    ])
+    def test_tilted_half_plane(self, model, normal, level, ends):
+        m = model.mean
+        c = level * m
+        plane = HalfPlane(normal, c)
+        rate = ld_event_rate(model, plane, 100)
+        scan = boundary_scan(model, plane, [tuple((m * a, m * b) for a, b in ends)], n=801)
+        assert rate <= scan + 1e-9
+        assert rate == pytest.approx(scan, rel=1e-4)
+        # weak duality: every t >= 0 bounds the infimum below by t c - L(t n)
+        ts = np.linspace(0.0, model.domain.boundary, 2001)
+        dual = max(t * c - lambda_eval(model, t * normal[0], t * normal[1]) for t in ts)
+        assert rate >= dual - 1e-12
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_rectangle_union_and_sup_norm(self, model):
+        m = model.mean
+
+        def edges(r):
+            corners = [(r.x_lo, r.y_lo), (r.x_hi, r.y_lo), (r.x_hi, r.y_hi), (r.x_lo, r.y_hi)]
+            return list(zip(corners, corners[1:] + corners[:1]))
+
+        bounded = Rectangle(1.3 * m, 2.0 * m, 0.8 * m, 1.2 * m)
+        # rays from p cross `far` within less than a factor 2 in radius
+        far = Rectangle(0.3 * m, 0.6 * m, 0.1 * m, 0.2 * m)
+        # for inverse-Gaussian `small` has the lower rate (0.0942 against 0.0961)
+        # although the best of the rays hits `near`
+        near = Rectangle(1.3 * m, 1.6 * m, 0.3 * m, 0.5 * m)
+        small = Rectangle(0.55 * m, 0.65 * m, 0.3 * m, 0.35 * m)
+        delta = 1.4 * m
+        sup_norm = sup_norm_exceedance(delta)
+        cases = [
+            (bounded, edges(bounded)),
+            (far, edges(far)),
+            (RegionUnion((near, small)), edges(near) + edges(small)),
+            (sup_norm, [((delta, 0.0), (delta, delta)), ((delta, delta), (4.0 * m, delta))]),
+        ]
+        for region, segments in cases:
+            rate = ld_event_rate(model, region, 100)
+            scan = boundary_scan(model, region, segments, n=101)
+            assert rate <= scan + 1e-9
+            assert rate == pytest.approx(scan, rel=1e-3)
+        # within the cone the sup-norm region is {z1 >= delta}
+        assert ld_event_rate(model, sup_norm, 100) == pytest.approx(phi_star(model, delta).value,
+                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_law_of_large_numbers_point_and_events_off_the_cone(self, model):
+        m = model.mean
+        assert ld_event_rate(model, HalfPlane((1.0, 0.0), 0.9 * m), 100) == 0.0
+        assert ld_event_rate(model, Rectangle(0.5 * m, 2.0 * m, 0.0, m), 100) == 0.0
+        below = HalfPlane((0.0, -1.0), 0.1 * m)  # z2 <= -0.1 mean
+        above = PredicateEvent(lambda z1, z2: z2 > z1 + 0.1 * m, "z2 > z1 + 0.1 mean")
+        assert ld_event_rate(model, below, 100) == INF
+        assert ld_event_rate(model, above, 100) == INF
 
 
 class TestWilson:
