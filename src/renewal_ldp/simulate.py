@@ -33,9 +33,10 @@ from .rates import marginal_I2, rate_ld
 BLOCK_SIZE = 4096          # samples per random stream; independent of worker count
 CHUNK_DRAWS = 1 << 23      # max holding-time draws materialized at once
 N_RAYS = 64                # angles of the boundary search in ld_event_rate
-# radii of a ray's march, in units of the mean: 0, then 8 per doubling from where p + r d first
-# moves off p to the top of the doubles.  A ray steps over an event it crosses within less
-# than a factor 2**(1/8) in radius.
+# a ray's march: 0, then 8 steps per doubling from 2**-53 to the top of the doubles.  A ray that
+# stays in the cone marches on r = mean * MARCH; one that leaves it at exit marches on
+# r = exit * MARCH / (1 + MARCH), whose radii crowd both p and the cone edge.  A ray steps over
+# an event it crosses within less than a factor 2**(1/8) in r, or in r / (exit - r).
 MARCH = np.append(0.0, 2.0 ** (np.arange(-53 * 8, 1024 * 8) / 8))
 SECTIONS = 64              # points per refinement of a ray's first crossing
 REFINEMENTS = 9            # 64**-9 < 2**-53: a bracket in [0, r] shrinks below one ulp of r
@@ -196,25 +197,25 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     """Predicted exponential decay rate: the infimum of the joint rate I over the event.
 
-    A :class:`MarginalThreshold` takes its marginal rate in closed form.  Else I,
-    convex and 0 at p = (mean, mean/2), never decreases along a ray from p, so
-    its infimum is where rays first enter the event: N_RAYS rays march out to
-    those points in the cone, and a golden-section search in the angle refines
-    each ray that is a local minimum.  0.0 if p is in the event, INF if no ray
-    enters it, else I at a point of the event: exact when that first-hit rate is
-    unimodal in the angle near those rays, an upper bound otherwise.
+    A :class:`MarginalThreshold` takes its marginal rate in closed form.  Else,
+    as I is convex and 0 at p = (mean, mean/2), the infimum is over the points
+    where rays from p first enter the event: N_RAYS rays march to them in the
+    cone, and a golden-section search in the angle refines each local minimum.
+    0.0 if p is in the event, INF if no ray enters it, else I at a point of the
+    event: exact when that rate is finite and unimodal in the angle between the
+    neighbours of those rays, else an upper bound.
     """
     p = (model.mean, 0.5 * model.mean)
     if event.contains(*p):  # the rates are convex with their zero at p
         return 0.0
     if isinstance(event, MarginalThreshold):
         return (phi_star if event.coord == "z1" else marginal_I2)(model, event.c).value
-    rate_at = partial(_first_hit_rate, model, event, p, p[0] * MARCH[MARCH <= np.finfo(float).max / p[0]])
-    step = 2.0 * math.pi / N_RAYS
-    rates = [rate_at(step * k) for k in range(N_RAYS)]
-    refined = [_golden_min(rate_at, step * (j - 1), step * (j + 1)) for j, rate in enumerate(rates)
-               if rate < INF and rate <= rates[j - 1] and rate <= rates[(j + 1) % N_RAYS]]
-    return min(rates + refined)
+    rate_at = partial(_first_hit_rate, model, event, p)
+    # ray j is angles[j + 1]; ray 0 aims at the apex (0, 0), as events there subtend a small angle
+    angles = math.atan2(-p[1], -p[0]) + 2.0 * math.pi / N_RAYS * np.arange(-1, N_RAYS + 1)
+    rates = [rate_at(a) for a in angles[1:-1]]
+    return min(rates + [_golden_min(rate_at, angles[j], angles[j + 2]) for j, rate in enumerate(rates)
+                        if rate < INF and rate <= rates[j - 1] and rate <= rates[(j + 1) % N_RAYS]])
 
 
 def _golden_min(f, lo: float, hi: float) -> float:
@@ -230,23 +231,24 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return min(fc, fd)
 
 
-def _first_hit_rate(model, event, p, radii, angle) -> float:
-    """I where the ray p + r (cos a, sin a) first enters the event on the given radii; INF if never."""
+def _first_hit_rate(model, event, p, angle) -> float:
+    """I where the ray p + r (cos a, sin a) first enters the event on its march; INF if never."""
+    c, s = math.cos(angle), math.sin(angle)
+    exit_r = min(-p[1] / s if s < 0.0 else INF, (p[0] - p[1]) / (s - c) if s > c else INF)
+    radii = exit_r * (MARCH / (1.0 + MARCH)) if exit_r < INF else p[0] * MARCH[MARCH < 2.0**1023 / p[0]]
 
     def first_in(radii):
-        # the cone is convex and holds p, so the ray's points in it are a prefix
-        z1, z2 = p[0] + radii * math.cos(angle), p[1] + radii * math.sin(angle)
+        z1, z2 = p[0] + radii * c, p[1] + radii * s
         with np.errstate(over="ignore", invalid="ignore"):  # the march ends at the largest doubles
+            # the cone test drops a point that rounding puts past the exit
             hit = (0.0 <= z2) & (z2 <= z1) & np.asarray(event.contains(z1, z2))
         return (k := int(hit.argmax())), hit[k], float(z1[k]), float(z2[k])
 
     k, entered, z1, z2 = first_in(radii)
-    if not entered:
-        return INF
-    for _ in range(REFINEMENTS):  # the event holds at radii[k] and not at radii[k - 1]
+    for _ in range(REFINEMENTS if entered else 0):  # the event holds at radii[k], not at radii[k - 1]
         radii = np.linspace(radii[k - 1], radii[k], SECTIONS + 1)  # both ends exact
         k, _, z1, z2 = first_in(radii)
-    return rate_ld(model, z1, z2).value
+    return rate_ld(model, z1, z2).value if entered else INF
 
 
 def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:

@@ -168,8 +168,10 @@ def boundary_scan(model, event, segments, n=201):
 
 
 class TestBoundarySearch:
-    # (coordinate, op, level in multiples of the mean): both tails of both coordinates
-    AXIS_CASES = [("z1", ">=", 1.5), ("z1", "<=", 0.6), ("z2", ">=", 0.8), ("z2", "<=", 0.3)]
+    # (coordinate, op, level in multiples of the mean): both tails of both coordinates, and
+    # thin events at the apex of the cone and along its edge z2 = 0
+    AXIS_CASES = [("z1", ">=", 1.5), ("z1", "<=", 0.6), ("z2", ">=", 0.8), ("z2", "<=", 0.3),
+                  ("z1", "<=", 0.05), ("z2", "<=", 0.02)]
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("coord, op, level", AXIS_CASES)
@@ -183,6 +185,22 @@ class TestBoundarySearch:
         opaque = PredicateEvent(lambda z1, z2: MarginalThreshold(coord, op, c).contains(z1, z2), "axis")
         assert ld_event_rate(model, plane, 100) == pytest.approx(exact, rel=1e-12)
         assert ld_event_rate(model, opaque, 100) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_two_sided_area_tail(self, model):
+        # two basins with close minima; for noncentral chi-squared the best of the
+        # rays lies in the basin of the higher one
+        m = model.mean
+        both = RegionUnion((HalfPlane((0.0, 1.0), 0.8 * m), HalfPlane((0.0, -1.0), -0.285 * m)))
+        exact = min(marginal_I2(model, 0.8 * m).value, marginal_I2(model, 0.285 * m).value)
+        assert ld_event_rate(model, both, 100) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_strip_along_the_edge_z2_equal_z1(self, model):
+        # the reflection I(z1, z2) = I(z1, z1 - z2) maps {z1 - z2 <= w} onto {z2 <= w}
+        w = 0.02 * model.mean
+        strip = HalfPlane((-1.0, 1.0), -w)
+        assert ld_event_rate(model, strip, 100) == pytest.approx(marginal_I2(model, w).value, rel=1e-12)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     # the bounding line n.z = c across the cone, in multiples of the mean: from
@@ -215,8 +233,6 @@ class TestBoundarySearch:
         bounded = Rectangle(1.3 * m, 2.0 * m, 0.8 * m, 1.2 * m)
         # rays from p cross `far` within less than a factor 2 in radius
         far = Rectangle(0.3 * m, 0.6 * m, 0.1 * m, 0.2 * m)
-        # for inverse-Gaussian `small` has the lower rate (0.0942 against 0.0961)
-        # although the best of the rays hits `near`
         near = Rectangle(1.3 * m, 1.6 * m, 0.3 * m, 0.5 * m)
         small = Rectangle(0.55 * m, 0.65 * m, 0.3 * m, 0.35 * m)
         delta = 1.4 * m
