@@ -3,8 +3,8 @@
 
 For a chosen model and event on the scaled pair, estimates P(event) by plain
 Monte Carlo over a grid of initial levels x, reports -log(p_hat)/x next to
-the large-deviation rate, and (exponential holding times, integer x,
-passage-time events) the exact gamma-tail value.
+the large-deviation rate, and (exponential holding times, passage-time
+events) the exact gamma-tail value.
 
 Usage: python scripts/tail_decay_experiment.py --seed 7 [--model exponential:1]
        [--event "z1>=1.5"] [--x-grid 25,50,100,200] [--n 200000] [--out out.csv]

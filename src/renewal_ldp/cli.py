@@ -150,9 +150,8 @@ def cmd_lambda(args) -> int:
 def _rate_payload(model, z1, z2, method):
     if method == "poisson":
         if model.kind != "exponential":
-            raise SystemExit("--method poisson requires an exponential model")
-        lam = model.domain.boundary
-        res = rate_ld_poisson(lam, z1, z2)
+            raise ValueError("--method poisson requires an exponential model")
+        res = rate_ld_poisson(model.domain.boundary, z1, z2)
     else:
         res = rate_ld(model, z1, z2)
     return {
@@ -177,7 +176,7 @@ def cmd_rate(args) -> int:
         emit_json({"rows": rows}, args.out)
         return 0
     if args.z1 is None or args.z2 is None:
-        raise SystemExit("rate requires --z1 and --z2 (or --grid)")
+        raise ValueError("rate requires --z1 and --z2 (or --grid)")
     emit_json(_rate_payload(model, args.z1, args.z2, args.method), args.out)
     return 0
 
@@ -186,7 +185,7 @@ def _parse_region(text: str):
     """Region mini-syntax: ``supnorm>delta`` for the sup-norm exceedance."""
     if text.startswith("supnorm>"):
         return mod.sup_norm_exceedance(float(text[len("supnorm>"):]))
-    raise SystemExit(f"cannot parse region {text!r}; expected e.g. 'supnorm>1'")
+    raise ValueError(f"cannot parse region {text!r}; expected e.g. 'supnorm>1'")
 
 
 def cmd_moderate(args) -> int:
@@ -342,11 +341,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return 2
-        return int(exc.code) if exc.code is not None else 0
 
 
 if __name__ == "__main__":

@@ -196,7 +196,7 @@ class RegionUnion:
 
 
 def sup_norm_exceedance(delta: float) -> RegionUnion:
-    """The region {||z||_inf > delta} as a union of four half-planes."""
+    """The region {||z||_inf >= delta} as a union of four closed half-planes."""
     return RegionUnion(
         parts=(
             HalfPlane((1.0, 0.0), delta),
@@ -235,30 +235,17 @@ def _rectangle_min(model: HoldingTimeModel, rect: Rectangle) -> float:
         return INF
     if rect.contains(0.0, 0.0):
         return 0.0
-    C_inv = hessian_origin(model).C_inv
-    q11, q12, q22 = C_inv[0, 0], C_inv[0, 1], C_inv[1, 1]
-    candidates = []
 
     def clamp(v, lo, hi):
         return min(max(v, lo), hi)
 
-    # vertical edges: z1 fixed, minimize over z2 in [y_lo, y_hi]
-    for z1 in (rect.x_lo, rect.x_hi):
-        if math.isfinite(z1):
-            z2 = clamp(-q12 * z1 / q22, rect.y_lo, rect.y_hi)
-            if math.isfinite(z2):
-                candidates.append((z1, z2))
-    # horizontal edges: z2 fixed, minimize over z1
-    for z2 in (rect.y_lo, rect.y_hi):
-        if math.isfinite(z2):
-            z1 = clamp(-q12 * z2 / q11, rect.x_lo, rect.x_hi)
-            if math.isfinite(z1):
-                candidates.append((z1, z2))
-    if not candidates:
+    # psi* is least at z2 = z1/2 on an edge of fixed z1, and at z1 = 3 z2/2 on one of fixed z2
+    points = [(z1, clamp(z1 / 2.0, rect.y_lo, rect.y_hi)) for z1 in (rect.x_lo, rect.x_hi)]
+    points += [(clamp(1.5 * z2, rect.x_lo, rect.x_hi), z2) for z2 in (rect.y_lo, rect.y_hi)]
+    rates = [psi_star(model, z1, z2) for z1, z2 in points if math.isfinite(z1) and math.isfinite(z2)]
+    if not rates:
         raise ValueError("rectangle must have at least one finite edge")
-    return min(
-        0.5 * (q11 * z1**2 + 2.0 * q12 * z1 * z2 + q22 * z2**2) for z1, z2 in candidates
-    )
+    return min(rates)
 
 
 def centering_mode(model: HoldingTimeModel, x: float, mode: str = "theoretical") -> tuple[float, float]:

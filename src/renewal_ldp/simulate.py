@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import gammainc, gammaincc, ndtri
 
 from .lambda_surface import in_finite_x_domain
 from .models import INF, HoldingTimeModel, increasing_root, phi_star
@@ -186,7 +186,7 @@ def map_blocks(config: SimulationConfig, func: Callable) -> list:
 
 def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    z = float(sps.norm.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     p = hits / n
     denom = 1.0 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
@@ -254,25 +254,32 @@ def _first_hit_rate(model, event, p, angle) -> float:
 def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
     """Closed-form event probability where one exists.
 
-    Exponential holding times with an integer x and a passage-time threshold:
-    tau(x) is Gamma(x, rate lam), so the event is a regularized incomplete
-    gamma tail.
+    Exponential holding times and a passage-time threshold: tau(x) is
+    Gamma(ceil(x), rate lam) at every x > 0, so the event is a regularized
+    incomplete gamma tail.  The threshold is divided by the scale 1/lam, as
+    SciPy's gamma distribution does, so the value equals its sf/cdf bit for bit.
     """
-    return _gamma_tail(model, event, x, sps.gamma.sf, sps.gamma.cdf)
+    if model.kind != "exponential" or not isinstance(event, MarginalThreshold) or event.coord != "z1":
+        return None
+    y = max(event.c * x / (1.0 / model.domain.boundary), 0.0)
+    return float((gammaincc if event.op == ">=" else gammainc)(n_terms_for(x), y))
 
 
 def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
-    """Log of :func:`exact_tail_oracle`, stable for deep tails."""
-    return _gamma_tail(model, event, x, sps.gamma.logsf, sps.gamma.logcdf)
+    """Log of :func:`exact_tail_oracle`, taken as SciPy's gamma distribution takes it.
 
-
-def _gamma_tail(model, event, x, upper_tail, lower_tail) -> Optional[float]:
-    if model.kind != "exponential" or not float(x).is_integer():
+    The log of a tail below 1/2, else log1p of minus the complementary tail.
+    Below about 1e-308 the tail underflows and the log is -inf, e.g. on
+    z1 >= 3 for exponential:1 at x = 1000, whose log-probability is about -905.
+    """
+    tail = exact_tail_oracle(model, event, x)
+    if tail is None:
         return None
-    if not isinstance(event, MarginalThreshold) or event.coord != "z1":
-        return None
-    tail = upper_tail if event.op == ">=" else lower_tail
-    return float(tail(event.c * x, a=n_terms_for(x), scale=1.0 / model.domain.boundary))
+    if tail < 0.5:
+        with np.errstate(divide="ignore"):  # a tail that underflows to 0 has log -inf
+            return float(np.log(tail))
+    other = exact_tail_oracle(model, replace(event, op="<=" if event.op == ">=" else ">="), x)
+    return float(np.log1p(-other))
 
 
 def estimate_tail(config: SimulationConfig, event) -> TailEstimate:
@@ -375,13 +382,13 @@ def empirical_md(
     seed: int,
     workers: int = 1,
 ) -> list[dict]:
-    """Moderate-deviation exceedance table: a_x * log P(||scaled||_inf > delta).
+    """Moderate-deviation exceedance table: a_x * log P(||scaled||_inf >= delta).
 
     Plain Monte Carlo is attached for every x; when the probability is below
     Monte Carlo reach the rule-of-three bound is reported.  For exponential
-    holding times at integer x an oracle column is added: an upper bound made
-    of the exact gamma tails of the passage-time faces plus a Chernoff bound on
-    each area face.
+    holding times an oracle column is added: an upper bound made of the exact
+    gamma tails of the passage-time faces plus a Chernoff bound on each area
+    face.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -397,17 +404,11 @@ def empirical_md(
         config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
 
         def count_hits(tau, area):
-            u1 = scale * (tau / x - phi1)
-            u2 = scale * (area / x2 - 0.5 * phi1)
-            return int(np.count_nonzero(np.maximum(np.abs(u1), np.abs(u2)) > delta))
+            return int(np.count_nonzero(region.contains(scale * (tau / x - phi1),
+                                                        scale * (area / x2 - 0.5 * phi1))))
 
         hits = sum(map_blocks(config, count_hits))
-        if delta == 0.0:
-            mc_value = 0.0
-        elif hits > 0:
-            mc_value = a_x * math.log(hits / n_samples)
-        else:
-            mc_value = a_x * math.log(3.0 / n_samples)  # rule-of-three bound
+        mc_value = a_x * math.log((hits or 3.0) / n_samples)  # no hits: the rule-of-three bound
         row = {
             "x": x,
             "a_x": a_x,
@@ -424,7 +425,7 @@ def empirical_md(
 
 
 def _md_oracle_log_prob(model: HoldingTimeModel, x: float, scale: float, delta: float):
-    """Upper bound on the log-probability of the sup-norm event; exponential integer x only.
+    """Upper bound on the log-probability of the sup-norm event; exponential holding times only.
 
     The event is the union of two passage-time faces and two area faces.  The
     passage-time faces are exact gamma tails, each area face is bounded by

@@ -100,6 +100,19 @@ class TestRateCommand:
                      "--method", "poisson"])
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["rate", "--model", "exponential:1"], "rate requires --z1 and --z2 (or --grid)"),
+        (["rate", "--model", "gamma:2,2", "--z1", "2", "--z2", "1", "--method", "poisson"],
+         "--method poisson requires an exponential model"),
+        (["moderate", "--model", "exponential:1", "--region", "box", "--x-grid", "100"],
+         "cannot parse region 'box'; expected e.g. 'supnorm>1'"),
+    ])
+    def test_usage_errors_exit_2_with_one_line(self, args, message, capsys):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_grid_mode(self, capsys):
         code, out = run_cli(
             ["rate", "--model", "exponential:1", "--grid", "1,2;0.4,0.6"], capsys
@@ -223,3 +236,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == "v1"
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the package reaches special functions through scipy.special only; scipy.stats costs
+        # about half a second of import on every command
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, renewal_ldp.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

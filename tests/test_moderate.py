@@ -206,6 +206,30 @@ class TestRegions:
         assert rate <= grid + 1e-12
         assert rate == pytest.approx(grid, abs=1e-4)
 
+    # straddling an axis, one corner, half-infinite, and one finite edge
+    @pytest.mark.parametrize("rect", [
+        Rectangle(-1.0, 2.0, 0.5, 1.5),
+        Rectangle(0.5, 3.0, -2.0, 2.0),
+        Rectangle(1.0, 2.0, 0.1, 0.2),
+        Rectangle(1.0, INF, -INF, 0.2),
+        Rectangle(-INF, -0.3, -INF, -0.7),
+        Rectangle(-INF, INF, 0.4, INF),
+        Rectangle(-INF, -0.5, -INF, INF),
+    ])
+    def test_rectangle_equals_a_dense_scan_of_its_edges(self, rect):
+        def scan(f, lo, hi):  # two passes of 20001 points; the second around the best of the first
+            t = np.linspace(max(lo, -20.0), min(hi, 20.0), 20001)
+            k = int(np.argmin(f(t)))
+            t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, t.size - 1)], 20001)
+            return float(np.min(f(t)))
+
+        for model in builtin_models():
+            edges = [scan(lambda t: psi_star(model, z1, t), rect.y_lo, rect.y_hi)
+                     for z1 in (rect.x_lo, rect.x_hi) if math.isfinite(z1)]
+            edges += [scan(lambda t: psi_star(model, t, z2), rect.x_lo, rect.x_hi)
+                      for z2 in (rect.y_lo, rect.y_hi) if math.isfinite(z2)]
+            assert md_event_rate(model, rect) == pytest.approx(min(edges), abs=1e-12)
+
     def test_rectangle_containing_origin(self):
         assert md_event_rate(EXP1, Rectangle(-1.0, 1.0, -1.0, 1.0)) == 0.0
 

@@ -273,6 +273,18 @@ class TestWilson:
         assert lo == 0.0
         assert 0.0 < hi < 0.02
 
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.999])
+    def test_equals_the_normal_quantile_formula(self, level):
+        from scipy import stats as sps
+
+        z = float(sps.norm.ppf(0.5 * (1.0 + level)))
+        for hits, n in ((0, 100), (17, 1000), (50, 50)):
+            p = hits / n
+            denom = 1.0 + z**2 / n
+            center = (p + z**2 / (2 * n)) / denom
+            half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
+            assert wilson_interval(hits, n, level) == (max(center - half, 0.0), min(center + half, 1.0))
+
     def test_frozen_value(self):
         # Wilson 99% interval for 10/100; oracle from a 40-digit computation
         lo, hi = wilson_interval(10, 100, level=0.99)
@@ -301,8 +313,35 @@ class TestExactOracle:
     def test_none_when_unavailable(self):
         gamma_model = make_model("gamma", {"shape": 2.0, "rate": 2.0})
         assert exact_tail_oracle(gamma_model, parse_event("z1>=1.5"), 10) is None
-        assert exact_tail_oracle(EXP1, parse_event("z1>=1.5"), 10.5) is None
+        assert exact_tail_oracle(EXP1, parse_event("z1>=1.5"), 10.5) == 0.08632905837074473
         assert exact_tail_oracle(EXP1, parse_event("z2>=1.5"), 10) is None
+
+
+    # tau(x) is Gamma(ceil(x), rate lam) at every x > 0; c <= 0 lies outside the support,
+    # and c = 3, 4 at x = 400, 1000 are tails far below 1e-100 (down to underflow)
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("x", [1, 10, 10.5, 400, 1000.25])
+    def test_equals_the_scipy_gamma_law(self, lam, x):
+        from scipy import stats as sps
+
+        model = make_model("exponential", {"lam": lam})
+        law = sps.gamma(a=math.ceil(x), scale=1.0 / lam)
+        for c in (-1.0, 0.0, 0.3 / lam, 0.9 / lam, 1.0 / lam, 1.5 / lam, 3.0 / lam, 4.0 / lam):
+            assert exact_tail_oracle(model, MarginalThreshold("z1", ">=", c), x) == float(law.sf(c * x))
+            assert exact_tail_oracle(model, MarginalThreshold("z1", "<=", c), x) == float(law.cdf(c * x))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("x", [1, 10, 10.5, 400, 1000.25])
+    def test_log_equals_the_scipy_log_tails_away_from_the_median(self, lam, x):
+        from scipy import stats as sps
+
+        model = make_model("exponential", {"lam": lam})
+        law = sps.gamma(a=math.ceil(x), scale=1.0 / lam)
+        for c in (-1.0, 0.0, 0.3 / lam, 0.9 / lam, 1.2 / lam, 1.5 / lam, 3.0 / lam, 4.0 / lam):
+            if abs(c * x - law.median()) <= 1e-6 * law.median():
+                continue
+            assert log_exact_tail_oracle(model, MarginalThreshold("z1", ">=", c), x) == float(law.logsf(c * x))
+            assert log_exact_tail_oracle(model, MarginalThreshold("z1", "<=", c), x) == float(law.logcdf(c * x))
 
 
 class TestEstimateTail:
@@ -313,6 +352,12 @@ class TestEstimateTail:
         assert est.ci_low <= est.exact_probability <= est.ci_high
         assert est.hit_count > 0
         assert est.empirical_rate == pytest.approx(-math.log(est.p_hat) / 20.0)
+
+    def test_fractional_x_reports_the_exact_probability(self):
+        config = SimulationConfig(model=EXP1, x=10.5, n_samples=20000, seed=17)
+        est = estimate_tail(config, parse_event("z1>=1.5"))
+        assert est.exact_probability == 0.08632905837074473  # P(Gamma(11, 1) >= 15.75)
+        assert est.ci_low <= est.exact_probability <= est.ci_high
 
     def test_zero_hits_reports_bound(self):
         config = SimulationConfig(model=EXP1, x=200.0, n_samples=2000, seed=17)
@@ -387,6 +432,13 @@ class TestEmpiricalMd:
         # the area faces add only a negligible sliver to the tau faces
         assert total >= log_tau
         assert total <= log_tau + 1e-3
+
+    def test_delta_zero_counts_every_sample(self):
+        rows = empirical_md(EXP1, [10, 10.5], p_exponent=0.5, delta=0.0,
+                            n_samples=3000, seed=9)
+        for row in rows:
+            assert row["hits"] == 3000
+            assert row["mc_exponent"] == 0.0
 
     def test_no_oracle_for_other_models(self):
         ig = make_model("inverse_gaussian", {"mu": 1.0})
