@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Moderate-deviation trend table for the sup-norm exceedance event.
 
-Tabulates a_x * log P(||scaled pair||_inf > delta) across a grid of initial
+Tabulates a_x * log P(||scaled pair||_inf >= delta) across a grid of initial
 levels against the quadratic-rate prediction; for exponential holding times
 an exact-oracle column (gamma tails plus Chernoff-bounded area faces) shows
 the slow prefactor convergence cleanly below Monte Carlo reach.

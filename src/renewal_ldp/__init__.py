@@ -50,6 +50,7 @@ from .models import (
 from .moderate import (
     CORRELATION_LIMIT,
     HalfPlane,
+    MarginalThreshold,
     ModerateScaling,
     MomentReport,
     Rectangle,
@@ -74,7 +75,6 @@ from .rates import (
     rate_ld_poisson,
 )
 from .simulate import (
-    MarginalThreshold,
     PassageSample,
     PredicateEvent,
     SimulationConfig,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INF, RateEvaluation, model_of
+from .models import INF, RateEvaluation, increasing_root, model_of
 from .rates import conditional_rate_J
 
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
@@ -76,34 +76,19 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
         return RateEvaluation(INF, method="closed_form")
     if z2 == 0.0 or z2 == z1:
         return RateEvaluation(INF, converged=False, on_boundary=True, method="closed_form")
-    if z2 == 0.5 * z1:
-        return RateEvaluation(0.0, argmax_tilt=(0.0,), method="closed_form")
     # the uniform law is symmetric about z1/2, so kappa*(z2) = kappa*(z1 - z2)
     # with the tilt negated.  Folding onto w <= z1/2 (z1 - z2 is exact for
-    # z2 >= z1/2) puts the tilt below 0, where kappa' = z1 e^t/(e^t - 1) - 1/beta
-    # has no cancellation.  The bracket [lo, 0] doubles until kappa'(lo) < w,
-    # which takes lo of about -1/w: beyond the double range only for w < ~1e-308.
+    # z2 >= z1/2) puts the tilt at or below 0, where kappa' = z1 e^t/(e^t - 1) - 1/beta
+    # has no cancellation; the midline w = z1/2 is the root 0, with value 0.  As
+    # kappa(beta; z1) = kappa(beta z1; 1), the root is solved for t = beta z1 at level
+    # w/z1: a root beta ~ 1/z1 would fall below the solver's absolute tolerance at large z1.
     w = min(z2, z1 - z2)
-    lo, hi = -1.0, 0.0
-    iters = 0
-    while kappa_d1(lo, z1) >= w:
-        lo *= 2.0
-        iters += 1
-        if math.isinf(lo):
-            raise OverflowError(f"no finite tilt brackets kappa'(beta; {z1}) = {w}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kappa_d1(mid, z1) < w:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(lo) + abs(hi)):
-            break
-        iters += 1
-    beta = 0.5 * (lo + hi)
-    value = beta * w - kappa(beta, z1)
-    tilt = beta if w == z2 else -beta
-    return RateEvaluation(max(value, 0.0), argmax_tilt=(tilt,), iterations=iters, method="bisection")
+    r = w / z1
+    t, iterations = increasing_root(lambda t: kappa_d1(t, 1.0) - r, 0.0)
+    value = t * r - kappa(t, 1.0)
+    tilt = t / z1 if w == z2 else -t / z1
+    return RateEvaluation(max(value, 0.0), argmax_tilt=(tilt,), iterations=iterations,
+                          method="monotone_root")
 
 
 def log_conditional_mgf(x: int, y: float, beta: float) -> float:

@@ -81,9 +81,11 @@ def psi(model: HoldingTimeModel, a1: float, a2: float) -> float:
 def psi_star(model: HoldingTimeModel, z1: float, z2: float) -> float:
     """Conjugate quadratic form (1/2) z^T C^{-1} z; the moderate rate.
 
-    With C^{-1} = (1/phi''(0)) [[4, -6], [-6, 12]] it is (2z1^2 - 6z1 z2 + 6z2^2)/phi''(0).
+    With C^{-1} = (1/phi''(0)) [[4, -6], [-6, 12]] it is (2 d^2 + 3 z2^2/2)/phi''(0), d = z1 - 3 z2/2:
+    the completed square adds no terms of opposite sign, as 2z1^2 - 6z1 z2 + 6z2^2 does.
     """
-    return (2.0 * z1 * z1 - 6.0 * z1 * z2 + 6.0 * z2 * z2) / model.variance
+    d = z1 - 1.5 * z2
+    return (2.0 * d * d + 1.5 * z2 * z2) / model.variance
 
 
 def n_terms_for(x: float) -> int:
@@ -158,7 +160,11 @@ def confidence_intervals(
 
 
 # ---------------------------------------------------------------------------
-# regions for moderate-deviation events
+# events on the scaled pair, of the large- and the moderate-deviation regime alike
+
+
+# the axis half-planes: {z1 >= c} is ((1, 0), c) and {z1 <= c} is ((-1, 0), -c); the same for z2
+AXES = {("z1", ">="): (1.0, 0.0), ("z1", "<="): (-1.0, 0.0), ("z2", ">="): (0.0, 1.0), ("z2", "<="): (0.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,26 @@ class HalfPlane:
 
     def contains(self, z1, z2):
         return self.normal[0] * z1 + self.normal[1] * z2 >= self.offset
+
+    def describe(self) -> str:
+        """``z1>=1.5`` for an axis normal, else the repr."""
+        axis = axis_threshold(self)
+        return repr(self) if axis is None else "%s%s%g" % axis
+
+
+def MarginalThreshold(coord: str, op: str, c: float) -> HalfPlane:
+    """The event {coord >= c} or {coord <= c} on one scaled coordinate: an axis half-plane."""
+    if (coord, op) not in AXES:
+        raise ValueError(f"unknown marginal threshold {coord!r} {op!r}; expected z1 or z2 with >= or <=")
+    return HalfPlane(AXES[coord, op], c if op == ">=" else -c)
+
+
+def axis_threshold(region):
+    """(coord, op, c) of an axis half-plane, the inverse of :func:`MarginalThreshold`; else None."""
+    for (coord, op), normal in AXES.items():
+        if isinstance(region, HalfPlane) and tuple(region.normal) == normal:
+            return coord, op, region.offset if op == ">=" else -region.offset
+    return None
 
 
 @dataclass(frozen=True)
@@ -197,14 +223,7 @@ class RegionUnion:
 
 def sup_norm_exceedance(delta: float) -> RegionUnion:
     """The region {||z||_inf >= delta} as a union of four closed half-planes."""
-    return RegionUnion(
-        parts=(
-            HalfPlane((1.0, 0.0), delta),
-            HalfPlane((-1.0, 0.0), delta),
-            HalfPlane((0.0, 1.0), delta),
-            HalfPlane((0.0, -1.0), delta),
-        )
-    )
+    return RegionUnion(tuple(HalfPlane(normal, delta) for normal in AXES.values()))
 
 
 def md_event_rate(model: HoldingTimeModel, region) -> float:

@@ -148,10 +148,7 @@ def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:
     joint = rate_ld(model, z1, z2).value
     if joint == INF:
         return INF
-    i1 = marginal_I1(model, z1).value
-    if i1 == INF:
-        return INF
-    diff = joint - i1
+    diff = joint - marginal_I1(model, z1).value  # a finite joint rate means 0 < z2 < z1
     if diff < -1e-8:
         raise ArithmeticError(f"conditional rate came out {diff} < -1e-8")
     return max(diff, 0.0)

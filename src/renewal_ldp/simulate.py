@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -22,7 +22,10 @@ from scipy.special import gammainc, gammaincc, ndtri
 from .lambda_surface import in_finite_x_domain
 from .models import INF, HoldingTimeModel, increasing_root, phi_star
 from .moderate import (
+    HalfPlane,
+    MarginalThreshold,
     ModerateScaling,
+    axis_threshold,
     md_event_rate,
     n_terms_for,
     passage_weights,
@@ -61,22 +64,6 @@ class PassageSample:
 
 
 @dataclass(frozen=True)
-class MarginalThreshold:
-    """Event {z >= c} or {z <= c} on one scaled coordinate."""
-
-    coord: str   # "z1" or "z2"
-    op: str      # ">=" or "<="
-    c: float
-
-    def contains(self, z1, z2):
-        v = z1 if self.coord == "z1" else z2
-        return v >= self.c if self.op == ">=" else v <= self.c
-
-    def describe(self) -> str:
-        return f"{self.coord}{self.op}{self.c:g}"
-
-
-@dataclass(frozen=True)
 class PredicateEvent:
     """Arbitrary vectorized event on the scaled pair, e.g. the cone complement."""
 
@@ -90,8 +77,8 @@ class PredicateEvent:
         return self.name
 
 
-def parse_event(text: str) -> MarginalThreshold:
-    """Parse events of the form ``z1>=1.5`` or ``z2<=0.2``."""
+def parse_event(text: str) -> HalfPlane:
+    """Parse events of the form ``z1>=1.5`` or ``z2<=0.2`` into their axis half-planes."""
     for op in (">=", "<="):
         if op in text:
             coord, _, value = text.partition(op)
@@ -197,7 +184,7 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     """Predicted exponential decay rate: the infimum of the joint rate I over the event.
 
-    A :class:`MarginalThreshold` takes its marginal rate in closed form.  Else,
+    An axis :class:`HalfPlane` takes its marginal rate in closed form.  Else,
     as I is convex and 0 at p = (mean, mean/2), the infimum is over the points
     where rays from p first enter the event: N_RAYS rays march to them in the
     cone, and a golden-section search in the angle refines each local minimum.
@@ -208,8 +195,8 @@ def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     p = (model.mean, 0.5 * model.mean)
     if event.contains(*p):  # the rates are convex with their zero at p
         return 0.0
-    if isinstance(event, MarginalThreshold):
-        return (phi_star if event.coord == "z1" else marginal_I2)(model, event.c).value
+    if axis := axis_threshold(event):
+        return (phi_star if axis[0] == "z1" else marginal_I2)(model, axis[2]).value
     rate_at = partial(_first_hit_rate, model, event, p)
     # ray j is angles[j + 1]; ray 0 aims at the apex (0, 0), as events there subtend a small angle
     angles = math.atan2(-p[1], -p[0]) + 2.0 * math.pi / N_RAYS * np.arange(-1, N_RAYS + 1)
@@ -254,15 +241,16 @@ def _first_hit_rate(model, event, p, angle) -> float:
 def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
     """Closed-form event probability where one exists.
 
-    Exponential holding times and a passage-time threshold: tau(x) is
+    Exponential holding times and an axis half-plane in z1: tau(x) is
     Gamma(ceil(x), rate lam) at every x > 0, so the event is a regularized
     incomplete gamma tail.  The threshold is divided by the scale 1/lam, as
     SciPy's gamma distribution does, so the value equals its sf/cdf bit for bit.
     """
-    if model.kind != "exponential" or not isinstance(event, MarginalThreshold) or event.coord != "z1":
+    coord, op, c = axis_threshold(event) or (None, None, None)
+    if model.kind != "exponential" or coord != "z1":
         return None
-    y = max(event.c * x / (1.0 / model.domain.boundary), 0.0)
-    return float((gammaincc if event.op == ">=" else gammainc)(n_terms_for(x), y))
+    y = max(c * x / (1.0 / model.domain.boundary), 0.0)
+    return float((gammaincc if op == ">=" else gammainc)(n_terms_for(x), y))
 
 
 def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
@@ -278,7 +266,7 @@ def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[
     if tail < 0.5:
         with np.errstate(divide="ignore"):  # a tail that underflows to 0 has log -inf
             return float(np.log(tail))
-    other = exact_tail_oracle(model, replace(event, op="<=" if event.op == ">=" else ">="), x)
+    other = exact_tail_oracle(model, HalfPlane((-event.normal[0], -event.normal[1]), -event.offset), x)
     return float(np.log1p(-other))
 
 

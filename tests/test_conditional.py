@@ -248,10 +248,25 @@ class TestKappaStarFarFromTheMidline:
         z2 = f * z1
         near = min(z2, z1 - z2) / z1
         res = kappa_star(z2, z1)
-        assert res.method == "bisection"
+        assert res.method == "monotone_root"
         assert res.value == pytest.approx(-1.0 - math.log(near), rel=1e-12)
         # the tilt is below 0 under the midline and above it over the midline
         assert (res.argmax_tilt[0] < 0) == (z2 < 0.5 * z1)
+
+    def test_within_2e_15_of_mpmath_at_every_scale_of_z1(self):
+        # kappa* depends on z2/z1 alone; solved for the tilt beta ~ 1/z1 itself, an absolute
+        # root tolerance loses digits from z1 ~ 1e8 on (about 1e-5 at z1 = 1e12)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(40):
+            dk = lambda t: 1 / -mpmath.expm1(-t) - 1 / t
+            for z1, f in zip(10.0 ** rng.uniform(-10.0, 12.0, 200), rng.uniform(0.03, 0.97, 200)):
+                z2 = float(f * z1)
+                r = mpmath.mpf(z2) / mpmath.mpf(z1)
+                w = min(r, 1 - r)  # the tilt t = beta z1 solves dk(t) = w below 0, in (-1/w, 0)
+                t = mpmath.findroot(lambda t: dk(t) - w, (-1 / w, mpmath.mpf(-1e-30)), solver="anderson")
+                exact = t * w - mpmath.log(mpmath.expm1(t) / t)
+                assert abs(kappa_star(z2, z1).value - float(exact)) <= 2e-15
 
     def test_unbracketable_level_raises(self):
         # the tilt would be about -1/z2, beyond the double range

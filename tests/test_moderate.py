@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from renewal_ldp import (
     CORRELATION_LIMIT,
     HalfPlane,
     INF,
+    MarginalThreshold,
     ModerateScaling,
     Rectangle,
     RegionUnion,
@@ -184,6 +186,11 @@ class TestRegions:
         rate = md_event_rate(EXP1, HalfPlane((1.0, 0.0), c))
         assert rate == pytest.approx(c**2 / (2.0 * EXP1.variance), rel=1e-12)
 
+    def test_marginal_threshold_is_a_half_plane(self):
+        rate = md_event_rate(EXP1, MarginalThreshold("z1", ">=", 1.0))
+        assert rate == md_event_rate(EXP1, HalfPlane((1.0, 0.0), 1.0))
+        assert md_event_rate(EXP1, MarginalThreshold("z2", "<=", -0.5)) == 0.25 / (2.0 * EXP1.variance / 3.0)
+
     def test_half_plane_through_origin(self):
         assert md_event_rate(EXP1, HalfPlane((1.0, 0.0), -0.5)) == 0.0
 
@@ -229,6 +236,18 @@ class TestRegions:
             edges += [scan(lambda t: psi_star(model, t, z2), rect.x_lo, rect.x_hi)
                       for z2 in (rect.y_lo, rect.y_hi) if math.isfinite(z2)]
             assert md_event_rate(model, rect) == pytest.approx(min(edges), abs=1e-12)
+
+    def test_psi_star_within_seven_ulps_at_the_edge_minimisers(self):
+        # the completed square 2 d^2 + 3 z2^2/2 adds nonnegative terms: its rounding error is
+        # below (3 + sqrt(3) + 2) ulps.  At z2 = z1/2 and z1 = 3 z2/2, where psi* is least on
+        # the edges of a rectangle, the terms of 2 z1^2 - 6 z1 z2 + 6 z2^2 are 13 times its value
+        rng = np.random.default_rng(9)
+        for model in builtin_models():
+            for a in rng.uniform(-5.0, 5.0, 500):
+                for z1, z2 in ((a, a / 2.0), (1.5 * a, a)):
+                    q1, q2 = Fraction(z1), Fraction(z2)
+                    exact = (2 * q1 * q1 - 6 * q1 * q2 + 6 * q2 * q2) / Fraction(model.variance)
+                    assert abs(Fraction(psi_star(model, z1, z2)) - exact) <= 7 * Fraction(math.ulp(float(exact)))
 
     def test_rectangle_containing_origin(self):
         assert md_event_rate(EXP1, Rectangle(-1.0, 1.0, -1.0, 1.0)) == 0.0

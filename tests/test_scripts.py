@@ -1,0 +1,40 @@
+"""Each script in scripts/ runs end to end on a tiny budget and writes its documented output."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_g_curve_sweep_writes_three_curves(tmp_path):
+    done = run_script("g_curve_sweep.py", ["--out-dir", str(tmp_path)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    for z2 in ("0.25", "0.5", "0.75"):
+        lines = (tmp_path / f"g_curve_z2_{z2}.csv").read_text().splitlines()
+        assert lines[0] == "a2,g,h"
+        assert len(lines) == 401
+    assert "(negative)" in done.stdout and "(zero)" in done.stdout and "(positive)" in done.stdout
+
+
+@pytest.mark.parametrize("name, seed, header", [
+    ("tail_decay_experiment.py", "7", "x,hits,p_hat,empirical_rate,zero_hit_rate_bound,predicted_rate,exact_rate"),
+    ("md_trend_experiment.py", "5", "x,a_x,hits,n_samples,mc_exponent,predicted_exponent,oracle_exponent"),
+])
+def test_experiment_writes_its_table(tmp_path, name, seed, header):
+    out = tmp_path / "out.csv"
+    done = run_script(name, ["--seed", seed, "--x-grid", "10,20", "--n", "500", "--out", str(out)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert [row.split(",")[0] for row in lines[1:]] == ["10", "20"]

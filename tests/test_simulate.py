@@ -109,15 +109,26 @@ class TestReproducibility:
 class TestEvents:
     def test_parse_event(self):
         e = parse_event("z1>=1.5")
-        assert e.coord == "z1" and e.op == ">=" and e.c == 1.5
+        assert e == HalfPlane((1.0, 0.0), 1.5) and e.describe() == "z1>=1.5"
         e = parse_event("z2<=0.2")
-        assert e.coord == "z2" and e.op == "<=" and e.c == 0.2
+        assert e == HalfPlane((0.0, -1.0), -0.2) and e.describe() == "z2<=0.2"
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_event("z3>=1")
         with pytest.raises(ValueError):
             parse_event("z1=1")
+
+    @pytest.mark.parametrize("coord, op", [("z1", ">"), ("z3", ">="), ("z2", "==")])
+    def test_marginal_threshold_rejects_other_coordinates_and_ops(self, coord, op):
+        with pytest.raises(ValueError):
+            MarginalThreshold(coord, op, 1.0)
+
+    def test_describe(self):
+        assert MarginalThreshold("z1", "<=", 0.5).describe() == "z1<=0.5"
+        assert MarginalThreshold("z2", ">=", 1.0).describe() == "z2>=1"
+        tilted = HalfPlane((1.0, 1.0), 2.4)
+        assert tilted.describe() == repr(tilted)
 
     def test_contains_vectorized(self):
         e = parse_event("z1>=1.5")
@@ -185,6 +196,16 @@ class TestBoundarySearch:
         opaque = PredicateEvent(lambda z1, z2: MarginalThreshold(coord, op, c).contains(z1, z2), "axis")
         assert ld_event_rate(model, plane, 100) == pytest.approx(exact, rel=1e-12)
         assert ld_event_rate(model, opaque, 100) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("coord, op, level", AXIS_CASES)
+    def test_axis_half_planes_take_the_marginal_rate_itself(self, model, coord, op, level):
+        c = level * model.mean
+        normal = {("z1", ">="): (1.0, 0.0), ("z1", "<="): (-1.0, 0.0),
+                  ("z2", ">="): (0.0, 1.0), ("z2", "<="): (0.0, -1.0)}[coord, op]
+        plane = HalfPlane(normal, c if op == ">=" else -c)
+        assert MarginalThreshold(coord, op, c) == plane
+        assert ld_event_rate(model, plane, 100) == (phi_star if coord == "z1" else marginal_I2)(model, c).value
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_two_sided_area_tail(self, model):
@@ -358,6 +379,13 @@ class TestEstimateTail:
         est = estimate_tail(config, parse_event("z1>=1.5"))
         assert est.exact_probability == 0.08632905837074473  # P(Gamma(11, 1) >= 15.75)
         assert est.ci_low <= est.exact_probability <= est.ci_high
+
+    def test_axis_half_plane_is_the_marginal_threshold(self):
+        config = SimulationConfig(model=EXP1, x=10.5, n_samples=2000, seed=17)
+        est = estimate_tail(config, HalfPlane((1.0, 0.0), 1.5))
+        assert est.event == "z1>=1.5"
+        assert est.exact_probability == 0.08632905837074473
+        assert est.predicted_rate == phi_star(EXP1, 1.5).value
 
     def test_zero_hits_reports_bound(self):
         config = SimulationConfig(model=EXP1, x=200.0, n_samples=2000, seed=17)
