@@ -9,7 +9,6 @@ passage time in the exponential case.
 """
 
 from .conditional import (
-    ConditionalSpec,
     chaganty_equality,
     conditional_ldp_check,
     conditional_mgf,
@@ -75,7 +74,6 @@ from .rates import (
     rate_ld_poisson,
 )
 from .simulate import (
-    PassageSample,
     PredicateEvent,
     SimulationConfig,
     TailEstimate,
@@ -88,7 +86,6 @@ from .simulate import (
     map_blocks,
     mgf_empirical_check,
     parse_event,
-    sample_passage,
     wilson_interval,
 )
 

@@ -11,7 +11,6 @@ and the variational cross-check against the joint-minus-marginal rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +18,6 @@ from .models import INF, RateEvaluation, increasing_root, model_of
 from .rates import conditional_rate_J
 
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
-
-
-@dataclass(frozen=True)
-class ConditionalSpec:
-    """Conditioning data: x holding times, passage time y, area tilt beta."""
-
-    x: int
-    y: float
-    beta: float
-
-    def __post_init__(self):
-        if self.x < 1:
-            raise ValueError("x must be a positive integer")
-        if self.y <= 0:
-            raise ValueError("y must be positive")
 
 
 def kappa(beta: float, z1: float) -> float:

@@ -226,45 +226,49 @@ def sup_norm_exceedance(delta: float) -> RegionUnion:
     return RegionUnion(tuple(HalfPlane(normal, delta) for normal in AXES.values()))
 
 
+def region_min(region, center, rate: Callable, row_argmin: Callable, other: Callable) -> float:
+    """Infimum over a region of a convex rate that is 0 at ``center``; both regimes use it.
+
+    A :class:`RegionUnion` takes the least value of its parts, INF when it has
+    none.  A :class:`Rectangle` takes INF when empty and 0 when it holds
+    ``center``; else the infimum lies on its finite edges, where the rate is
+    convex: least at z2 = z1/2 on an edge of fixed z1 (the midline, by the
+    reflection z2 -> z1 - z2) and at z1 = row_argmin(z2) on an edge of fixed
+    z2, each clamped into its edge.  Any other region goes to ``other(region)``.
+    """
+    if isinstance(region, RegionUnion):
+        return min((region_min(p, center, rate, row_argmin, other) for p in region.parts), default=INF)
+    if not isinstance(region, Rectangle):
+        return other(region)
+    r = region
+    if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
+        return INF
+    if r.contains(*center):
+        return 0.0
+    points = [(c, min(max(c / 2.0, r.y_lo), r.y_hi)) for c in (r.x_lo, r.x_hi) if math.isfinite(c)]
+    points += [(min(max(row_argmin(c), r.x_lo), r.x_hi), c) for c in (r.y_lo, r.y_hi) if math.isfinite(c)]
+    return min((rate(z1, z2) for z1, z2 in points if math.isfinite(z1) and math.isfinite(z2)), default=INF)
+
+
 def md_event_rate(model: HoldingTimeModel, region) -> float:
     """Infimum of the moderate quadratic rate over a region.
 
     Exact for half-planes (stationary point on the bounding line, using
-    min (1/2) z^T C^{-1} z s.t. n.z = c  ->  c^2 / (2 n^T C n)) and for
-    axis-aligned rectangles (interior check plus edge/corner enumeration).
+    min (1/2) z^T C^{-1} z s.t. n.z = c  ->  c^2 / (2 n^T C n)), and for
+    rectangles and unions by :func:`region_min`: psi* is least at
+    z1 = 3 z2/2 on a line of fixed z2.
     """
-    C = hessian_origin(model).C
-    if isinstance(region, RegionUnion):
-        if not region.parts:
-            return INF
-        return min(md_event_rate(model, p) for p in region.parts)
-    if isinstance(region, HalfPlane):
-        n = np.array(region.normal)
-        c = region.offset
-        if c <= 0.0:
+
+    def half_plane(plane):
+        if not isinstance(plane, HalfPlane):
+            raise TypeError(f"unsupported region type {type(plane).__name__}")
+        if plane.offset <= 0.0:
             return 0.0  # the origin satisfies n.z >= c
-        return c**2 / (2.0 * float(n @ C @ n))
-    if isinstance(region, Rectangle):
-        return _rectangle_min(model, region)
-    raise TypeError(f"unsupported region type {type(region).__name__}")
+        n = np.array(plane.normal)
+        return plane.offset**2 / (2.0 * float(n @ hessian_origin(model).C @ n))
 
-
-def _rectangle_min(model: HoldingTimeModel, rect: Rectangle) -> float:
-    if rect.x_lo > rect.x_hi or rect.y_lo > rect.y_hi:
-        return INF
-    if rect.contains(0.0, 0.0):
-        return 0.0
-
-    def clamp(v, lo, hi):
-        return min(max(v, lo), hi)
-
-    # psi* is least at z2 = z1/2 on an edge of fixed z1, and at z1 = 3 z2/2 on one of fixed z2
-    points = [(z1, clamp(z1 / 2.0, rect.y_lo, rect.y_hi)) for z1 in (rect.x_lo, rect.x_hi)]
-    points += [(clamp(1.5 * z2, rect.x_lo, rect.x_hi), z2) for z2 in (rect.y_lo, rect.y_hi)]
-    rates = [psi_star(model, z1, z2) for z1, z2 in points if math.isfinite(z1) and math.isfinite(z2)]
-    if not rates:
-        raise ValueError("rectangle must have at least one finite edge")
-    return min(rates)
+    return region_min(region, (0.0, 0.0), lambda z1, z2: psi_star(model, z1, z2), lambda z2: 1.5 * z2,
+                      half_plane)
 
 
 def centering_mode(model: HoldingTimeModel, x: float, mode: str = "theoretical") -> tuple[float, float]:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtri
 
-from .lambda_surface import in_finite_x_domain
+from .lambda_surface import in_finite_x_domain, lambda_grad
 from .models import INF, HoldingTimeModel, increasing_root, phi_star
 from .moderate import (
     HalfPlane,
@@ -29,6 +29,7 @@ from .moderate import (
     md_event_rate,
     n_terms_for,
     passage_weights,
+    region_min,
     sup_norm_exceedance,
 )
 from .rates import marginal_I2, rate_ld
@@ -51,16 +52,6 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Counter-based stream for one sample block."""
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class PassageSample:
-    """One exact draw of the passage pair at initial level x."""
-
-    x: float
-    tau: float
-    area: float
-    n_terms: int
 
 
 @dataclass(frozen=True)
@@ -100,6 +91,8 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not self.x > 0:  # NaN included
+            raise ValueError("x must be positive")
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")
 
@@ -119,20 +112,6 @@ class TailEstimate:
     predicted_rate: float
     exact_probability: Optional[float] = None
     zero_hit_bound: Optional[float] = None
-
-
-def sample_passage(model: HoldingTimeModel, x: float, rng: np.random.Generator) -> PassageSample:
-    """One exact draw of (tau(x), A(x)) from a caller-provided stream."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    weights = passage_weights(x)
-    draws = model.sample(rng, size=weights.size)
-    return PassageSample(
-        x=x,
-        tau=float(draws.sum()),
-        area=float(draws @ weights),
-        n_terms=weights.size,
-    )
 
 
 def _sample_chunked(model, x, rng, count):
@@ -184,15 +163,38 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     """Predicted exponential decay rate: the infimum of the joint rate I over the event.
 
-    An axis :class:`HalfPlane` takes its marginal rate in closed form.  Else,
-    as I is convex and 0 at p = (mean, mean/2), the infimum is over the points
-    where rays from p first enter the event: N_RAYS rays march to them in the
-    cone, and a golden-section search in the angle refines each local minimum.
-    0.0 if p is in the event, INF if no ray enters it, else I at a point of the
-    event: exact when that rate is finite and unimodal in the angle between the
+    I is convex and 0 at p = (mean, mean/2).  Rectangles and unions take the
+    edge rule of :func:`moderate.region_min`, exact.  An axis
+    :class:`HalfPlane` takes its marginal rate in closed form.  A tilted one
+    or a :class:`PredicateEvent` takes the least I where rays from p first
+    enter it: N_RAYS rays march to them in the cone, and a golden-section
+    search in the angle refines each local minimum.  0.0 if p is in the
+    event, INF if no ray enters it, else I at a point of the event: exact
+    when that rate is finite and unimodal in the angle between the
     neighbours of those rays, else an upper bound.
     """
     p = (model.mean, 0.5 * model.mean)
+    return region_min(event, p, lambda z1, z2: rate_ld(model, z1, z2).value,
+                      partial(_row_argmin, model), partial(_ray_search_rate, model, p))
+
+
+def _row_argmin(model: HoldingTimeModel, z2: float) -> float:
+    """The z1 where I is least on the row of fixed z2: d1L(0, t) + (z2 - d2L(0, t)).
+
+    t is the tilt of marginal_I2(z2), the dual of that row's least value.
+    The slack z2 - d2L(0, t) is nonzero only when t sits on the closed
+    inverse-Gaussian face a1 + a2 = boundary: there the row minimiser leaves
+    the image of the gradient along the face normal (1, 1).  A row z2 <= 0
+    has no tilt, and I is INF along it.
+    """
+    if z2 <= 0.0:
+        return z2
+    d1, d2 = lambda_grad(model, 0.0, marginal_I2(model, z2).argmax_tilt[1])
+    return d1 + (z2 - d2)
+
+
+def _ray_search_rate(model: HoldingTimeModel, p, event) -> float:
+    """:func:`ld_event_rate` of a half-plane or a :class:`PredicateEvent`."""
     if event.contains(*p):  # the rates are convex with their zero at p
         return 0.0
     if axis := axis_threshold(event):
@@ -386,10 +388,10 @@ def empirical_md(
     phi1 = model.mean
     rows = []
     for x in x_grid:
+        config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
         a_x = scaling.a(x)
         scale = math.sqrt(x * a_x)
         x2 = x * x
-        config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
 
         def count_hits(tau, area):
             return int(np.count_nonzero(region.contains(scale * (tau / x - phi1),

@@ -106,6 +106,8 @@ class TestRateCommand:
          "--method poisson requires an exponential model"),
         (["moderate", "--model", "exponential:1", "--region", "box", "--x-grid", "100"],
          "cannot parse region 'box'; expected e.g. 'supnorm>1'"),
+        *[(["simulate", "--model", "exponential:1", f"--x={x}", "--n", "10", "--seed", "1"],
+           "x must be positive") for x in ("0", "-2", "nan")],
     ])
     def test_usage_errors_exit_2_with_one_line(self, args, message, capsys):
         assert main(args) == 2

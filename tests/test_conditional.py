@@ -17,7 +17,6 @@ from renewal_ldp import (
     nested_integral,
     sample_area_given_tau,
 )
-from renewal_ldp.conditional import ConditionalSpec
 from renewal_ldp.simulate import block_rng
 
 
@@ -131,12 +130,6 @@ class TestConditionalMgf:
             log_conditional_mgf(0, 1.0, 0.5)
         with pytest.raises(ValueError):
             log_conditional_mgf(2, -1.0, 0.5)
-
-    def test_spec_dataclass_validation(self):
-        with pytest.raises(ValueError):
-            ConditionalSpec(x=0, y=1.0, beta=0.1)
-        with pytest.raises(ValueError):
-            ConditionalSpec(x=2, y=-1.0, beta=0.1)
 
 
 class TestNestedIntegral:

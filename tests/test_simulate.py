@@ -28,39 +28,44 @@ from renewal_ldp import (
     parse_event,
     phi_star,
     rate_ld,
-    sample_passage,
     sup_norm_exceedance,
     wilson_interval,
 )
+from renewal_ldp import simulate
 from renewal_ldp.simulate import exact_tail_oracle, log_exact_tail_oracle, n_terms_for
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 
 
 class TestSampling:
-    def test_single_sample_shape(self):
-        rng = block_rng(1, 0)
-        s = sample_passage(EXP1, 10.0, rng)
-        assert s.n_terms == 10
-        assert s.tau > 0
-        assert s.area > s.tau  # weights all exceed 1 for x = 10
+    @staticmethod
+    def block(x, n, seed):
+        config = SimulationConfig(model=EXP1, x=x, n_samples=n, seed=seed)
+        (tau, area), = map_blocks(config, lambda t, a: (t, a))
+        return tau, area
 
-    def test_noninteger_term_count(self):
-        assert n_terms_for(10.0) == 10
-        assert n_terms_for(10.5) == 11
-        rng = block_rng(1, 0)
-        assert sample_passage(EXP1, 10.5, rng).n_terms == 11
+    @pytest.mark.parametrize("x, n_terms", [(10.0, 10), (10.5, 11)])
+    def test_term_count(self, x, n_terms):
+        # a sample sums ceil(x) draws of its block stream, weighted by x - k in the area
+        assert n_terms_for(x) == n_terms
+        draws = EXP1.sample(block_rng(1, 0), size=(50, n_terms))
+        tau, area = self.block(x, 50, seed=1)
+        assert np.array_equal(tau, draws.sum(axis=1))
+        assert np.array_equal(area, draws @ (x - np.arange(n_terms)))
+
+    def test_positive_passage_time(self):
+        tau, _ = self.block(10.0, 100, seed=1)
+        assert np.all(tau > 0)
 
     def test_area_bounds(self):
         # pathwise: tau <= A <= x * tau (weights lie in (0, x])
-        rng = block_rng(5, 0)
-        for _ in range(100):
-            s = sample_passage(EXP1, 7.0, rng)
-            assert s.tau <= s.area <= 7.0 * s.tau
+        tau, area = self.block(7.0, 100, seed=5)
+        assert np.all((tau <= area) & (area <= 7.0 * tau))
 
-    def test_invalid_x(self):
-        with pytest.raises(ValueError):
-            sample_passage(EXP1, 0.0, block_rng(1, 0))
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan])
+    def test_invalid_x(self, x):
+        with pytest.raises(ValueError, match="x must be positive"):
+            SimulationConfig(model=EXP1, x=x, n_samples=10, seed=1)
 
 
 class TestReproducibility:
@@ -284,6 +289,78 @@ class TestBoundarySearch:
         assert ld_event_rate(model, above, 100) == INF
 
 
+def grid_scan(model, rect, n=25):
+    """Least rate_ld over an n x n grid of the rectangle, cut at 4 means, in the open cone."""
+    top = 4.0 * model.mean
+    best = math.inf
+    for z1 in np.linspace(max(rect.x_lo, 0.0), min(rect.x_hi, top), n):
+        for z2 in np.linspace(max(rect.y_lo, 0.0), min(rect.y_hi, top), n):
+            if 0.0 < z2 < z1:
+                best = min(best, rate_ld(model, z1, z2).value)
+    return best
+
+
+class TestRegionEdgeRule:
+    # in multiples of the mean: thin and small rectangles that fall between the rays, an
+    # unbounded one, and one across the cone edge z2 = z1 whose inverse-Gaussian row
+    # minimiser z1 = 2 + 1/6 lies on the closed face and clamps to the corner (2, 1.5)
+    RECTANGLES = [(3.0, 3.05, 1.0, 1.05), (0.02, 0.05, 0.001, 0.005), (1.2, 1.25, 0.55, 0.6),
+                  (2.5, INF, 0.2, 0.5), (1.3, 2.0, 1.5, 3.0)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("bounds", RECTANGLES)
+    def test_rectangles_match_a_dense_scan(self, model, bounds):
+        rect = Rectangle(*(model.mean * b for b in bounds))
+        rate = ld_event_rate(model, rect, 100)
+        scan = grid_scan(model, rect)
+        assert rate <= scan + 1e-9
+        assert rate == pytest.approx(scan, rel=1e-3)
+
+    def test_inverse_gaussian_face_corner(self):
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        assert ld_event_rate(ig, Rectangle(1.3, 2.0, 1.5, 3.0), 100) == pytest.approx(4.0 / 9.0, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_empty_and_off_the_cone(self, model):
+        m = model.mean
+        assert ld_event_rate(model, RegionUnion(()), 100) == INF
+        assert ld_event_rate(model, Rectangle(m, 2.0 * m, -1.0 * m, -0.5 * m), 100) == INF
+        assert ld_event_rate(model, Rectangle(m, 2.0 * m, 2.5 * m, 3.0 * m), 100) == INF
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("level", [1.1, 1.4, 1.7])
+    def test_sup_norm_is_phi_star(self, model, level):
+        # in the cone the cheapest part of the union is {z1 >= delta}, whose rate is phi*(delta)
+        delta = level * model.mean
+        assert ld_event_rate(model, sup_norm_exceedance(delta), 100) == phi_star(model, delta).value
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("level", [0.3, 1.5, 2.0, 5.0])  # 2 and 5 are face rows of inverse-Gaussian
+    def test_row_minimiser(self, model, level):
+        z2 = level * model.mean
+        z1 = simulate._row_argmin(model, z2)
+        row = marginal_I2(model, z2).value
+        assert abs(rate_ld(model, z1, z2).value - row) <= 1e-12 * max(1.0, row)
+        scan = min(rate_ld(model, s, z2).value for s in np.linspace(z2, 3.0 * z1, 301)[1:])
+        assert rate_ld(model, z1, z2).value <= scan
+        # the strip beyond the row, away from p = (mean, mean/2), takes the row's rate
+        strip = Rectangle(-INF, INF, z2, INF) if level > 0.5 else Rectangle(-INF, INF, -INF, z2)
+        assert ld_event_rate(model, strip, 100) == pytest.approx(row, rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_no_region_reaches_the_ray_search(self, model, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ray search reached")
+
+        monkeypatch.setattr(simulate, "_first_hit_rate", refuse)
+        m = model.mean
+        for bounds in self.RECTANGLES:
+            ld_event_rate(model, Rectangle(*(m * b for b in bounds)), 100)
+        ld_event_rate(model, sup_norm_exceedance(1.4 * m), 100)
+        two_sided = RegionUnion((HalfPlane((0.0, 1.0), 0.8 * m), HalfPlane((0.0, -1.0), -0.3 * m)))
+        ld_event_rate(model, two_sided, 100)
+
+
 class TestWilson:
     def test_contains_point_estimate(self):
         lo, hi = wilson_interval(50, 1000)
@@ -467,6 +544,11 @@ class TestEmpiricalMd:
         for row in rows:
             assert row["hits"] == 3000
             assert row["mc_exponent"] == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan])
+    def test_invalid_x(self, x):
+        with pytest.raises(ValueError, match="x must be positive"):
+            empirical_md(EXP1, [x], p_exponent=0.5, delta=1.0, n_samples=10, seed=9)
 
     def test_no_oracle_for_other_models(self):
         ig = make_model("inverse_gaussian", {"mu": 1.0})
