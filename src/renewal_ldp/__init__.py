@@ -10,7 +10,6 @@ passage time in the exponential case.
 
 from .conditional import (
     chaganty_equality,
-    conditional_ldp_check,
     conditional_mgf,
     kappa,
     kappa_d1,
@@ -23,12 +22,9 @@ from .lambda_surface import (
     CovarianceStructure,
     RegularityReport,
     hessian_origin,
-    in_finite_x_domain,
     in_lambda_domain,
-    in_tilt_domain,
     lambda_eval,
     lambda_grad,
-    lambda_hessian,
     poisson_lambda_closed_form,
     regularity_report,
 )
@@ -40,9 +36,7 @@ from .models import (
     LscCase,
     RateEvaluation,
     builtin_models,
-    classify_domain,
     make_model,
-    model_from_descriptor,
     parse_model_spec,
     phi_star,
 )
@@ -54,9 +48,7 @@ from .moderate import (
     MomentReport,
     Rectangle,
     RegionUnion,
-    centering_mode,
     confidence_intervals,
-    correlation_limit,
     exact_moments,
     md_event_rate,
     passage_weights,
@@ -84,7 +76,6 @@ from .simulate import (
     estimate_tail,
     ld_event_rate,
     map_blocks,
-    mgf_empirical_check,
     parse_event,
     wilson_interval,
 )

@@ -24,7 +24,7 @@ from . import conditional as cond
 from . import lambda_surface as surf
 from . import moderate as mod
 from . import simulate as sim
-from .models import MODEL_TABLE, classify_domain, parse_model_spec
+from .models import MODEL_TABLE, parse_model_spec
 from .rates import rate_ld, rate_ld_poisson
 
 SCHEMA = "v1"
@@ -119,7 +119,7 @@ def cmd_model(args) -> int:
                 "boundary": model.domain.boundary,
                 "boundary_closed": model.domain.boundary_closed,
                 "integrable_at_boundary": model.domain.integrable_at_boundary,
-                "case": classify_domain(model).value,
+                "case": model.domain.case.value,
             },
             "sampler": model.sampler_spec,
         },

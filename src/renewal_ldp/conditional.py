@@ -150,27 +150,6 @@ def sample_area_given_tau(x: int, y: float, rng: np.random.Generator, size=None)
     return y + u.sum(axis=1)
 
 
-def conditional_ldp_check(x_grid, z1_sequence, beta: float, z1_limit: float | None = None) -> list[dict]:
-    """Per-x conditional CGF of the scaled area against its uniform-law limit.
-
-    Evaluates (1/x) log E[exp(x beta A/x^2) | tau/x = z1(x)] from the closed
-    form and reports convergence to kappa(beta, lim z1).
-    """
-    rows = []
-    for x in x_grid:
-        x = int(x)
-        z1x = z1_sequence(x)
-        value = log_conditional_mgf(x, x * z1x, beta / x) / x
-        rows.append({"x": x, "z1_x": z1x, "value": value})
-    if z1_limit is None:
-        z1_limit = z1_sequence(10**9)  # proxy for the limit of the sequence
-    limit = kappa(beta, z1_limit)
-    for row in rows:
-        row["limit"] = limit
-        row["error"] = abs(row["value"] - limit)
-    return rows
-
-
 def chaganty_equality(lambda_param: float, z1: float, z2: float) -> dict:
     """Two independent routes to the conditional rate: conjugate CGF vs J.
 

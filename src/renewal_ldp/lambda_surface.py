@@ -5,11 +5,12 @@ For a holding-time CGF phi, the limit function is
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
 on its effective domain, +inf outside.  This module evaluates L from the
-closed form in the model table, its gradient and Hessian (from phi, phi' and
-L itself), decides domain membership, and reports the regularity facts (lower
-semicontinuity, steepness, essential smoothness) that decide which form of
-the large-deviation principle is certified.  Adaptive quadrature of the
-defining integral is kept only as an independent oracle
+closed form in the model table, its gradient (from phi, phi' and L itself)
+and its Hessian at the origin, decides membership of D(L) and of its
+interior, and reports the regularity facts (lower semicontinuity, steepness,
+essential smoothness) that follow from the model's domain case and decide
+which form of the large-deviation principle is certified.  Adaptive
+quadrature of the defining integral is kept only as an independent oracle
 (``lambda_eval(..., method="quadrature")``).
 """
 
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import INF, HoldingTimeModel, LscCase, classify_domain
+from .models import INF, HoldingTimeModel, LscCase
 from .quadrature import adaptive_gauss_legendre
 
-# below this |a2| the 1/a2 cancellation of the gradient and Hessian formulas
-# dominates; use their Taylor branches.  The integral branch loses
-# ~1e-16/|a2| absolute accuracy to cancellation, the quadratic Taylor
-# truncates at O(a2^3): both stay below ~1e-12 here.
+# below this |a2| the 1/a2 cancellation of the gradient formulas dominates;
+# use their Taylor branch.  The integral branch loses ~1e-16/|a2| absolute
+# accuracy to cancellation, the quadratic Taylor truncates at O(a2^3): both
+# stay below ~1e-12 here.
 A2_SWITCH = 1e-4
 
 
@@ -39,20 +40,14 @@ class CovarianceStructure:
     C_inv: np.ndarray
 
 
-def in_tilt_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
-    """Membership in the set {a2>=0, a1+a2 in D(phi)} u {a2<0, a1 <= abar}."""
-    if a2 >= 0.0:
-        return model.domain.contains(a1 + a2)
-    return a1 <= model.domain.boundary
-
-
 def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
     """Membership in D(L), the domain of the limit of the scaled log-MGFs.
 
-    Depends on the domain taxonomy: with a closed phi-boundary or an open
-    integrable one, D(L) is the whole tilt set; with an open non-integrable
-    boundary it is the interior of the tilt set.  At a2<0 with a1 exactly at
-    an open boundary the integral is finite only in the integrable case.
+    Depends on the domain case: with a closed phi-boundary or an open
+    integrable one, D(L) is the whole tilt set {a2 >= 0, a1 + a2 in D(phi)} u
+    {a2 < 0, a1 <= abar}; with an open non-integrable boundary it is the
+    interior of the tilt set.  At a2<0 with a1 exactly at an open boundary
+    the integral is finite only in the integrable case.
 
     The rule is not symmetric under the reflection (a1, a2) -> (a1 + a2, -a2)
     on an open boundary, because the limit is not: in the weighted sum the
@@ -67,18 +62,9 @@ def in_lambda_domain(model: HoldingTimeModel, a1: float, a2: float) -> bool:
     return a1 < dom.boundary or (a1 == dom.boundary and dom.integrable_at_boundary)
 
 
-def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float, margin: float = 0.0) -> bool:
-    """Strict-interior membership of D(L), with an optional safety margin."""
-    top = max(a1 + a2, a1)
-    return top < model.domain.boundary - margin
-
-
-def in_finite_x_domain(model: HoldingTimeModel, x: float, a1: float, a2: float) -> bool:
-    """Membership in the per-x MGF domain: a1 + a2 w in D(phi) at every passage weight w."""
-    from .moderate import n_terms_for  # moderate imports this module
-
-    w = x if a2 >= 0.0 else x - (n_terms_for(x) - 1)  # the first or the last weight
-    return model.domain.contains(a1 + a2 * w)
+def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float) -> bool:
+    """Strict-interior membership of D(L): the segment's top lies below the boundary."""
+    return max(a1 + a2, a1) < model.domain.boundary
 
 
 def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "auto") -> float:
@@ -119,28 +105,6 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
     return ((phi_end - phi_lo) / a2, (a2 * phi_end - integral) / a2**2)
 
 
-def lambda_hessian(model: HoldingTimeModel, a1: float, a2: float) -> np.ndarray:
-    """Hessian of the limit function at an interior tilt.
-
-    Entries are integral_0^1 y^k phi''(a1+a2*y) dy for k in {0,1,2}, reduced
-    to phi and phi' via integration by parts when a2 is not tiny.
-    """
-    if abs(a2) < A2_SWITCH:
-        d2, d3 = model.cgf_d2(a1), model.cgf_d3(a1)
-        return np.array([
-            [d2 + 0.5 * a2 * d3, 0.5 * d2 + a2 * d3 / 3.0],
-            [0.5 * d2 + a2 * d3 / 3.0, d2 / 3.0 + 0.25 * a2 * d3],
-        ])
-    top = a1 + a2
-    dphi_top, dphi_lo = model.cgf_d1(top), model.cgf_d1(a1)
-    phi_top, phi_lo = model.cgf(top), model.cgf(a1)
-    integral = a2 * model.limit(a1, a2)
-    h11 = (dphi_top - dphi_lo) / a2
-    h12 = (a2 * dphi_top - (phi_top - phi_lo)) / a2**2
-    h22 = dphi_top / a2 - 2.0 * (a2 * phi_top - integral) / a2**3
-    return np.array([[h11, h12], [h12, h22]])
-
-
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:
     """Exact origin Hessian phi''(0)*[[1,1/2],[1/2,1/3]] and its inverse."""
     phi2 = model.cgf_d2(0.0)
@@ -168,7 +132,7 @@ def regularity_report(model: HoldingTimeModel) -> RegularityReport:
     open-integrable case.  The exponential kind gets its full LDP from the
     gradient image covering the interior of the support cone.
     """
-    case = classify_domain(model)
+    case = model.domain.case
     lsc = case is not LscCase.OPEN_INTEGRABLE
     steep = case is not LscCase.CLOSED_BOUNDARY
     essentially_smooth = steep  # differentiability holds throughout the interior

@@ -30,20 +30,31 @@ class LscCase(Enum):
     OPEN_NONINTEGRABLE = "open_nonintegrable"  # open boundary, phi not integrable; Lambda lsc
 
 
+# the members as module names: on Python 3.11 LscCase.X costs about three times a whole contains()
+_CLOSED, _NONINTEGRABLE = LscCase.CLOSED_BOUNDARY, LscCase.OPEN_NONINTEGRABLE
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """Effective domain of phi: (-inf, boundary) or (-inf, boundary]."""
+    """Effective domain of phi: (-inf, boundary) or (-inf, boundary], by its case."""
 
     boundary: float                  # abar in (0, inf)
-    boundary_closed: bool            # abar itself in D(phi)
-    integrable_at_boundary: bool     # int phi finite on a left neighborhood of abar
+    case: LscCase                    # closed, open integrable or open non-integrable boundary
 
     def __post_init__(self):
         if not 0.0 < self.boundary < INF:
             raise ValueError(f"domain boundary must be finite and positive, got {self.boundary}")
 
+    @property
+    def boundary_closed(self) -> bool:  # abar itself in D(phi)
+        return self.case is _CLOSED
+
+    @property
+    def integrable_at_boundary(self) -> bool:  # int phi finite on a left neighborhood of abar
+        return self.case is not _NONINTEGRABLE
+
     def contains(self, alpha: float) -> bool:
-        if self.boundary_closed:
+        if self.case is _CLOSED:  # not the property: every phi evaluation comes here
             return alpha <= self.boundary
         return alpha < self.boundary
 
@@ -172,7 +183,7 @@ class ModelKind:
     example: tuple               # parameter values of the representative instance
     cgf_text: str                # phi and its domain, for the documentation
     boundary: Callable[..., float]
-    case: LscCase
+    case: LscCase                    # closed, open integrable or open non-integrable boundary
     cgf: Callable[..., float]
     cgf_d1: Callable[..., float]
     cgf_d2: Callable[..., float]
@@ -265,8 +276,7 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
     return HoldingTimeModel(
         kind=kind,
         params=values,
-        domain=DomainSpec(boundary, boundary_closed=row.case is LscCase.CLOSED_BOUNDARY,
-                          integrable_at_boundary=row.case is not LscCase.OPEN_NONINTEGRABLE),
+        domain=DomainSpec(boundary, row.case),
         cgf=partial(row.cgf, *args),
         cgf_d1=partial(row.cgf_d1, *args),
         cgf_d2=partial(row.cgf_d2, *args),
@@ -285,11 +295,6 @@ def model_of(kind: str, *values: float) -> HoldingTimeModel:
     return make_model(kind, dict(zip(names, values)))
 
 
-def model_from_descriptor(desc: dict) -> HoldingTimeModel:
-    """Inverse of :meth:`HoldingTimeModel.descriptor`."""
-    return make_model(desc["kind"], dict(desc["params"]))
-
-
 def parse_model_spec(text: str) -> HoldingTimeModel:
     """Parse the ``kind:param[,param]`` CLI mini-syntax.
 
@@ -299,16 +304,6 @@ def parse_model_spec(text: str) -> HoldingTimeModel:
     kind, _, raw = text.partition(":")
     values = [float(v) for v in raw.split(",")] if raw else []
     return model_of(kind.strip(), *values)
-
-
-def classify_domain(model: HoldingTimeModel) -> LscCase:
-    """Place the model in the three-bullet domain taxonomy."""
-    dom = model.domain
-    if dom.boundary_closed:
-        return LscCase.CLOSED_BOUNDARY
-    if dom.integrable_at_boundary:
-        return LscCase.OPEN_INTEGRABLE
-    return LscCase.OPEN_NONINTEGRABLE
 
 
 @dataclass

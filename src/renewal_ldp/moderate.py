@@ -25,27 +25,20 @@ CORRELATION_LIMIT = math.sqrt(3.0) / 2.0
 
 @dataclass(frozen=True)
 class ModerateScaling:
-    """Scaling family a_x with a_x -> 0 and x*a_x -> inf.
+    """Scaling family a_x = x^(-p), p in (0, 1), so a_x -> 0 and x*a_x -> inf.
 
-    The default family is a_x = x^(-p) with p in (0,1); an arbitrary map can
-    be supplied instead.  ``validate`` checks the discrete proxy of the two
-    limit conditions on a grid.
+    ``validate`` checks the discrete proxy of the two limit conditions on a
+    grid: strictly monotone along the sorted levels.
     """
 
     p: float = 0.5
-    a_map: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if self.a_map is None and not 0.0 < self.p < 1.0:
+        if not 0.0 < self.p < 1.0:
             raise ValueError("scaling exponent p must lie in (0, 1)")
 
     def a(self, x: float) -> float:
-        if self.a_map is not None:
-            return self.a_map(x)
         return x ** (-self.p)
-
-    def speed(self, x: float) -> float:
-        return 1.0 / self.a(x)
 
     def validate(self, x_grid: Sequence[float]) -> bool:
         xs = sorted(x_grid)
@@ -88,6 +81,14 @@ def psi_star(model: HoldingTimeModel, z1: float, z2: float) -> float:
     return (2.0 * d * d + 1.5 * z2 * z2) / model.variance
 
 
+def _check_level(x: float) -> None:
+    """Reject an initial level x that is not a positive finite number (NaN included)."""
+    if not x > 0:
+        raise ValueError("x must be positive")
+    if x == INF:
+        raise ValueError("x must be finite")
+
+
 def n_terms_for(x: float) -> int:
     """Number of holding times in the passage at level x: ceil(x)."""
     return math.ceil(x)
@@ -104,8 +105,7 @@ def exact_moments(model: HoldingTimeModel, x: float) -> MomentReport:
     Over the n passage weights, with m = n - 1: sum w = n (x - m/2) and
     sum w^2 = n (12 x (x - m) + 2 m (2m + 1)) / 12.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _check_level(x)
     phi1 = model.mean
     phi2 = model.variance
     n = n_terms_for(x)
@@ -119,12 +119,6 @@ def exact_moments(model: HoldingTimeModel, x: float) -> MomentReport:
         var_area=phi2 * n * (12.0 * x * (x - m) + 2.0 * m * (2 * m + 1)) / 12.0,
         cov=phi2 * n * (x - m / 2.0),
     )
-
-
-def correlation_limit(model: HoldingTimeModel, x: float) -> dict:
-    """Finite-x correlation of the passage pair and its universal limit."""
-    rho = exact_moments(model, x).correlation
-    return {"rho_x": rho, "limit": CORRELATION_LIMIT}
 
 
 def confidence_intervals(
@@ -142,8 +136,7 @@ def confidence_intervals(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _check_level(x)
     q = float(ndtri(0.5 * (1.0 + level)))
     phi2 = model.variance
     half_tau = math.sqrt(phi2 / x) * q
@@ -270,15 +263,3 @@ def md_event_rate(model: HoldingTimeModel, region) -> float:
     return region_min(region, (0.0, 0.0), lambda z1, z2: psi_star(model, z1, z2), lambda z2: 1.5 * z2,
                       half_plane)
 
-
-def centering_mode(model: HoldingTimeModel, x: float, mode: str = "theoretical") -> tuple[float, float]:
-    """Centerings of the scaled pair: the law-of-large-numbers point or exact means."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if mode == "theoretical":
-        phi1 = model.mean
-        return (phi1, 0.5 * phi1)
-    if mode == "expectation":
-        moments = exact_moments(model, x)
-        return (moments.mean_tau / x, moments.mean_area / x**2)
-    raise ValueError(f"unknown centering mode {mode!r}")

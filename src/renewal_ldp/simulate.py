@@ -19,12 +19,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtri
 
-from .lambda_surface import in_finite_x_domain, lambda_grad
+from .lambda_surface import lambda_grad
 from .models import INF, HoldingTimeModel, increasing_root, phi_star
 from .moderate import (
     HalfPlane,
     MarginalThreshold,
     ModerateScaling,
+    _check_level,
     axis_threshold,
     md_event_rate,
     n_terms_for,
@@ -91,8 +92,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.x > 0:  # NaN included
-            raise ValueError("x must be positive")
+        _check_level(self.x)
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")
 
@@ -436,33 +436,3 @@ def _md_oracle_log_prob(model: HoldingTimeModel, x: float, scale: float, delta: 
     )
     return float(np.logaddexp(np.logaddexp(log_up, log_lo), log_area))
 
-
-def mgf_empirical_check(
-    model: HoldingTimeModel,
-    x: float,
-    a1: float,
-    a2: float,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-) -> dict:
-    """Relative error of the empirical joint MGF against the product formula."""
-    if not in_finite_x_domain(model, x, a1, a2):
-        raise ValueError(f"tilt ({a1}, {a2}) outside the finite-x MGF domain")
-    weights = passage_weights(x)
-    exact = math.exp(math.fsum(model.phi(a1 + a2 * w) for w in weights))
-    config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
-
-    def block_sum(tau, area):
-        return (np.exp(a1 * tau + a2 * area).sum(), tau.size)
-
-    parts = map_blocks(config, block_sum)
-    total = math.fsum(p[0] for p in parts)
-    n = int(math.fsum(p[1] for p in parts))
-    empirical = total / n
-    return {
-        "empirical": empirical,
-        "exact": exact,
-        "relative_error": abs(empirical - exact) / exact,
-        "n_samples": n,
-    }

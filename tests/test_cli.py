@@ -10,6 +10,93 @@ import pytest
 from renewal_ldp.cli import main
 
 
+# the `model` JSON of the four built-in models, byte for byte
+MODEL_JSON = {
+    "exponential:1": """\
+{
+  "descriptor": {
+    "kind": "exponential",
+    "params": {
+      "lam": 1.0
+    }
+  },
+  "domain": {
+    "boundary": 1.0,
+    "boundary_closed": false,
+    "case": "open_integrable",
+    "integrable_at_boundary": true
+  },
+  "mean": 1.0,
+  "sampler": "inverse-cdf exponential",
+  "schema": "v1",
+  "variance": 1.0
+}
+""",
+    "inverse_gaussian:1": """\
+{
+  "descriptor": {
+    "kind": "inverse_gaussian",
+    "params": {
+      "mu": 1.0
+    }
+  },
+  "domain": {
+    "boundary": 0.5,
+    "boundary_closed": true,
+    "case": "closed_boundary",
+    "integrable_at_boundary": true
+  },
+  "mean": 1.0,
+  "sampler": "Michael-Schucany-Haas transform (numpy wald)",
+  "schema": "v1",
+  "variance": 1.0
+}
+""",
+    "noncentral_chi_squared:1,1": """\
+{
+  "descriptor": {
+    "kind": "noncentral_chi_squared",
+    "params": {
+      "k": 1.0,
+      "lam": 1.0
+    }
+  },
+  "domain": {
+    "boundary": 0.5,
+    "boundary_closed": false,
+    "case": "open_nonintegrable",
+    "integrable_at_boundary": false
+  },
+  "mean": 2.0,
+  "sampler": "Poisson-mixed chi-squared (numpy noncentral_chisquare)",
+  "schema": "v1",
+  "variance": 6.0
+}
+""",
+    "gamma:2,2": """\
+{
+  "descriptor": {
+    "kind": "gamma",
+    "params": {
+      "rate": 2.0,
+      "shape": 2.0
+    }
+  },
+  "domain": {
+    "boundary": 2.0,
+    "boundary_closed": false,
+    "case": "open_integrable",
+    "integrable_at_boundary": true
+  },
+  "mean": 1.0,
+  "sampler": "Marsaglia-Tsang rejection (numpy standard_gamma)",
+  "schema": "v1",
+  "variance": 0.5
+}
+""",
+}
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -24,6 +111,10 @@ class TestModelCommand:
         assert payload["schema"] == "v1"
         assert payload["descriptor"] == {"kind": "gamma", "params": {"shape": 2.0, "rate": 2.0}}
         assert payload["mean"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("spec", sorted(MODEL_JSON))
+    def test_model_json_pinned(self, spec, capsys):
+        assert run_cli(["model", "--model", spec], capsys) == (0, MODEL_JSON[spec])
 
     def test_unknown_model_usage_error(self, capsys):
         code = main(["model", "--model", "weibull:1"])
@@ -108,6 +199,12 @@ class TestRateCommand:
          "cannot parse region 'box'; expected e.g. 'supnorm>1'"),
         *[(["simulate", "--model", "exponential:1", f"--x={x}", "--n", "10", "--seed", "1"],
            "x must be positive") for x in ("0", "-2", "nan")],
+        (["simulate", "--model", "exponential:1", "--x=inf", "--n", "10", "--seed", "1"],
+         "x must be finite"),
+        (["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "inf"],
+         "x must be finite"),
+        (["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "nan"],
+         "x must be positive"),
     ])
     def test_usage_errors_exit_2_with_one_line(self, args, message, capsys):
         assert main(args) == 2

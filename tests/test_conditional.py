@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from renewal_ldp import (
     INF,
     chaganty_equality,
-    conditional_ldp_check,
     conditional_mgf,
     kappa,
     kappa_d1,
@@ -18,6 +17,20 @@ from renewal_ldp import (
     sample_area_given_tau,
 )
 from renewal_ldp.simulate import block_rng
+
+
+def conditional_ldp_check(x_grid, z1_sequence, beta, z1_limit):
+    """Per-x conditional CGF of the scaled area against its uniform-law limit.
+
+    Evaluates (1/x) log E[exp(x beta A/x^2) | tau/x = z1(x)] from the closed
+    form and reports its distance from kappa(beta, lim z1).
+    """
+    limit = kappa(beta, z1_limit)
+    rows = []
+    for x in x_grid:
+        value = log_conditional_mgf(x, x * z1_sequence(x), beta / x) / x
+        rows.append({"x": x, "value": value, "limit": limit, "error": abs(value - limit)})
+    return rows
 
 
 class TestKappa:

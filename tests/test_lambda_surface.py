@@ -12,21 +12,23 @@ from renewal_ldp import (
     builtin_models,
     hessian_origin,
     in_lambda_domain,
-    in_tilt_domain,
     lambda_eval,
     lambda_grad,
-    lambda_hessian,
     make_model,
     poisson_lambda_closed_form,
     regularity_report,
 )
-from renewal_ldp.lambda_surface import in_lambda_domain_interior
 from renewal_ldp.quadrature import QuadratureError, gauss_legendre_panel
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 
 # interior tilts shared by several oracles: (model index, a1, a2)
 INTERIOR_TILTS = [(-0.5, 0.3), (0.2, 0.4), (-1.0, -0.7), (0.3, -1.2), (-2.0, 1.5)]
+
+
+def interior_with_margin(m, a1, a2, margin):
+    """The segment [a1, a1 + a2] ends at least ``margin`` below the domain boundary."""
+    return max(a1, a1 + a2) < m.domain.boundary - margin
 
 
 def quad_oracle(model, a1, a2):
@@ -68,7 +70,7 @@ class TestLambdaEval:
     @pytest.mark.parametrize("a1,a2", INTERIOR_TILTS)
     def test_against_direct_quadrature(self, a1, a2):
         for m in builtin_models():
-            if not in_lambda_domain_interior(m, a1, a2, margin=1e-9):
+            if not interior_with_margin(m, a1, a2, 1e-9):
                 continue
             assert lambda_eval(m, a1, a2) == pytest.approx(quad_oracle(m, a1, a2), abs=1e-9)
 
@@ -120,7 +122,7 @@ class TestLambdaEval:
         # reversing the integration direction: L(a1, a2) = L(a1+a2, -a2)
         for m in builtin_models():
             for a1, a2 in INTERIOR_TILTS:
-                if not in_lambda_domain_interior(m, a1, a2, margin=1e-9):
+                if not interior_with_margin(m, a1, a2, 1e-9):
                     continue
                 assert lambda_eval(m, a1, a2) == pytest.approx(
                     lambda_eval(m, a1 + a2, -a2), abs=1e-11
@@ -140,26 +142,22 @@ class TestLambdaEval:
     def test_convexity_midpoint(self, a1, a2):
         m = EXP1
         b1, b2 = -0.5, 0.2
-        if not (in_lambda_domain_interior(m, a1, a2, 1e-6)
-                and in_lambda_domain_interior(m, b1, b2, 1e-6)):
+        if not (interior_with_margin(m, a1, a2, 1e-6)
+                and interior_with_margin(m, b1, b2, 1e-6)):
             return
         mid = lambda_eval(m, 0.5 * (a1 + b1), 0.5 * (a2 + b2))
         assert mid <= 0.5 * (lambda_eval(m, a1, a2) + lambda_eval(m, b1, b2)) + 1e-10
 
 
 class TestDomains:
-    def test_tilt_domain_negative_a2_boundary(self):
-        # with a2 < 0 the tilt set allows a1 up to the boundary inclusive
-        assert in_tilt_domain(EXP1, 1.0, -0.5)
-        assert not in_tilt_domain(EXP1, 1.1, -0.5)
-
     def test_lambda_domain_cases(self):
         ig = make_model("inverse_gaussian", {"mu": 1.0})      # closed boundary
         ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
         # closed boundary: top may touch abar
         assert in_lambda_domain(ig, 0.25, 0.25)
-        # open integrable: at a2<0, a1 at the boundary still integrates
+        # open integrable: at a2<0, a1 at the boundary still integrates, beyond it not
         assert in_lambda_domain(EXP1, 1.0, -0.5)
+        assert not in_lambda_domain(EXP1, 1.1, -0.5)
         # open non-integrable: boundary start diverges
         assert not in_lambda_domain(ncx, 0.5, -0.25)
         assert not in_lambda_domain(ncx, 0.25, 0.25)
@@ -187,7 +185,7 @@ class TestGradient:
     def test_against_finite_differences(self, a1, a2):
         h = 1e-6
         for m in builtin_models():
-            if not in_lambda_domain_interior(m, a1, a2, margin=1e-3):
+            if not interior_with_margin(m, a1, a2, 1e-3):
                 continue
             g1, g2 = lambda_grad(m, a1, a2)
             fd1 = (lambda_eval(m, a1 + h, a2) - lambda_eval(m, a1 - h, a2)) / (2 * h)
@@ -223,29 +221,6 @@ class TestGradient:
 
 
 class TestHessian:
-    @pytest.mark.parametrize("a1,a2", [(-0.5, 0.3), (0.1, 0.3), (-1.0, -0.7)])
-    def test_against_finite_differences(self, a1, a2):
-        h = 1e-5
-        for m in builtin_models():
-            if not in_lambda_domain_interior(m, a1, a2, margin=0.05):
-                continue
-            H = lambda_hessian(m, a1, a2)
-            fd11 = (lambda_eval(m, a1 + h, a2) - 2 * lambda_eval(m, a1, a2)
-                    + lambda_eval(m, a1 - h, a2)) / h**2
-            fd22 = (lambda_eval(m, a1, a2 + h) - 2 * lambda_eval(m, a1, a2)
-                    + lambda_eval(m, a1, a2 - h)) / h**2
-            fd12 = (lambda_eval(m, a1 + h, a2 + h) - lambda_eval(m, a1 + h, a2 - h)
-                    - lambda_eval(m, a1 - h, a2 + h) + lambda_eval(m, a1 - h, a2 - h)) / (4 * h**2)
-            assert H[0, 0] == pytest.approx(fd11, rel=1e-4, abs=1e-5)
-            assert H[1, 1] == pytest.approx(fd22, rel=1e-4, abs=1e-5)
-            assert H[0, 1] == pytest.approx(fd12, rel=1e-4, abs=1e-5)
-
-    def test_positive_definite_on_interior(self):
-        for m in builtin_models():
-            H = lambda_hessian(m, -0.5, 0.3)
-            eigs = np.linalg.eigvalsh(H)
-            assert (eigs > 0).all()
-
     def test_origin_structure(self):
         for m in builtin_models():
             cs = hessian_origin(m)
@@ -260,7 +235,7 @@ class TestPoissonClosedForm:
     def test_against_quadrature(self, lam):
         m = make_model("exponential", {"lam": lam})
         for a1, a2 in [(-0.5 * lam, 0.3 * lam), (0.2 * lam, -0.9 * lam), (-2.0, 1.1)]:
-            if not in_lambda_domain_interior(m, a1, a2, 1e-9):
+            if not interior_with_margin(m, a1, a2, 1e-9):
                 continue
             assert poisson_lambda_closed_form(lam, a1, a2) == pytest.approx(
                 lambda_eval(m, a1, a2, method="quadrature"), abs=1e-10
@@ -312,26 +287,3 @@ class TestRegularity:
         rep = regularity_report(make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0}))
         assert rep.lsc and rep.steep
 
-
-class TestFiniteXDomain:
-    def test_last_weight_is_exact_below_one_half(self):
-        from renewal_ldp import in_finite_x_domain
-        from renewal_ldp.moderate import passage_weights
-
-        # at x = 0.1 the only weight is 0.1 itself; x - ceil(x) + 1 would give
-        # 0.09999999999999998 and put the tilt a1 - 10 w on the boundary 1
-        assert passage_weights(0.1).tolist() == [0.1]
-        a1 = math.nextafter(2.0, -math.inf)
-        assert a1 - 10.0 * 0.1 < 1.0
-        assert in_finite_x_domain(EXP1, 0.1, a1, -10.0)
-        assert not in_finite_x_domain(EXP1, 0.1, 2.0, -10.0)
-
-    @pytest.mark.parametrize("x", [1.0, 7.0, 7.25, 0.4])
-    def test_largest_tilt_over_the_weights(self, x):
-        from renewal_ldp import in_finite_x_domain
-        from renewal_ldp.moderate import passage_weights
-
-        w = passage_weights(x)
-        for a1, a2 in ((0.5, 0.05), (0.9, -0.3), (1.2, -0.3), (-0.5, 0.3)):
-            expected = bool(np.max(a1 + a2 * w) < 1.0)
-            assert in_finite_x_domain(EXP1, x, a1, a2) == expected

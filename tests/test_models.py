@@ -13,9 +13,7 @@ from renewal_ldp import (
     LscCase,
     RateEvaluation,
     builtin_models,
-    classify_domain,
     make_model,
-    model_from_descriptor,
     parse_model_spec,
     phi_star,
 )
@@ -127,7 +125,7 @@ class TestDomainTaxonomy:
             "gamma": LscCase.OPEN_INTEGRABLE,
         }
         for m in builtin_models():
-            assert classify_domain(m) is expected[m.kind]
+            assert m.domain.case is expected[m.kind]
 
     def test_domain_membership(self):
         m = make_model("inverse_gaussian", {"mu": 2.0})
@@ -204,7 +202,8 @@ class TestPhiStar:
 class TestDescriptors:
     def test_round_trip(self):
         for m in builtin_models():
-            again = model_from_descriptor(m.descriptor())
+            desc = m.descriptor()
+            again = make_model(desc["kind"], desc["params"])
             assert again.descriptor() == m.descriptor()
             assert again.mean == m.mean
 
@@ -230,7 +229,7 @@ class TestDescriptors:
 
     def test_domain_boundary_must_be_finite(self):
         with pytest.raises(ValueError):
-            DomainSpec(INF, boundary_closed=False, integrable_at_boundary=True)
+            DomainSpec(INF, LscCase.OPEN_INTEGRABLE)
 
 
 class TestSamplers:

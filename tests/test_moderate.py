@@ -15,9 +15,7 @@ from renewal_ldp import (
     Rectangle,
     RegionUnion,
     builtin_models,
-    centering_mode,
     confidence_intervals,
-    correlation_limit,
     exact_moments,
     hessian_origin,
     make_model,
@@ -35,23 +33,14 @@ class TestScaling:
     def test_power_family_valid(self):
         s = ModerateScaling(p=0.5)
         assert s.validate([10, 100, 1000, 10000])
+        assert not s.validate([100, 100, 1000])  # a repeated level is not strictly monotone
         assert s.a(100) == pytest.approx(0.1)
-        assert s.speed(100) == pytest.approx(10.0)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             ModerateScaling(p=1.5)
         with pytest.raises(ValueError):
             ModerateScaling(p=0.0)
-
-    def test_custom_map(self):
-        s = ModerateScaling(a_map=lambda x: 1.0 / math.log(x))
-        assert s.validate([10, 100, 1000])
-
-    def test_too_fast_decay_rejected_by_validate(self):
-        # a_x = 1/x^2 fails x*a_x -> inf
-        s = ModerateScaling(a_map=lambda x: x**-2)
-        assert not s.validate([10, 100, 1000])
 
 
 class TestQuadraticForms:
@@ -117,6 +106,11 @@ class TestExactMoments:
         with pytest.raises(ValueError):
             exact_moments(EXP1, 0.0)
 
+    @pytest.mark.parametrize("x, message", [(math.nan, "x must be positive"), (math.inf, "x must be finite")])
+    def test_nan_and_infinite_x(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            exact_moments(EXP1, x)
+
 
 class TestCorrelation:
     def test_limit_value(self):
@@ -126,12 +120,12 @@ class TestCorrelation:
         # rho_x = sqrt(3(x+1)/(2(2x+1))) for integer x, any holding-time law
         for model in builtin_models():
             for x in (5, 50, 500):
-                rho = correlation_limit(model, x)["rho_x"]
+                rho = exact_moments(model, x).correlation
                 expected = math.sqrt(3.0 * (x + 1) / (2.0 * (2 * x + 1)))
                 assert rho == pytest.approx(expected, rel=1e-12)
 
     def test_convergence_to_limit(self):
-        rhos = [correlation_limit(EXP1, x)["rho_x"] for x in (10, 100, 1000, 10000)]
+        rhos = [exact_moments(EXP1, x).correlation for x in (10, 100, 1000, 10000)]
         gaps = [abs(r - CORRELATION_LIMIT) for r in rhos]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 1e-4
@@ -177,6 +171,12 @@ class TestConfidenceIntervals:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             confidence_intervals(EXP1, 10.0, 1.5)
+
+    @pytest.mark.parametrize("x, message", [(0.0, "x must be positive"), (math.nan, "x must be positive"),
+                                            (math.inf, "x must be finite")])
+    def test_invalid_x(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            confidence_intervals(EXP1, x, 0.9)
 
 
 class TestRegions:
@@ -261,27 +261,6 @@ class TestRegions:
         assert md_event_rate(EXP1, RegionUnion((a, b))) == pytest.approx(
             min(md_event_rate(EXP1, a), md_event_rate(EXP1, b))
         )
-
-
-class TestCentering:
-    def test_theoretical(self):
-        c1, c2 = centering_mode(EXP1, 100.0, "theoretical")
-        assert c1 == pytest.approx(1.0)
-        assert c2 == pytest.approx(0.5)
-
-    def test_expectation_integer_x(self):
-        c1, c2 = centering_mode(EXP1, 100.0, "expectation")
-        assert c1 == pytest.approx(1.0)
-        assert c2 == pytest.approx(100 * 101 / 2 / 100.0**2)
-
-    def test_modes_converge(self):
-        t = centering_mode(EXP1, 10**6, "theoretical")
-        e = centering_mode(EXP1, 10**6, "expectation")
-        assert abs(t[1] - e[1]) < 1e-5
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            centering_mode(EXP1, 10.0, "other")
 
 
 class TestMomentsFromPassageWeights:

@@ -22,11 +22,16 @@ from renewal_ldp import (
     rate_ld_poisson,
 )
 from renewal_ldp.conditional import kappa_star
-from renewal_ldp.lambda_surface import in_lambda_domain, in_lambda_domain_interior
+from renewal_ldp.lambda_surface import in_lambda_domain
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 IG1 = make_model("inverse_gaussian", {"mu": 1.0})
 MODELS = builtin_models()
+
+
+def interior_with_margin(m, a1, a2, margin):
+    """The segment [a1, a1 + a2] ends at least ``margin`` below the domain boundary."""
+    return max(a1, a1 + a2) < m.domain.boundary - margin
 
 
 def grid_search_rate(model, z1, z2, a1_range, a2_range, n=251):
@@ -34,7 +39,7 @@ def grid_search_rate(model, z1, z2, a1_range, a2_range, n=251):
     best = -INF
     for a1 in np.linspace(*a1_range, n):
         for a2 in np.linspace(*a2_range, n):
-            if not in_lambda_domain_interior(model, a1, a2, 1e-9):
+            if not interior_with_margin(model, a1, a2, 1e-9):
                 continue
             v = a1 * z1 + a2 * z2 - lambda_eval(model, float(a1), float(a2))
             best = max(best, v)

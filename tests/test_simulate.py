@@ -24,7 +24,6 @@ from renewal_ldp import (
     make_model,
     map_blocks,
     marginal_I2,
-    mgf_empirical_check,
     parse_event,
     phi_star,
     rate_ld,
@@ -32,9 +31,32 @@ from renewal_ldp import (
     wilson_interval,
 )
 from renewal_ldp import simulate
+from renewal_ldp.moderate import passage_weights
 from renewal_ldp.simulate import exact_tail_oracle, log_exact_tail_oracle, n_terms_for
 
 EXP1 = make_model("exponential", {"lam": 1.0})
+
+
+def in_finite_x_domain(model, x, a1, a2):
+    """Membership in the per-x MGF domain: a1 + a2 w in D(phi) at every passage weight w."""
+    w = x if a2 >= 0.0 else x - (n_terms_for(x) - 1)  # the first or the last weight
+    return model.domain.contains(a1 + a2 * w)
+
+
+def mgf_empirical_check(model, x, a1, a2, n_samples, seed):
+    """Relative error of the empirical joint MGF of (tau, A) against the product formula.
+
+    E exp(a1 tau + a2 A) = prod_k exp(phi(a1 + a2 w_k)) over the passage weights w_k.
+    """
+    if not in_finite_x_domain(model, x, a1, a2):
+        raise ValueError(f"tilt ({a1}, {a2}) outside the finite-x MGF domain")
+    exact = math.exp(math.fsum(model.phi(a1 + a2 * w) for w in passage_weights(x)))
+    config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed)
+    parts = map_blocks(config, lambda tau, area: (np.exp(a1 * tau + a2 * area).sum(), tau.size))
+    n = int(math.fsum(p[1] for p in parts))
+    empirical = math.fsum(p[0] for p in parts) / n
+    return {"empirical": empirical, "exact": exact, "relative_error": abs(empirical - exact) / exact,
+            "n_samples": n}
 
 
 class TestSampling:
@@ -62,9 +84,9 @@ class TestSampling:
         tau, area = self.block(7.0, 100, seed=5)
         assert np.all((tau <= area) & (area <= 7.0 * tau))
 
-    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan, math.inf])
     def test_invalid_x(self, x):
-        with pytest.raises(ValueError, match="x must be positive"):
+        with pytest.raises(ValueError, match="x must be finite" if x == math.inf else "x must be positive"):
             SimulationConfig(model=EXP1, x=x, n_samples=10, seed=1)
 
 
@@ -511,6 +533,24 @@ class TestMgfCheck:
             mgf_empirical_check(EXP1, x=5.0, a1=0.0, a2=0.5, n_samples=100, seed=1)
 
 
+class TestFiniteXDomain:
+    def test_last_weight_is_exact_below_one_half(self):
+        # at x = 0.1 the only weight is 0.1 itself; x - ceil(x) + 1 would give
+        # 0.09999999999999998 and put the tilt a1 - 10 w on the boundary 1
+        assert passage_weights(0.1).tolist() == [0.1]
+        a1 = math.nextafter(2.0, -math.inf)
+        assert a1 - 10.0 * 0.1 < 1.0
+        assert in_finite_x_domain(EXP1, 0.1, a1, -10.0)
+        assert not in_finite_x_domain(EXP1, 0.1, 2.0, -10.0)
+
+    @pytest.mark.parametrize("x", [1.0, 7.0, 7.25, 0.4])
+    def test_largest_tilt_over_the_weights(self, x):
+        w = passage_weights(x)
+        for a1, a2 in ((0.5, 0.05), (0.9, -0.3), (1.2, -0.3), (-0.5, 0.3)):
+            expected = bool(np.max(a1 + a2 * w) < 1.0)
+            assert in_finite_x_domain(EXP1, x, a1, a2) == expected
+
+
 class TestEmpiricalMd:
     def test_oracle_column_and_rule_of_three(self):
         rows = empirical_md(EXP1, [100], p_exponent=0.5, delta=1.0,
@@ -545,9 +585,9 @@ class TestEmpiricalMd:
             assert row["hits"] == 3000
             assert row["mc_exponent"] == 0.0
 
-    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan, math.inf])
     def test_invalid_x(self, x):
-        with pytest.raises(ValueError, match="x must be positive"):
+        with pytest.raises(ValueError, match="x must be finite" if x == math.inf else "x must be positive"):
             empirical_md(EXP1, [x], p_exponent=0.5, delta=1.0, n_samples=10, seed=9)
 
     def test_no_oracle_for_other_models(self):
@@ -563,7 +603,6 @@ class TestAreaFaceChernoff:
     @pytest.mark.parametrize("x", [100, 1000])
     @pytest.mark.parametrize("upper", [True, False])
     def test_no_larger_than_a_scan(self, kind, params, x, upper):
-        from renewal_ldp.moderate import passage_weights
         from renewal_ldp.simulate import _area_face_chernoff
 
         model = make_model(kind, params)
