@@ -174,7 +174,8 @@ def criterion_8_tail_ldp_slope(quick: bool = False) -> CriterionResult:
     dev100 = _symmetric_rel_dev(slopes[100], target)
     dev400 = _symmetric_rel_dev(slopes[400], target)
     n = 10**5 if quick else 10**6
-    est = sim.estimate_tail(sim.SimulationConfig(model=model, x=50, n_samples=n, seed=7), event)
+    config = sim.SimulationConfig(model=model, x=50, n_samples=n, seed=7, workers=sim.default_workers())
+    est = sim.estimate_tail(config, event)
     mc_ok = est.ci_low <= est.exact_probability <= est.ci_high
     passed = monotone and dev100 <= 0.25 and dev400 <= 0.12 and mc_ok
     return CriterionResult(
@@ -191,7 +192,7 @@ def criterion_9_clt_covariance(quick: bool = False) -> CriterionResult:
     ok = True
     details = []
     for model in (model_of("exponential", 1.0), model_of("gamma", 2.0, 2.0)):
-        out = sim.empirical_clt(model, x, n, seed=11)
+        out = sim.empirical_clt(model, x, n, seed=11, workers=sim.default_workers())
         C = surf.hessian_origin(model).C
         rel = float(np.max(np.abs(out["cov"] - C) / np.abs(C)))
         corr_dev = abs(out["correlation"] - mod.CORRELATION_LIMIT) / mod.CORRELATION_LIMIT
@@ -202,8 +203,8 @@ def criterion_9_clt_covariance(quick: bool = False) -> CriterionResult:
 
 
 def _batched_moments(model, x, n, seed):
-    """Per-block moment estimates for batch-means standard errors."""
-    config = sim.SimulationConfig(model=model, x=x, n_samples=n, seed=seed)
+    """Batch means: the moment estimates of each 4096-sample block, then their mean and SE."""
+    config = sim.SimulationConfig(model=model, x=x, n_samples=n, seed=seed, workers=sim.default_workers())
 
     def stats_fn(tau, area):
         return (tau.mean(), area.mean(), tau.var(ddof=1), area.var(ddof=1),
@@ -253,7 +254,7 @@ def criterion_11_moderate_trend(quick: bool = False) -> CriterionResult:
     model = model_of("exponential", 1.0)
     n = 5000 if quick else 20000
     rows = sim.empirical_md(model, [100, 1000, 10000], p_exponent=0.5, delta=1.0,
-                            n_samples=n, seed=5)
+                            n_samples=n, seed=5, workers=sim.default_workers())
     predicted = rows[0]["predicted_exponent"]
     gaps = [abs(r["oracle_exponent"] - predicted) for r in rows]
     monotone = gaps[0] > gaps[1] > gaps[2]

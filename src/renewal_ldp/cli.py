@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -98,10 +97,6 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = text.split(":")
         return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
     return [float(v) for v in text.split(",")]
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("RENEWAL_LDP_WORKERS", "1"))
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +204,17 @@ def cmd_moderate(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
-    config = sim.SimulationConfig(
-        model=model, x=args.x, n_samples=args.n, seed=args.seed, workers=args.workers
-    )
+    workers = sim.default_workers() if args.workers is None else args.workers
+    config = sim.SimulationConfig(model=model, x=args.x, n_samples=args.n, seed=args.seed, workers=workers)
     if args.event:
         event = sim.parse_event(args.event)
         est = sim.estimate_tail(config, event)
         emit_json(asdict(est), args.out)
         return 0
-    rows = []
-
-    def collect(tau, area):
-        return np.column_stack([tau, area])
-
     n_terms = sim.n_terms_for(args.x)
-    for chunk in sim.map_blocks(config, collect):
-        for tau, area in chunk:
-            rows.append({"x": args.x, "tau": float(tau), "area": float(area),
-                         "n_terms": n_terms})
+    rows = [{"x": args.x, "tau": tau, "area": area, "n_terms": n_terms}
+            for taus, areas in sim.map_blocks(config, lambda t, a: (t.tolist(), a.tolist()))
+            for tau, area in zip(taus, areas)]
     emit_plot_data(rows, "csv", args.out)
     return 0
 
@@ -308,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker threads (default: RENEWAL_LDP_WORKERS, else the usable CPU count)")
     p.add_argument("--event", default=None, help="e.g. 'z1>=1.5'; omit to dump samples")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

@@ -5,12 +5,14 @@ sum of ceil(x) holding times and the area is the same draws weighted by
 x, x-1, ...  Randomness comes from counter-based Philox streams keyed by
 (master seed, block index) over fixed-size sample blocks, so the j-th sample
 is identical no matter how blocks are distributed over workers, and merged
-statistics are reproducible bit for bit.
+statistics are reproducible bit for bit.  A block is drawn in chunks but
+reduced once, whole: the chunk size bounds memory and changes no result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -36,7 +38,7 @@ from .moderate import (
 from .rates import marginal_I2, rate_ld
 
 BLOCK_SIZE = 4096          # samples per random stream; independent of worker count
-CHUNK_DRAWS = 1 << 23      # max holding-time draws materialized at once
+CHUNK_DRAWS = 1 << 16      # draws materialized at once, in at least 8 rows: 512 KiB, inside L2
 N_RAYS = 64                # angles of the boundary search in ld_event_rate
 # a ray's march: 0, then 8 steps per doubling from 2**-53 to the top of the doubles.  A ray that
 # stays in the cone marches on r = mean * MARCH; one that leaves it at exit marches on
@@ -95,6 +97,8 @@ class SimulationConfig:
         _check_level(self.x)
         if self.n_samples < 1:
             raise ValueError("sample count must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -115,39 +119,42 @@ class TailEstimate:
 
 
 def _sample_chunked(model, x, rng, count):
-    """Yield (tau, area) arrays for `count` samples, drawn in a fixed order."""
+    """(tau, area) arrays of `count` samples, drawn chunk by chunk in a fixed order."""
     weights = passage_weights(x)
-    n_terms = weights.size
-    rows = max(1, CHUNK_DRAWS // n_terms)
-    done = 0
-    while done < count:
-        take = min(rows, count - done)
-        draws = model.sample(rng, size=(take, n_terms))
-        yield draws.sum(axis=1), draws @ weights
-        done += take
+    # a power of two, at least 8: OpenBLAS dgemv takes another kernel for the last rows mod 8
+    # of a call, so chunk boundaries at multiples of 8 give the areas of one whole-block dgemv
+    rows = 1 << max(3, (CHUNK_DRAWS // weights.size).bit_length() - 1)
+    tau, area = np.empty(count), np.empty(count)
+    for lo in range(0, count, rows):
+        draws = model.sample(rng, size=(min(rows, count - lo), weights.size))
+        tau[lo:lo + rows], area[lo:lo + rows] = draws.sum(axis=1), draws @ weights
+    return tau, area
+
+
+def default_workers() -> int:
+    """RENEWAL_LDP_WORKERS if set, else the usable CPU count; results do not depend on it."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return int(os.environ.get("RENEWAL_LDP_WORKERS", usable))
 
 
 def map_blocks(config: SimulationConfig, func: Callable) -> list:
-    """Apply ``func(tau, area)`` over all sample blocks; results in block order.
+    """``func(tau, area)`` of each sample block, once per block, in block order.
 
-    Each block gets its own counter-based stream, so the output is identical
-    for any worker count; workers only affect scheduling.
+    Each block gets its own counter-based stream and ``func`` sees all of its
+    samples at once, so the output is identical for any worker count and any
+    CHUNK_DRAWS; workers only affect scheduling, the chunk size only memory.
     """
     n = config.n_samples
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run_block(b):
-        rng = block_rng(config.seed, b)
         count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-        parts = [func(tau, area) for tau, area in _sample_chunked(config.model, config.x, rng, count)]
-        return parts
+        return func(*_sample_chunked(config.model, config.x, block_rng(config.seed, b), count))
 
-    if config.workers <= 1:
-        per_block = [run_block(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_block = list(pool.map(run_block, range(n_blocks)))
-    return [part for block in per_block for part in block]
+    blocks = range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    if config.workers == 1:
+        return [run_block(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(run_block, blocks))
 
 
 def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
@@ -310,12 +317,11 @@ def empirical_moments(model: HoldingTimeModel, x: float, n_samples: int, seed: i
     config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
 
     def block_stats(tau, area):
-        return (tau.sum(), area.sum(), (tau * tau).sum(), (tau * area).sum(),
-                (area * area).sum(), tau.size)
+        return (tau.sum(), area.sum(), (tau * tau).sum(), (tau * area).sum(), (area * area).sum())
 
     parts = map_blocks(config, block_stats)
-    st, sa, stt, sta, saa, n = (math.fsum(p[i] for p in parts) for i in range(6))
-    n = int(n)
+    st, sa, stt, sta, saa = (math.fsum(p[i] for p in parts) for i in range(5))
+    n = n_samples
     mt, ma = st / n, sa / n
     bessel = n / (n - 1)
     return {

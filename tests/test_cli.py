@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from renewal_ldp import cli
+from renewal_ldp import simulate as sim
 from renewal_ldp.cli import main
 
 
@@ -205,6 +207,8 @@ class TestRateCommand:
          "x must be finite"),
         (["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "nan"],
          "x must be positive"),
+        *[(["simulate", "--model", "exponential:1", "--x", "2", "--n", "10", "--seed", "1",
+            f"--workers={w}"], "workers must be >= 1") for w in ("0", "-3")],
     ])
     def test_usage_errors_exit_2_with_one_line(self, args, message, capsys):
         assert main(args) == 2
@@ -279,6 +283,24 @@ class TestSimulateCommand:
         assert main(base + ["--workers", "1", "--out", str(out_a)]) == 0
         assert main(base + ["--workers", "4", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_workers_default_is_the_shared_one(self, monkeypatch, capsys):
+        args = ["simulate", "--model", "exponential:1", "--x", "2", "--n", "10", "--seed", "1",
+                "--event", "z1>=1.5"]
+        seen = []  # the worker count of each run, which starts no thread
+        monkeypatch.setattr(sim, "estimate_tail", lambda config, event: seen.append(config.workers) or {})
+        monkeypatch.setattr(cli, "asdict", dict)
+        monkeypatch.setenv("RENEWAL_LDP_WORKERS", "3")
+        assert sim.default_workers() == 3
+        assert main(args) == 0 and seen == [3]
+        monkeypatch.delenv("RENEWAL_LDP_WORKERS")
+        assert sim.default_workers() == len(os.sched_getaffinity(0))
+        assert main(args) == 0 and seen == [3, sim.default_workers()]
+        assert main(args + ["--workers", "5"]) == 0 and seen[-1] == 5
+        monkeypatch.setenv("RENEWAL_LDP_WORKERS", "abc")
+        assert main(["rate", "--model", "exponential:1", "--z1", "2", "--z2", "1"]) == 0
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: invalid literal for int()")
 
 
 class TestConditionalCommand:

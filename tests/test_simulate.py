@@ -32,7 +32,7 @@ from renewal_ldp import (
 )
 from renewal_ldp import simulate
 from renewal_ldp.moderate import passage_weights
-from renewal_ldp.simulate import exact_tail_oracle, log_exact_tail_oracle, n_terms_for
+from renewal_ldp.simulate import BLOCK_SIZE, exact_tail_oracle, log_exact_tail_oracle, n_terms_for
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 
@@ -131,6 +131,30 @@ class TestReproducibility:
         config = SimulationConfig(model=EXP1, x=10.0, n_samples=100, seed=7)
         taus = np.concatenate(map_blocks(config, lambda t, a: t))
         assert np.array_equal(taus, direct.sum(axis=1))
+
+
+class TestChunking:
+    """The chunk size bounds memory and nothing else: ``func`` runs once per whole block."""
+
+    N_SAMPLES = BLOCK_SIZE + BLOCK_SIZE // 2  # a full block and a half block
+
+    @pytest.mark.parametrize("x", [10.5, 1000.0, 3000.5])
+    def test_results_do_not_depend_on_the_chunk(self, x, monkeypatch):
+        seen = set()
+        for chunk_draws in (1 << 23, 1 << 16, 1 << 10):
+            monkeypatch.setattr(simulate, "CHUNK_DRAWS", chunk_draws)
+            for workers in (1, 2):
+                config = SimulationConfig(model=EXP1, x=x, n_samples=self.N_SAMPLES, seed=5,
+                                          workers=workers)
+                parts = map_blocks(config, lambda tau, area: (tau, area))
+                assert [tau.size for tau, _ in parts] == [BLOCK_SIZE, BLOCK_SIZE // 2]
+                seen.add(b"".join(tau.tobytes() + area.tobytes() for tau, area in parts))
+        assert len(seen) == 1
+        weights = passage_weights(x)
+        for b, (tau, area) in enumerate(parts):  # one whole-block dgemv on the same stream
+            draws = EXP1.sample(block_rng(5, b), size=(tau.size, weights.size))
+            assert np.array_equal(tau, draws.sum(axis=1))
+            assert np.array_equal(area, draws @ weights)
 
 
 class TestEvents:
