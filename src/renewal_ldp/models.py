@@ -11,13 +11,13 @@ of 0 and its domain has a finite boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 INF = float("inf")
 
@@ -318,23 +318,78 @@ class RateEvaluation:
     on_boundary: bool = False
 
 
+class RootError(ArithmeticError):
+    """A bracketed root search failed: no sign change, a NaN, or maxiter steps spent."""
+
+
+def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
+          xtol: float, rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> tuple[float, int]:
+    """Root of f in the bracket [xa, xb], given fa = f(xa) and fb = f(xb), with the iterations spent.
+
+    Brent (1973), the zeroin variant that SciPy's brentq runs
+    (scipy/optimize/Zeros/brentq.c), step for step: it stops when half the
+    bracket is below (xtol + rtol |x|)/2 or f(x) == 0.  Where C divides by
+    zero and its inf or NaN fails the step test, this bisects.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, float(fa), float(fb)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise RootError(f"f({xa}) = {fpre} and f({xb}) = {fcur} bracket no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur holds the smaller residual
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        stry = INF  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise RootError(f"f({xcur!r}) is NaN")
+    raise RootError(f"no root to tolerance in {maxiter} iterations; last iterate {xcur!r}")
+
+
 def increasing_root(f: Callable[[float], float], top: float) -> tuple[float, int]:
     """Root of an increasing function f on (-inf, top], with the iterations spent.
 
     Every transform in the package maximises a concave objective whose
     derivative is -f; when f(top) <= 0 the maximiser is top, a face of the
     domain.  Else the bracket's lower end doubles its distance from top until
-    f < 0 (OverflowError if it leaves the doubles first); Brent finds the root.
+    f < 0 (OverflowError if it leaves the doubles first), and :func:`brent`
+    finds the root from the two bracket values already computed.
     """
-    if f(top) <= 0.0:
+    f_hi = float(f(top))
+    if f_hi <= 0.0:
         return top, 0
     hi, step, doublings = top, 1.0, 0
-    while f(top - step) > 0.0:
-        hi, step, doublings = top - step, 2.0 * step, doublings + 1
+    while (f_lo := float(f(top - step))) > 0.0:
+        hi, f_hi, step, doublings = top - step, f_lo, 2.0 * step, doublings + 1
         if math.isinf(top - step):
             raise OverflowError(f"no finite bracket below {top} for an increasing root")
-    root, info = brentq(f, top - step, hi, xtol=1e-15, full_output=True)
-    return root, doublings + info.iterations
+    root, iterations = brent(f, top - step, hi, f_lo, f_hi, xtol=1e-15)
+    return root, doublings + iterations
 
 
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:

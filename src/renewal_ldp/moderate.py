@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .lambda_surface import hessian_origin
 from .models import INF, HoldingTimeModel
@@ -137,6 +136,7 @@ def confidence_intervals(
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
     _check_level(x)
+    from scipy.special import ndtri  # imported on first use: scipy.special costs ~0.3 s of import
     q = float(ndtri(0.5 * (1.0 + level)))
     phi2 = model.variance
     half_tau = math.sqrt(phi2 / x) * q

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 from .lambda_surface import lambda_eval, lambda_grad
-from .models import INF, HoldingTimeModel, RateEvaluation, increasing_root, phi_star
+from .models import INF, HoldingTimeModel, RateEvaluation, brent, increasing_root, phi_star
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
@@ -96,14 +94,14 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
     s, iterations = 0.0, 0
     if 2.0 * w != z1:
         hi = 1.0
-        while resid(hi) >= 0.0:
+        while (f_hi := resid(hi)) >= 0.0:
             hi, iterations = 2.0 * hi, iterations + 1
         lo = 0.5 * hi
-        while resid(lo) < 0.0 and lo > POISSON_S_FLOOR:
+        while (f_lo := resid(lo)) < 0.0 and lo > POISSON_S_FLOOR:
             lo, iterations = 0.5 * lo, iterations + 1
-        if resid(lo) >= 0.0:
-            s, info = brentq(resid, lo, hi, xtol=1e-300, full_output=True)
-            iterations += info.iterations
+        if f_lo >= 0.0:
+            s, steps = brent(resid, lo, hi, f_lo, f_hi, xtol=1e-300)
+            iterations += steps
     b = -math.expm1(-s) / w
     log_far = math.log1p(b * (z1 - w))   # log of z1 times the far distance
     log_rho = -s - log_far               # log of the near/far distance ratio

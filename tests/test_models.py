@@ -1,6 +1,8 @@
 import contextlib
 import math
+import random
 import signal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from renewal_ldp import (
     parse_model_spec,
     phi_star,
 )
-from renewal_ldp.models import increasing_root
+from renewal_ldp.models import RootError, brent, increasing_root
 
 
 def finite_diff(f, a, h=1e-6):
@@ -150,6 +152,69 @@ class TestIncreasingRoot:
         # no root at all: the bracket doubles until it leaves the doubles
         with within(1.0), pytest.raises(OverflowError):
             increasing_root(lambda a: 1.0, 0.0)
+
+
+class TestBrent:
+    """models.brent runs SciPy's brentq step for step; brentq serves as the oracle."""
+
+    FUNCTIONS = (
+        lambda c, x: math.atan(x - c),
+        lambda c, x: x**3 - c,
+        lambda c, x: math.expm1(x) - c,
+        lambda c, x: math.floor(4.0 * x - c),  # a staircase: equal values at distinct points
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_brentq(self, seed):
+        from scipy.optimize import brentq
+        rng = random.Random(seed)
+        compared = 0
+        for k in range(400):
+            c = rng.uniform(-3.0, 3.0)
+            f = partial(self.FUNCTIONS[k % len(self.FUNCTIONS)], c)
+            a, b = c - rng.expovariate(0.5), c + rng.expovariate(0.5)
+            if k % 2:
+                a, b = b, a
+            fa, fb = f(a), f(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
+                continue
+            xtol = rng.choice([1e-15, 1e-300, 1e-6])
+            root, info = brentq(f, a, b, xtol=xtol, full_output=True)
+            assert brent(f, a, b, fa, fb, xtol) == (root, info.iterations)
+            compared += 1
+        assert compared > 250
+
+    @pytest.mark.parametrize("level", [1e-100, 1e-200, 1e-300])
+    def test_zero_denominator_bisects_as_brentq(self, level):
+        # values near `level` and slopes near level^2: the inverse quadratic step's
+        # denominator underflows to 0, where C gets inf or NaN and bisects (7-8 times
+        # per solve here); the port must take the same bisection
+        from scipy.optimize import brentq
+
+        def f(t):
+            return -1.0 / t - level
+
+        a, b = -(2.0 ** math.ceil(math.log2(1.0 / level))), -(2.0 ** math.floor(math.log2(1.0 / level)))
+        root, info = brentq(f, a, b, xtol=1e-15, full_output=True)
+        assert brent(f, a, b, f(a), f(b), 1e-15) == (root, info.iterations)
+
+    def test_numpy_scalars_are_coerced(self):
+        root, iterations = brent(lambda x: np.float64(x) - 0.3, 0.0, 1.0, np.float64(-0.3), np.float64(0.7), 1e-15)
+        assert type(root) is float and root == 0.3 and iterations > 0
+
+    def test_exact_zero_at_an_end(self):
+        assert brent(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-15) == (0.0, 0)
+        assert brent(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0, 1e-15) == (1.0, 0)
+
+    def test_failures_raise_one_typed_error(self):
+        with pytest.raises(RootError, match="no sign change"):
+            brent(lambda x: x + 1.0, 0.0, 1.0, 1.0, 2.0, 1e-15)
+        with pytest.raises(RootError, match="NaN"):
+            brent(lambda x: math.nan, -1.0, 1.0, -1.0, 1.0, 1e-15)
+        with pytest.raises(RootError, match="no sign change"):
+            brent(lambda x: x, -1.0, 1.0, math.nan, 1.0, 1e-15)
+        with pytest.raises(RootError, match="2 iterations"):
+            brent(lambda x: math.atan(x - 0.3), -10.0, 10.0, math.atan(-10.3), math.atan(9.7), 1e-15, maxiter=2)
 
 
 class TestPhiStar:
