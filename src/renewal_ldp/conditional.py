@@ -65,7 +65,7 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
     # z2 >= z1/2) puts the tilt at or below 0, where kappa' = z1 e^t/(e^t - 1) - 1/beta
     # has no cancellation; the midline w = z1/2 is the root 0, with value 0.  As
     # kappa(beta; z1) = kappa(beta z1; 1), the root is solved for t = beta z1 at level
-    # w/z1: a root beta ~ 1/z1 would fall below the solver's absolute tolerance at large z1.
+    # w/z1, whose tilt scale is 1 at every z1.
     w = min(z2, z1 - z2)
     r = w / z1
     t, iterations = increasing_root(lambda t: kappa_d1(t, 1.0) - r, 0.0)

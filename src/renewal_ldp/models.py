@@ -318,12 +318,15 @@ class RateEvaluation:
     on_boundary: bool = False
 
 
+_RTOL = 4 * sys.float_info.epsilon  # brentq's least relative tolerance
+
+
 class RootError(ArithmeticError):
     """A bracketed root search failed: no sign change, a NaN, or maxiter steps spent."""
 
 
 def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
-          xtol: float, rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> tuple[float, int]:
+          xtol: float, rtol: float = _RTOL, maxiter: int = 100) -> tuple[float, int]:
     """Root of f in the bracket [xa, xb], given fa = f(xa) and fb = f(xb), with the iterations spent.
 
     Brent (1973), the zeroin variant that SciPy's brentq runs
@@ -336,8 +339,10 @@ def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: floa
         return xpre, 0
     if fcur == 0.0:
         return xcur, 0
-    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
-        raise RootError(f"f({xa}) = {fpre} and f({xb}) = {fcur} bracket no sign change")
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise RootError(f"f is NaN at a bracket end: f({xa!r}) = {fpre}, f({xb!r}) = {fcur}")
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootError(f"f({xa!r}) = {fpre} and f({xb!r}) = {fcur} have the same sign")
     xblk = fblk = spre = scur = 0.0
     for iterations in range(1, maxiter + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -371,24 +376,30 @@ def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: floa
     raise RootError(f"no root to tolerance in {maxiter} iterations; last iterate {xcur!r}")
 
 
-def increasing_root(f: Callable[[float], float], top: float) -> tuple[float, int]:
+def increasing_root(f: Callable[[float], float], top: float,
+                    scale: Optional[float] = None) -> tuple[float, int]:
     """Root of an increasing function f on (-inf, top], with the iterations spent.
 
     Every transform in the package maximises a concave objective whose
     derivative is -f; when f(top) <= 0 the maximiser is top, a face of the
-    domain.  Else the bracket's lower end doubles its distance from top until
-    f < 0 (OverflowError if it leaves the doubles first), and :func:`brent`
-    finds the root from the two bracket values already computed.
+    domain.  Else the bracket's lower end starts ``scale`` below top (|top|
+    by default, 1 when top is 0) and doubles its distance until f < 0
+    (OverflowError if it leaves the doubles first), and :func:`brent` finds
+    the root from the two bracket values already computed.  It stops when
+    the bracket is narrower than 4 eps (|root| + scale): relative to the
+    root, and to the scale of the search for a root at or next to 0.
     """
+    if scale is None:
+        scale = abs(top) or 1.0
     f_hi = float(f(top))
     if f_hi <= 0.0:
         return top, 0
-    hi, step, doublings = top, 1.0, 0
+    hi, step, doublings = top, scale, 0
     while (f_lo := float(f(top - step))) > 0.0:
         hi, f_hi, step, doublings = top - step, f_lo, 2.0 * step, doublings + 1
         if math.isinf(top - step):
             raise OverflowError(f"no finite bracket below {top} for an increasing root")
-    root, iterations = brent(f, top - step, hi, f_lo, f_hi, xtol=1e-15)
+    root, iterations = brent(f, top - step, hi, f_lo, f_hi, xtol=_RTOL * scale)
     return root, doublings + iterations
 
 

@@ -57,7 +57,7 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
             return 0.5 * z1 - w
         return lambda_grad(model, a1_star(a2), a2)[1] - w
 
-    a2, outer = increasing_root(envelope, 0.0)
+    a2, outer = increasing_root(envelope, 0.0, model.domain.boundary)
     if a2 == 0.0:
         mid = phi_star(model, z1)
         a1, value, method = mid.argmax_tilt[0], mid.value, mid.method

@@ -364,7 +364,7 @@ def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upp
     if level <= 0.0:
         return 0.0 if upper else -INF  # A(x) > 0
     top = model.domain.search_top(finite_at_face=False) if upper else 0.0
-    t, _ = increasing_root(lambda t: float(u @ model.cgf_d1(t * u)) - level, top)
+    t, _ = increasing_root(lambda t: float(u @ model.cgf_d1(t * u)) - level, top, model.domain.boundary)
     if upper:
         t = max(t, 0.0)  # a threshold below the mean: the bound is 0 at b = 0
     return math.fsum(model.phi(t * v) for v in u) - t * level

@@ -2,8 +2,10 @@ import contextlib
 import math
 import random
 import signal
+import sys
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,25 @@ class TestIncreasingRoot:
         assert found == pytest.approx(root, rel=1e-15, abs=1e-15)
         assert iterations > 0
 
+    @pytest.mark.parametrize("top, root", [(2.0, 0.0), (2.0, 2.0**-60), (2.0, -(2.0**-60)), (2.0, 1e-300),
+                                           (2.0, -1e-300), (0.0, -(2.0**-60)), (0.0, -1e-300)])
+    def test_root_at_or_next_to_zero(self, top, root):
+        # the tolerance is relative to the root and to the scale |top| (1 at top = 0), so a root
+        # at 0 ends in a few steps, within 4 eps of the scale
+        found, iterations = increasing_root(lambda a: math.atan(a - root), top)
+        assert abs(found - root) <= 8 * sys.float_info.epsilon * (abs(top) or 1.0)
+        assert iterations < 10
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e12])
+    def test_scale_free(self, scale):
+        # the same problem at every scale: the root keeps its relative accuracy
+        found, _ = increasing_root(lambda a: math.atan(a / scale - 1.0 / 3.0), scale)
+        assert found == pytest.approx(scale / 3.0, rel=4 * sys.float_info.epsilon)
+
+    def test_nan_raises_the_typed_error(self):
+        with pytest.raises(RootError, match="NaN"):
+            increasing_root(lambda a: math.nan if a < 0.0 else 1.0, 0.0)
+
     def test_positive_down_to_minus_infinity_raises(self):
         # no root at all: the bracket doubles until it leaves the doubles
         with within(1.0), pytest.raises(OverflowError):
@@ -207,11 +228,11 @@ class TestBrent:
         assert brent(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0, 1e-15) == (1.0, 0)
 
     def test_failures_raise_one_typed_error(self):
-        with pytest.raises(RootError, match="no sign change"):
+        with pytest.raises(RootError, match="same sign"):
             brent(lambda x: x + 1.0, 0.0, 1.0, 1.0, 2.0, 1e-15)
         with pytest.raises(RootError, match="NaN"):
             brent(lambda x: math.nan, -1.0, 1.0, -1.0, 1.0, 1e-15)
-        with pytest.raises(RootError, match="no sign change"):
+        with pytest.raises(RootError, match="NaN"):
             brent(lambda x: x, -1.0, 1.0, math.nan, 1.0, 1e-15)
         with pytest.raises(RootError, match="2 iterations"):
             brent(lambda x: math.atan(x - 0.3), -10.0, 10.0, math.atan(-10.3), math.atan(9.7), 1e-15, maxiter=2)
@@ -232,6 +253,26 @@ class TestPhiStar:
         for m in builtin_models():
             assert phi_star(m, 0.0).value == INF
             assert phi_star(m, -1.0).value == INF
+
+    @pytest.mark.parametrize("rate", [1.0, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("ratio", [0.5, 1.5, 3.0])
+    def test_gamma_closed_form_at_every_rate(self, rate, ratio):
+        # rate z - shape - shape log(rate z/shape) at 40 digits; the tilt rate - shape/z
+        # scales with the rate, and an absolute tolerance of 1e-15 left 2.3e-9 at rate 1e-12
+        model = make_model("gamma", {"shape": 2.0, "rate": rate})
+        z = ratio * model.mean
+        with mpmath.workdps(40):
+            rz = mpmath.mpf(rate) * mpmath.mpf(z)
+            exact = float(rz - 2 - 2 * mpmath.log(rz / 2))
+        assert phi_star(model, z).value == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0**-52, -(2.0**-52), 1e-15, -1e-15])
+    def test_next_to_the_mean(self, offset):
+        # the root is at or next to 0, where f is rounding noise; the solve must still end
+        for m in builtin_models() + [make_model("gamma", {"shape": 2.0, "rate": 1e-9})]:
+            res = phi_star(m, m.mean * (1.0 + offset))
+            assert 0.0 <= res.value < 1e-20
+            assert res.iterations < 40
 
     def test_root_below_the_double_range_raises(self):
         # gamma:2,2 at z1 = 1e-320: the tilt 2 - 2/z1 is about -2e320
