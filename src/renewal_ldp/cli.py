@@ -11,10 +11,13 @@ Randomized subcommands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict
+from typing import Iterable
 
 import numpy as np
 
@@ -59,14 +62,21 @@ def _jsonable(obj):
     return obj
 
 
-def _write(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Standard output for None or "-", else the file, opened for writing."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+        if fh is sys.stdout and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def emit_json(payload: dict, out: str | None) -> None:
@@ -75,18 +85,20 @@ def emit_json(payload: dict, out: str | None) -> None:
     _write(json.dumps(_jsonable(body), indent=2, sort_keys=True), out)
 
 
-def emit_plot_data(results: list[dict], fmt: str, out: str | None) -> None:
-    """Write sweep results as CSV (fixed column order) or JSON rows."""
-    if not results:
+def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
+    """Write sweep results as CSV (fixed column order, one row at a time) or JSON rows."""
+    rows = iter(results)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("no results to emit")
-    columns = list(results[0].keys())
+    columns = list(first)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in results:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        _write("\n".join(lines) + "\n", out)
+        with _output(out) as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in itertools.chain([first], rows):
+                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
     elif fmt == "json":
-        emit_json({"columns": columns, "rows": results}, out)
+        emit_json({"columns": columns, "rows": [first, *rows]}, out)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -212,9 +224,10 @@ def cmd_simulate(args) -> int:
         emit_json(asdict(est), args.out)
         return 0
     n_terms = sim.n_terms_for(args.x)
-    rows = [{"x": args.x, "tau": tau, "area": area, "n_terms": n_terms}
-            for taus, areas in sim.map_blocks(config, lambda t, a: (t.tolist(), a.tolist()))
-            for tau, area in zip(taus, areas)]
+    # the blocks stay arrays, and each row is formatted and written as it is made
+    rows = ({"x": args.x, "tau": tau, "area": area, "n_terms": n_terms}
+            for taus, areas in sim.map_blocks(config, lambda t, a: (t, a))
+            for tau, area in zip(taus.tolist(), areas.tolist()))
     emit_plot_data(rows, "csv", args.out)
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -247,37 +248,82 @@ def _first_hit_rate(model, event, p, angle) -> float:
     return rate_ld(model, z1, z2).value if entered else INF
 
 
-def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
-    """Closed-form event probability where one exists.
+def _passage_gamma(model: HoldingTimeModel, event, x: float):
+    """(op, a, y) when the event is the gamma tail tau(x) op y, else None.
 
     Exponential holding times and an axis half-plane in z1: tau(x) is
-    Gamma(ceil(x), rate lam) at every x > 0, so the event is a regularized
-    incomplete gamma tail.  The threshold is divided by the scale 1/lam, as
-    SciPy's gamma distribution does, so the value equals its sf/cdf bit for bit.
+    Gamma(a = ceil(x), rate lam) at every x > 0.  The threshold is divided by
+    the scale 1/lam, as SciPy's gamma distribution does.
     """
     coord, op, c = axis_threshold(event) or (None, None, None)
     if model.kind != "exponential" or coord != "z1":
         return None
+    return op, n_terms_for(x), max(c * x / (1.0 / model.domain.boundary), 0.0)
+
+
+def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
+    """Closed-form event probability where one exists: a regularized incomplete gamma tail.
+
+    It equals SciPy's gamma distribution sf/cdf bit for bit; see :func:`_passage_gamma`.
+    """
+    if (law := _passage_gamma(model, event, x)) is None:
+        return None
     from scipy.special import gammainc, gammaincc  # imported on first use: ~0.3 s of import
-    y = max(c * x / (1.0 / model.domain.boundary), 0.0)
-    return float((gammaincc if op == ">=" else gammainc)(n_terms_for(x), y))
+    op, a, y = law
+    return float((gammaincc if op == ">=" else gammainc)(a, y))
 
 
 def log_exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
-    """Log of :func:`exact_tail_oracle`, taken as SciPy's gamma distribution takes it.
+    """Log of :func:`exact_tail_oracle`, computed in logs so that no tail underflows.
 
-    The log of a tail below 1/2, else log1p of minus the complementary tail.
-    Below about 1e-308 the tail underflows and the log is -inf, e.g. on
-    z1 >= 3 for exponential:1 at x = 1000, whose log-probability is about -905.
+    E.g. z1 >= 3 for exponential:1 at x = 1000 has the log-probability
+    -906.4545..., where the tail itself is below the doubles.
     """
-    tail = exact_tail_oracle(model, event, x)
-    if tail is None:
+    if (law := _passage_gamma(model, event, x)) is None:
         return None
-    if tail < 0.5:
-        with np.errstate(divide="ignore"):  # a tail that underflows to 0 has log -inf
-            return float(np.log(tail))
-    other = exact_tail_oracle(model, HalfPlane((-event.normal[0], -event.normal[1]), -event.offset), x)
-    return float(np.log1p(-other))
+    op, a, y = law
+    log_p, log_q = _log_gamma_tails(a, y)
+    return log_q if op == ">=" else log_p
+
+
+def _log_gamma_tails(a: int, y: float) -> tuple[float, float]:
+    """(log P(a, y), log Q(a, y)), the logs of the regularized incomplete gamma tails.
+
+    a log y - y - lgamma(a) plus the log of the series of P for y <= a + 1,
+    else of the Legendre continued fraction of Q, by modified Lentz
+    (Numerical Recipes 6.2); the other tail is log1p of minus the first.  The
+    three leading terms cancel near y = a, so the absolute error of the log
+    is about eps a log y: 7e-12 relative at a = 10^4.
+    """
+    if y == 0.0:
+        return -INF, -0.0
+    if y == INF:
+        return -0.0, -INF
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    prefix = a * math.log(y) - y - math.lgamma(a)
+    if y <= a + 1.0:
+        n, term = a, 1.0 / a
+        total = term
+        while term > total * eps:
+            n += 1
+            term *= y / n
+            total += term
+        log_p = prefix + math.log(total)
+        return log_p, math.log1p(-math.exp(log_p))
+    b = y + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1.0) > eps:
+        i += 1
+        an, b = -i * (i - a), b + 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+    log_q = prefix + math.log(h)
+    return math.log1p(-math.exp(log_q)), log_q
 
 
 def estimate_tail(config: SimulationConfig, event) -> TailEstimate:
@@ -314,7 +360,13 @@ def estimate_tail(config: SimulationConfig, event) -> TailEstimate:
 
 
 def empirical_moments(model: HoldingTimeModel, x: float, n_samples: int, seed: int, workers: int = 1) -> dict:
-    """Raw empirical moments of (tau, area) for comparison with the exact formulas."""
+    """Raw empirical moments of (tau, area) for comparison with the exact formulas.
+
+    The variances and the covariance carry the Bessel factor n/(n - 1), so at least two
+    samples are needed.
+    """
+    if n_samples < 2:
+        raise ValueError("empirical moments need n_samples >= 2")
     config = SimulationConfig(model=model, x=x, n_samples=n_samples, seed=seed, workers=workers)
 
     def block_stats(tau, area):

@@ -10,6 +10,7 @@ import pytest
 from renewal_ldp import cli
 from renewal_ldp import simulate as sim
 from renewal_ldp.cli import main
+from renewal_ldp.models import make_model
 
 
 # the `model` JSON of the four built-in models, byte for byte
@@ -274,6 +275,23 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_dump_is_the_samples_block_by_block(self, tmp_path, capsys):
+        # the header once, then every sample of each block in order, with 17 significant digits
+        args = ["simulate", "--model", "gamma:2,2", "--x", "10.5", "--n", "5000", "--seed", "3"]
+        path = tmp_path / "s.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        config = sim.SimulationConfig(model=make_model("gamma", {"shape": 2.0, "rate": 2.0}), x=10.5,
+                                      n_samples=5000, seed=3)
+        lines = ["x,tau,area,n_terms"] + [
+            f"10.5,{tau:.17g},{area:.17g},11"
+            for taus, areas in sim.map_blocks(config, lambda t, a: (t, a))
+            for tau, area in zip(taus.tolist(), areas.tolist())]
+        assert len(lines) == 5001
+        assert path.read_text() == "\n".join(lines) + "\n"
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == path.read_text()
 
     def test_worker_invariance_of_artifact(self, tmp_path):
         base = ["simulate", "--model", "exponential:1", "--x", "10", "--n", "9000",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -476,16 +477,30 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
     @pytest.mark.parametrize("x", [1, 10, 10.5, 400, 1000.25])
-    def test_log_equals_the_scipy_log_tails_away_from_the_median(self, lam, x):
-        from scipy import stats as sps
-
+    def test_log_equals_the_mpmath_log_tails(self, lam, x):
+        # 40-digit regularized incomplete gamma tails, the median included; at c = 3, 4 and
+        # x = 400, 1000.25 the tails lie below the doubles, and their logs stay finite
         model = make_model("exponential", {"lam": lam})
-        law = sps.gamma(a=math.ceil(x), scale=1.0 / lam)
-        for c in (-1.0, 0.0, 0.3 / lam, 0.9 / lam, 1.2 / lam, 1.5 / lam, 3.0 / lam, 4.0 / lam):
-            if abs(c * x - law.median()) <= 1e-6 * law.median():
-                continue
-            assert log_exact_tail_oracle(model, MarginalThreshold("z1", ">=", c), x) == float(law.logsf(c * x))
-            assert log_exact_tail_oracle(model, MarginalThreshold("z1", "<=", c), x) == float(law.logcdf(c * x))
+        a = math.ceil(x)
+        for c in (-1.0, 0.0, 0.3 / lam, 0.9 / lam, 1.0 / lam, 1.2 / lam, 1.5 / lam, 3.0 / lam, 4.0 / lam):
+            y = max(c * x / (1.0 / lam), 0.0)
+            with mpmath.workdps(40):  # a tail near 1 rounds to 1 there: take log1p of its complement
+                q = mpmath.gammainc(a, y, mpmath.inf, regularized=True)
+                p = mpmath.gammainc(a, 0, y, regularized=True)
+                exact = {">=": float(mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)),
+                         "<=": float((mpmath.log(p) if p else -math.inf) if p < 0.5 else mpmath.log1p(-q))}
+            for op, value in exact.items():
+                log_p = log_exact_tail_oracle(model, MarginalThreshold("z1", op, c), x)
+                assert log_p == pytest.approx(value, rel=2e-12, abs=1e-300)
+
+    def test_log_tail_below_the_doubles(self):
+        # P(tau(1000) >= 3000) is about 1e-394: the tail underflows, its log does not
+        event = MarginalThreshold("z1", ">=", 3.0)
+        assert exact_tail_oracle(EXP1, event, 1000) == 0.0
+        with mpmath.workdps(40):
+            exact = float(mpmath.log(mpmath.gammainc(1000, 3000, mpmath.inf, regularized=True)))
+        assert exact == pytest.approx(-906.4545, abs=1e-4)
+        assert log_exact_tail_oracle(EXP1, event, 1000) == pytest.approx(exact, rel=1e-14)
 
 
 class TestEstimateTail:
@@ -525,8 +540,21 @@ class TestEmpiricalClt:
         assert np.max(np.abs(out["cov"] - C) / np.abs(C)) < 0.08
         assert abs(out["correlation"] - math.sqrt(3) / 2) < 0.02
 
+    def test_one_sample_raises(self):
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            empirical_clt(EXP1, 5.0, 1, 1)
+
 
 class TestEmpiricalMoments:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_raise(self, n):
+        # the Bessel factor n/(n - 1) needs two samples
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            empirical_moments(EXP1, 5.0, n, 1)
+
+    def test_two_samples(self):
+        assert empirical_moments(EXP1, 5.0, 2, 1)["n_samples"] == 2
+
     @pytest.mark.parametrize("x", [10.0, 10.5])
     def test_against_exact(self, x):
         n = 200000
