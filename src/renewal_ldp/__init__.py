@@ -35,6 +35,7 @@ from .models import (
     HoldingTimeModel,
     LscCase,
     RateEvaluation,
+    RootError,
     builtin_models,
     make_model,
     parse_model_spec,

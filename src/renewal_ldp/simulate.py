@@ -262,10 +262,7 @@ def _passage_gamma(model: HoldingTimeModel, event, x: float):
 
 
 def exact_tail_oracle(model: HoldingTimeModel, event, x: float) -> Optional[float]:
-    """Closed-form event probability where one exists: a regularized incomplete gamma tail.
-
-    It equals SciPy's gamma distribution sf/cdf bit for bit; see :func:`_passage_gamma`.
-    """
+    """Closed-form event probability where one exists, equal to SciPy's gamma sf/cdf bit for bit."""
     if (law := _passage_gamma(model, event, x)) is None:
         return None
     from scipy.special import gammainc, gammaincc  # imported on first use: ~0.3 s of import
@@ -302,8 +299,7 @@ def _log_gamma_tails(a: int, y: float) -> tuple[float, float]:
     eps, tiny = sys.float_info.epsilon, sys.float_info.min
     prefix = a * math.log(y) - y - math.lgamma(a)
     if y <= a + 1.0:
-        n, term = a, 1.0 / a
-        total = term
+        n, term, total = a, 1.0 / a, 1.0 / a
         while term > total * eps:
             n += 1
             term *= y / n

@@ -10,7 +10,8 @@ PUBLIC_NAMES = [
     "BUILTIN_MODELS", "CORRELATION_LIMIT", "CovarianceStructure", "DomainSpec", "HalfPlane",
     "HoldingTimeModel", "INF", "LscCase", "MarginalThreshold", "ModerateScaling", "MomentReport",
     "PredicateEvent", "QuadratureError", "RateEvaluation", "Rectangle", "RegionUnion",
-    "RegularityReport", "SimulationConfig", "TailEstimate", "adaptive_gauss_legendre", "block_rng",
+    "RegularityReport", "RootError", "SimulationConfig", "TailEstimate", "adaptive_gauss_legendre",
+    "block_rng",
     "builtin_models", "chaganty_equality", "conditional_mgf", "conditional_rate_J",
     "confidence_intervals", "empirical_clt", "empirical_md", "empirical_moments", "estimate_tail",
     "exact_moments", "hessian_origin", "in_lambda_domain", "in_support_cone", "kappa", "kappa_d1",
