@@ -326,13 +326,14 @@ class RootError(ArithmeticError):
 
 
 def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
-          xtol: float, rtol: float = _RTOL, maxiter: int = 100) -> tuple[float, int]:
+          xtol: float, maxiter: int = 100) -> tuple[float, int]:
     """Root of f in the bracket [xa, xb], given fa = f(xa) and fb = f(xb), with the iterations spent.
 
     Brent (1973), the zeroin variant that SciPy's brentq runs
-    (scipy/optimize/Zeros/brentq.c), step for step: it stops when half the
-    bracket is below (xtol + rtol |x|)/2 or f(x) == 0.  Where C divides by
-    zero and its inf or NaN fails the step test, this bisects.
+    (scipy/optimize/Zeros/brentq.c) at its default rtol, step for step: it
+    stops when half the bracket is below (xtol + 4 eps |x|)/2 or f(x) == 0.
+    Where C divides by zero and its inf or NaN fails the step test, this
+    bisects.
     """
     xpre, xcur, fpre, fcur = xa, xb, float(fa), float(fb)
     if fpre == 0.0:
@@ -349,7 +350,7 @@ def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: floa
             xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
         if abs(fblk) < abs(fcur):  # xcur holds the smaller residual
             xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, iterations

@@ -114,6 +114,17 @@ class TestRateValues:
             assert abs(g[0] - 1.4 * m.mean) < 1e-7
             assert abs(g[1] - 0.6 * m.mean) < 1e-7
 
+    @pytest.mark.parametrize("rate", [1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("c1, c2", [(2.0, 0.5), (0.6, 0.2), (3.0, 2.0)])
+    def test_free_of_the_rate(self, rate, c1, c2):
+        # holding times scale by 1/rate and the rate function does not move; the outer search
+        # starts one domain boundary below 0, so its cost does not grow with the rate either
+        # (a start one unit below took 134-448 iterations here instead of 94-122)
+        unit = rate_ld(EXP1, c1, c2)
+        res = rate_ld(make_model("exponential", {"lam": rate}), c1 / rate, c2 / rate)
+        assert res.value == pytest.approx(unit.value, rel=1e-14, abs=0.0)
+        assert res.iterations <= unit.iterations + 10
+
     @given(z1=st.floats(0.4, 3.0), t=st.floats(0.1, 0.9))
     @settings(max_examples=40, deadline=None)
     def test_dominates_moderate_quadratic_near_mean(self, z1, t):

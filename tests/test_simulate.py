@@ -444,7 +444,7 @@ class TestExactOracle:
 
         event = parse_event("z1>=1.5")
         p = exact_tail_oracle(EXP1, event, 10)
-        assert p == pytest.approx(float(sps.gamma.sf(15.0, a=10)), rel=1e-14)
+        assert p == pytest.approx(float(sps.gamma.sf(15.0, a=10)), rel=1e-14, abs=0.0)
         assert math.log(p) == pytest.approx(log_exact_tail_oracle(EXP1, event, 10), abs=1e-12)
 
     def test_lower_tail(self):
@@ -500,7 +500,7 @@ class TestExactOracle:
         with mpmath.workdps(40):
             exact = float(mpmath.log(mpmath.gammainc(1000, 3000, mpmath.inf, regularized=True)))
         assert exact == pytest.approx(-906.4545, abs=1e-4)
-        assert log_exact_tail_oracle(EXP1, event, 1000) == pytest.approx(exact, rel=1e-14)
+        assert log_exact_tail_oracle(EXP1, event, 1000) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestEstimateTail:
@@ -674,6 +674,22 @@ class TestAreaFaceChernoff:
         bound = _area_face_chernoff(model, x, threshold, upper)
         assert bound <= scan + 1e-9 * abs(scan)
         assert bound == pytest.approx(scan, rel=1e-4)
+
+    @pytest.mark.parametrize("kind, params, key", [("exponential", {}, "lam"),
+                                                   ("gamma", {"shape": 2.0}, "rate")])
+    @pytest.mark.parametrize("rate", [1e-9, 1e-6, 1e3])
+    @pytest.mark.parametrize("ratio", [0.2, 0.4])
+    def test_lower_face_is_free_of_the_rate(self, kind, params, key, rate, ratio):
+        from renewal_ldp.simulate import _area_face_chernoff
+
+        # holding times, A(x) and the threshold all scale by 1/rate, so the bound is the rate-1
+        # bound; the root t scales with the rate, and a search tolerance of 4 eps absolute
+        # (the scale 1 of top = 0) left 1.2e-13 at rate 1e-9
+        x = 100.0
+        model, unit = make_model(kind, {**params, key: rate}), make_model(kind, {**params, key: 1.0})
+        bound = _area_face_chernoff(model, x, ratio * model.mean, upper=False)
+        assert bound == pytest.approx(_area_face_chernoff(unit, x, ratio * unit.mean, upper=False),
+                                      rel=1e-14, abs=0.0)
 
     def test_face_beyond_the_support(self):
         from renewal_ldp.simulate import _area_face_chernoff
