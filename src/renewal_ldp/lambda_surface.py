@@ -24,10 +24,11 @@ import numpy as np
 from .models import INF, HoldingTimeModel, LscCase
 from .quadrature import adaptive_gauss_legendre
 
-# below this |a2| the 1/a2 cancellation of the gradient formulas dominates;
-# use their Taylor branch.  The integral branch loses ~1e-16/|a2| absolute
-# accuracy to cancellation, the quadratic Taylor truncates at O(a2^3): both
-# stay below ~1e-12 here.
+# below |a2| = A2_SWITCH (abar - a1) the 1/a2 cancellation of the gradient
+# formulas dominates; use their Taylor branch.  Both errors are relative in
+# u = a2/(abar - a1), the scale of phi's derivatives at a1: the difference
+# branch loses ~eps/u to cancellation, the quadratic Taylor truncates at
+# O(u^3), and both stay at a few 1e-12 here at any model scale.
 A2_SWITCH = 1e-4
 
 
@@ -84,6 +85,21 @@ def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "au
     return model.limit(a1, a2)
 
 
+def _gradient(model: HoldingTimeModel, a1: float, a2: float, with_d2: bool) -> tuple[float, float]:
+    """d1L and, if ``with_d2``, d2L (else NaN): the one domain check and Taylor switch."""
+    dom = model.domain
+    top = max(a1, a1 + a2)
+    if not (top < dom.boundary or (dom.boundary_closed and a2 != 0.0 and top == dom.boundary)):
+        raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
+    if abs(a2) < A2_SWITCH * (dom.boundary - a1):  # never on a face, where abar - a1 <= |a2|
+        d1, d2, d3 = model.cgf_d1(a1), model.cgf_d2(a1), model.cgf_d3(a1)
+        return (d1 + 0.5 * a2 * d2 + a2**2 * d3 / 6.0,
+                0.5 * d1 + a2 * d2 / 3.0 + 0.125 * a2**2 * d3)
+    phi_end = model.cgf(a1 + a2)
+    d1L = (phi_end - model.cgf(a1)) / a2
+    return d1L, (a2 * phi_end - a2 * model.limit(a1, a2)) / a2**2 if with_d2 else math.nan
+
+
 def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, float]:
     """Gradient of the limit function on the interior of its domain.
 
@@ -91,18 +107,12 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
     the one-sided gradient from inside: phi' is infinite at abar but phi is
     finite, so the difference forms hold there and the Taylor branch does not.
     """
-    dom = model.domain
-    top = max(a1, a1 + a2)
-    on_face = dom.boundary_closed and a2 != 0.0 and top == dom.boundary
-    if not (top < dom.boundary or on_face):
-        raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
-    if abs(a2) < A2_SWITCH and not on_face:
-        d1, d2, d3 = model.cgf_d1(a1), model.cgf_d2(a1), model.cgf_d3(a1)
-        return (d1 + 0.5 * a2 * d2 + a2**2 * d3 / 6.0,
-                0.5 * d1 + a2 * d2 / 3.0 + 0.125 * a2**2 * d3)
-    phi_end, phi_lo = model.cgf(a1 + a2), model.cgf(a1)
-    integral = a2 * model.limit(a1, a2)
-    return ((phi_end - phi_lo) / a2, (a2 * phi_end - integral) / a2**2)
+    return _gradient(model, a1, a2, with_d2=True)
+
+
+def lambda_d1(model: HoldingTimeModel, a1: float, a2: float) -> float:
+    """d1L alone, where :func:`lambda_grad` is defined: phi at the segment's ends and no L."""
+    return _gradient(model, a1, a2, with_d2=False)[0]
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

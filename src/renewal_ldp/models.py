@@ -168,7 +168,7 @@ def _noncentral_chi_squared_limit(lam: float, k: float, lo: float, hi: float, wi
 
 
 def _gamma_cgf(shape: float, rate: float, a: float) -> float:
-    return shape * math.log(rate / (rate - a))
+    return -shape * math.log1p(-a / rate)  # relative accuracy next to a = 0, where phi* is small
 
 
 @dataclass(frozen=True)
@@ -377,30 +377,39 @@ def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: floa
     raise RootError(f"no root to tolerance in {maxiter} iterations; last iterate {xcur!r}")
 
 
-def increasing_root(f: Callable[[float], float], top: float,
-                    scale: Optional[float] = None) -> tuple[float, int]:
+def increasing_root(f: Callable[[float], float], top: float, scale: Optional[float] = None,
+                    start: Optional[float] = None) -> tuple[float, int]:
     """Root of an increasing function f on (-inf, top], with the iterations spent.
 
     Every transform in the package maximises a concave objective whose
     derivative is -f; when f(top) <= 0 the maximiser is top, a face of the
-    domain.  Else the bracket's lower end starts ``scale`` below top (|top|
-    by default, 1 when top is 0) and doubles its distance until f < 0
-    (OverflowError if it leaves the doubles first), and :func:`brent` finds
-    the root from the two bracket values already computed.  It stops when
-    the bracket is narrower than 4 eps (|root| + scale): relative to the
-    root, and to the scale of the search for a root at or next to 0.
+    domain.  The bracket grows from a first point by steps that double: from
+    top, with a first step of ``scale`` (|top| by default, 1 when top is 0),
+    or from a ``start`` below top, such as a nearby root, with a first step
+    of scale/10.  Where f > 0 at the first point it steps down until f < 0
+    (OverflowError if it leaves the doubles first); where f <= 0 it steps up,
+    capped at top, and returns top if f(top) <= 0.  :func:`brent` finds the
+    root from the two bracket values already computed.  It stops when the
+    bracket is narrower than 4 eps (|root| + scale): relative to the root,
+    and to the scale of the search for a root at or next to 0.
     """
     if scale is None:
         scale = abs(top) or 1.0
-    f_hi = float(f(top))
-    if f_hi <= 0.0:
-        return top, 0
-    hi, step, doublings = top, scale, 0
-    while (f_lo := float(f(top - step))) > 0.0:
-        hi, f_hi, step, doublings = top - step, f_lo, 2.0 * step, doublings + 1
-        if math.isinf(top - step):
-            raise OverflowError(f"no finite bracket below {top} for an increasing root")
-    root, iterations = brent(f, top - step, hi, f_lo, f_hi, xtol=_RTOL * scale)
+    x, step = (top, scale) if start is None else (min(start, top), 0.1 * scale)
+    f_x, doublings, lo = float(f(x)), 0, None
+    while f_x <= 0.0:
+        if x == top:
+            return top, doublings
+        lo, f_lo, x = x, f_x, min(x + step, top)
+        f_x, step, doublings = float(f(x)), 2.0 * step, doublings + 1
+    hi, f_hi = x, f_x
+    if lo is None:
+        while (f_lo := float(f(x - step))) > 0.0:
+            hi, f_hi, step, doublings = x - step, f_lo, 2.0 * step, doublings + 1
+            if math.isinf(x - step):
+                raise OverflowError(f"no finite bracket below {x} for an increasing root")
+        lo = x - step
+    root, iterations = brent(f, lo, hi, f_lo, f_hi, xtol=_RTOL * scale)
     return root, doublings + iterations
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .lambda_surface import lambda_eval, lambda_grad
+from .lambda_surface import lambda_d1, lambda_eval, lambda_grad
 from .models import INF, HoldingTimeModel, RateEvaluation, brent, increasing_root, phi_star
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
@@ -37,7 +37,10 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     the domain, or that top (the inverse-Gaussian face).  The envelope
     d2L(a1*(a2), a2) - w is then increasing in a2 and equals z1/2 - w at 0,
     so a2 is its root on (-inf, 0]; a2 = 0 is the midline, where I = phi*(z1).
-    ``iterations`` counts the steps of the outer root and of every inner one.
+    The inner root runs on d1L alone (:func:`lambda_d1`), and every inner
+    solve but the first of a call starts from the last a1*, since successive
+    outer iterates a2 move a1* little.  ``iterations`` counts the steps of
+    the outer root and of every inner one.
     """
     if not in_support_cone(z1, z2):
         return RateEvaluation(INF, method="closed_form")
@@ -45,11 +48,12 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
         return RateEvaluation(INF, method="closed_form", on_boundary=True)
     w = min(z2, z1 - z2)
     top = model.domain.search_top(finite_at_face=True)
-    inner = []
+    inner = []  # (a1*, steps) of each inner solve
 
     def a1_star(a2):
-        a1, steps = increasing_root(lambda a1: lambda_grad(model, a1, a2)[0] - z1, top)
-        inner.append(steps)
+        a1, steps = increasing_root(lambda a1: lambda_d1(model, a1, a2) - z1, top,
+                                    start=inner[-1][0] if inner else None)
+        inner.append((a1, steps))
         return a1
 
     def envelope(a2):
@@ -61,13 +65,13 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     if a2 == 0.0:
         mid = phi_star(model, z1)
         a1, value, method = mid.argmax_tilt[0], mid.value, mid.method
-        inner.append(mid.iterations)
+        inner.append((a1, mid.iterations))
     else:
         a1 = a1_star(a2)
         value, method = a1 * z1 + a2 * w - lambda_eval(model, a1, a2), "monotone_root"
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
-    return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=outer + sum(inner),
-                          method=method)
+    iterations = outer + sum(steps for _, steps in inner)
+    return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=iterations, method=method)
 
 
 def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation:

@@ -18,6 +18,7 @@ from renewal_ldp import (
     poisson_lambda_closed_form,
     regularity_report,
 )
+from renewal_ldp.lambda_surface import lambda_d1
 from renewal_ldp.quadrature import QuadratureError, gauss_legendre_panel
 
 EXP1 = make_model("exponential", {"lam": 1.0})
@@ -218,6 +219,34 @@ class TestGradient:
         for model, a1, a2 in [(ig, 0.5, 0.0), (EXP1, 1.0, -0.3), (EXP1, 0.7, 0.3)]:
             with pytest.raises(ValueError):
                 lambda_grad(model, a1, a2)
+
+
+    @pytest.mark.parametrize("a1,a2", INTERIOR_TILTS + [(0.3, 1e-5), (-0.5, -3e-6), (0.1, 0.0),
+                                                        (-40.0, 3e-3), (0.5, -0.3), (0.5 - 3e-5, 3e-5)])
+    def test_first_component_alone(self, a1, a2):
+        # lambda_d1 is lambda_grad's first component, bit for bit, on both branches and the face
+        for m in builtin_models():
+            try:
+                expected = lambda_grad(m, a1, a2)[0]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    lambda_d1(m, a1, a2)
+                continue
+            assert lambda_d1(m, a1, a2) == expected
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("a1,a2", [(0.3, 1e-5), (-0.5, -3e-6), (-40.0, 3e-3), (0.2, 0.4),
+                                       (0.3, -1.2), (0.9, 2e-6), (0.9, 2e-5), (-3.0, 5e-4)])
+    def test_free_of_the_scale(self, r, a1, a2):
+        # gamma:2,r has phi_r(a) = phi_1(a/r), so r grad L_r(r a) = grad L_1(a); the Taylor
+        # switch |a2| < A2_SWITCH (abar - a1) picks the same branch at every scale.  The last
+        # two tilts sit just above the switch, where the difference branch's cancellation
+        # leaves a few 1e-12; the absolute switch was 100% off at r = 1e-6
+        unit = make_model("gamma", {"shape": 2.0, "rate": 1.0})
+        scaled = make_model("gamma", {"shape": 2.0, "rate": r})
+        g, h = lambda_grad(unit, a1, a2), lambda_grad(scaled, r * a1, r * a2)
+        assert r * h[0] == pytest.approx(g[0], rel=2e-11, abs=0.0)
+        assert r * h[1] == pytest.approx(g[1], rel=2e-11, abs=0.0)
 
 
 class TestHessian:

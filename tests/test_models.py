@@ -160,6 +160,26 @@ class TestIncreasingRoot:
         assert abs(found - root) <= 8 * sys.float_info.epsilon * (abs(top) or 1.0)
         assert iterations < 10
 
+    @pytest.mark.parametrize("top, root", [(2.0, 1.5), (2.0, -0.25), (2.0, -3e6), (1e-9, -7e-10)])
+    @pytest.mark.parametrize("where", ["above", "below", "far_below", "at_root", "at_top"])
+    def test_warm_start_finds_the_cold_root(self, top, root, where):
+        # a start grows the bracket from there, up (capped at top) or down, by doubling steps
+        start = {"above": root + 0.5 * (top - root), "below": root - 0.3 * abs(top),
+                 "far_below": root - 1e3 * abs(top), "at_root": root, "at_top": top}[where]
+        def f(a):
+            return math.atan((a - root) / top)
+        cold, _ = increasing_root(f, top)
+        warm, iterations = increasing_root(f, top, start=start)
+        assert abs(warm - cold) <= 4 * sys.float_info.epsilon * (abs(cold) + abs(top))
+        assert iterations < 100
+
+    @pytest.mark.parametrize("start", [-1e6, 0.0, 1.9, 2.0, 5.0])
+    def test_warm_start_returns_the_face(self, start):
+        # f(top) <= 0: the maximiser is top, from a start below it after stepping up, or at it
+        found, iterations = increasing_root(lambda a: a - 5.0, 2.0, start=start)
+        assert found == 2.0
+        assert iterations < 30
+
     def test_nan_raises_the_typed_error(self):
         with pytest.raises(RootError, match="NaN"):
             increasing_root(lambda a: math.nan if a < 0.0 else 1.0, 0.0)
@@ -240,6 +260,17 @@ class TestPhiStar:
         m = make_model("exponential", {"lam": 1.0})
         res = phi_star(m, 2.0)
         assert res.value == pytest.approx(2.0 - 1.0 - math.log(2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("ratio", [1.0001, 0.9999, 1.01])
+    def test_gamma_next_to_the_mean_at_40_digits(self, ratio):
+        # rate z - shape - shape log(rate z/shape) is ~(ratio - 1)^2; the CGF -shape log1p(-a/rate)
+        # keeps its relative accuracy there (shape log(rate/(rate - a)) was 1.2e-8 off at 1.0001)
+        model = make_model("gamma", {"shape": 2.0, "rate": 2.0})
+        z = ratio * model.mean
+        with mpmath.workdps(40):
+            rz = 2 * mpmath.mpf(z)
+            exact = float(rz - 2 - 2 * mpmath.log(rz / 2))
+        assert phi_star(model, z).value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_zero_at_mean(self):
         for m in builtin_models():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +24,7 @@ from renewal_ldp import (
 )
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
+from renewal_ldp.models import model_of
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 IG1 = make_model("inverse_gaussian", {"mu": 1.0})
@@ -223,6 +225,123 @@ class TestConeEdges:
                    for z1 in np.linspace(z2, 3.0 * model.mean, 2000)[1:])
         assert i2 <= scan + 1e-12
         assert i2 == pytest.approx(scan, abs=2e-3)
+
+
+class TestWarmInnerRoot:
+    """rate_ld starts every inner a1* solve but the first at the last a1*."""
+
+    @given(kind=st.integers(0, 3), log_z1=st.floats(-2.5, 2.5), anchor=st.sampled_from([0.0, 0.5, 1.0]),
+           log_d=st.floats(-6.0, -0.31), upward=st.booleans(), log_a2=st.floats(-6.0, 4.0),
+           a2_sign=st.booleans(), log_gap=st.floats(-12.0, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_duality_and_reflection_near_the_edges_and_the_midline(
+            self, kind, log_z1, anchor, log_d, upward, log_a2, a2_sign, log_gap):
+        # z2/z1 down to 1e-6 from either edge and from the midline
+        model = MODELS[kind]
+        z1 = model.mean * math.exp(log_z1)
+        f = anchor + (10.0**log_d if upward else -(10.0**log_d))
+        assume(0.0 < f < 1.0)
+        z2, c = exact_pair(z1, f)
+        res = rate_ld(model, z1, z2)
+        assert 0.0 <= res.value < INF
+        # no tilt of D(L) beats the value
+        b2 = (1.0 if a2_sign else -1.0) * 10.0**log_a2
+        top = model.domain.boundary * (1.0 - 10.0**log_gap)
+        b1 = top if b2 < 0.0 else top - b2
+        if in_lambda_domain(model, b1, b2):
+            bound = b1 * z1 + b2 * z2 - lambda_eval(model, b1, b2)
+            assert res.value >= bound - 1e-10 * max(1.0, res.value)
+        # the reflection, with the tilt mapped exactly from the unfolded side z2 <= z1/2,
+        # whose tilt attains the value
+        if z2 > 0.5 * z1:
+            z2, c = c, z2
+        low, high = rate_ld(model, z1, z2), rate_ld(model, z1, c)
+        assert low.value == pytest.approx(high.value, rel=1e-9)
+        (a1, a2), (b1, b2) = low.argmax_tilt, high.argmax_tilt
+        assert (b1, b2) == (a1 + a2, -a2)
+        assert low.value == pytest.approx(a1 * z1 + a2 * z2 - lambda_eval(model, a1, a2),
+                                          rel=1e-12, abs=1e-14)
+
+    def test_fewer_iterations_on_a_fixed_grid(self):
+        # the 200-point grid of scripts/rate_ld_cost.py; with a cold inner bracket one scale
+        # below the top and the whole gradient in the inner residual it took 132.8 iterations
+        # a call (lambda_grad: 147.2 evaluations); the warm start must save a quarter of them
+        cold_mean = 132.795
+        grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
+                for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
+                for f in (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)]
+        mean = sum(rate_ld(m, z1, z2).iterations for m, z1, z2 in grid) / len(grid)
+        assert mean <= 0.75 * cold_mean
+
+
+def gamma_like(kind, r):
+    """exponential:r, gamma:2,r or inverse_gaussian:r."""
+    return model_of(kind, 2.0, r) if kind == "gamma" else model_of(kind, r)
+
+
+class TestScaleFree:
+    """The rates do not depend on the scale of the model, down to a boundary of 1e-24."""
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1.0, 1e6])
+    def test_gamma_probe(self, r):
+        # the absolute Taylor switch returned 0 here at r = 1e-6, after 427 iterations
+        res = rate_ld(model_of("gamma", 2.0, r), 3.0 / r, 1.0 / r)
+        assert res.value == pytest.approx(0.5343642983625092, rel=1e-14, abs=0.0)
+        assert res.iterations <= 80
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1.0, 1e6])
+    def test_exponential_probe(self, r):
+        res = rate_ld(model_of("exponential", r), 0.7 / r, 0.21 / r)
+        assert res.value == pytest.approx(0.3095205069429183, rel=1e-14, abs=0.0)
+        assert res.iterations <= 80
+
+    def test_inverse_gaussian_marginal_probe(self):
+        # 16% low with the absolute switch; phi_mu(a) = mu phi_1(a/mu^2), so I_mu(z/mu) = mu I_1(z)
+        model = model_of("inverse_gaussian", 1e-3)
+        res = marginal_I2(model, 0.8 * model.mean)
+        assert res.value == pytest.approx(7.892357102764753e-05, rel=1e-14, abs=0.0)
+        assert res.value == pytest.approx(1e-3 * marginal_I2(IG1, 0.8).value, rel=1e-14, abs=0.0)
+
+    def test_probes_against_40_digits(self):
+        # stationarity of a.z - L(a) solved by mpmath at 40 digits, L by mpmath quadrature
+        def rate(phi, z1, z2, start):
+            def L(a1, a2):
+                return mpmath.quad(lambda y: phi(a1 + a2 * y), [0, 1])
+
+            def grad(a1, a2):
+                end = phi(a1 + a2)
+                return (end - phi(a1)) / a2 - z1, (end - L(a1, a2)) / a2 - z2
+
+            a1, a2 = mpmath.findroot(grad, start)
+            return a1 * z1 + a2 * z2 - L(a1, a2)
+
+        with mpmath.workdps(40):
+            gamma = rate(lambda a: -2 * mpmath.log(1 - a), 3, 1,
+                         rate_ld(model_of("gamma", 2.0, 1.0), 3.0, 1.0).argmax_tilt)
+            exponential = rate(lambda a: -mpmath.log(1 - a), mpmath.mpf("0.7"), mpmath.mpf("0.21"),
+                               rate_ld(EXP1, 0.7, 0.21).argmax_tilt)
+            ig = lambda a: 1 - mpmath.sqrt(1 - 2 * a)  # noqa: E731
+            t = mpmath.findroot(lambda t: (ig(t) - mpmath.quad(lambda y: ig(t * y), [0, 1])) / t
+                                - mpmath.mpf("0.8"), (0.01, 0.5), solver="illinois")
+            marginal = t * mpmath.mpf("0.8") - mpmath.quad(lambda y: ig(t * y), [0, 1])
+        assert 0.5343642983625092 == pytest.approx(float(gamma), rel=1e-13, abs=0.0)
+        assert 0.3095205069429183 == pytest.approx(float(exponential), rel=1e-13, abs=0.0)
+        assert marginal_I2(IG1, 0.8).value == pytest.approx(float(marginal), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "inverse_gaussian"])
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e3, 1e6])
+    def test_scaling_identities(self, kind, r):
+        # holding times scale by 1/r: I_r(z/r) = I_1(z) for exponential and gamma, and
+        # I_mu(z/mu) = mu I_1(z) for the inverse-Gaussian; rate_ld and marginal_I2 both, at
+        # most 20 more iterations than at scale 1.  Points in units of the scale-1 mean.
+        unit, scaled = gamma_like(kind, 1.0), gamma_like(kind, r)
+        factor = r if kind == "inverse_gaussian" else 1.0
+        for c1, c2 in [(3.0, 1.0), (0.7, 0.21), (1.5, 0.1), (5.0, 1.5), (1.0, 0.2), (2.0, 1.2)]:
+            z1, z2 = c1 * unit.mean, c2 * unit.mean
+            for one, other in [(rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)),
+                               (marginal_I2(unit, z2), marginal_I2(scaled, z2 / r))]:
+                assert other.value == pytest.approx(factor * one.value, rel=1e-14, abs=0.0)
+                assert other.iterations <= one.iterations + 20
 
 
 class TestPoissonPath:
