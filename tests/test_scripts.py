@@ -1,5 +1,6 @@
 """Each script in scripts/ runs end to end on a tiny budget and writes its documented output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +39,12 @@ def test_experiment_writes_its_table(tmp_path, name, seed, header):
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert [row.split(",")[0] for row in lines[1:]] == ["10", "20"]
+
+
+def test_rate_ld_cost_reports_the_grid(tmp_path):
+    done = run_script("rate_ld_cost.py", ["--repeats", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["calls"] == 200
+    assert report["evaluations_per_call"] > report["iterations_per_call"] > 0
+    assert len(report["ms_per_call"]) == 1
