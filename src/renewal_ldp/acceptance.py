@@ -17,6 +17,7 @@ from . import lambda_surface as surf
 from . import moderate as mod
 from . import simulate as sim
 from .models import BUILTIN_MODELS, builtin_models, make_model, model_of, phi_star
+from .quadrature import adaptive_gauss_legendre
 from .rates import rate_ld, rate_ld_poisson
 
 
@@ -69,7 +70,7 @@ def criterion_2_poisson_closed_form() -> CriterionResult:
             for a2 in a2_grid:
                 if abs(a2) < 1e-3 * lam or max(a1 + a2, a1) > 0.9 * lam:
                     continue
-                quad = surf.lambda_eval(model, float(a1), float(a2), method="quadrature")
+                quad = adaptive_gauss_legendre(lambda y: model.cgf(a1 + a2 * y), 0.0, 1.0, tol=1e-10)
                 closed = surf.poisson_lambda_closed_form(lam, float(a1), float(a2))
                 worst = max(worst, abs(quad - closed))
                 checked += 1

@@ -7,11 +7,11 @@ For a holding-time CGF phi, the limit function is
 on its effective domain, +inf outside.  This module evaluates L from the
 closed form in the model table, its gradient (from phi, phi' and L itself)
 and its Hessian at the origin, decides membership of D(L) and of its
-interior, and reports the regularity facts (lower semicontinuity, steepness,
-essential smoothness) that follow from the model's domain case and decide
-which form of the large-deviation principle is certified.  Adaptive
-quadrature of the defining integral is kept only as an independent oracle
-(``lambda_eval(..., method="quadrature")``).
+interior, and reports the regularity facts (lower semicontinuity and
+steepness) that follow from the model's domain case and decide which form of
+the large-deviation principle is certified.  The defining integral itself is
+left to the oracles: :func:`quadrature.adaptive_gauss_legendre` of
+phi(a1 + a2*y) over y in (0, 1).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import INF, HoldingTimeModel, LscCase
-from .quadrature import adaptive_gauss_legendre
 
 # below |a2| = A2_SWITCH (abar - a1) the 1/a2 cancellation of the gradient
 # formulas dominates; use their Taylor branch.  Both errors are relative in
@@ -68,20 +67,12 @@ def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float) -> 
     return max(a1 + a2, a1) < model.domain.boundary
 
 
-def lambda_eval(model: HoldingTimeModel, a1: float, a2: float, method: str = "auto") -> float:
-    """Extended-real value of the limit function at the tilt (a1, a2).
-
-    ``method`` is ``auto`` (the model's closed form) or ``quadrature``
-    (adaptive Gauss-Legendre over y in (0, 1), the independent oracle).
-    """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
+def lambda_eval(model: HoldingTimeModel, a1: float, a2: float) -> float:
+    """Extended-real value of the limit function at the tilt (a1, a2), from the model's closed form."""
     if not in_lambda_domain(model, a1, a2):
         return INF
     if a2 == 0.0:
         return model.phi(a1)
-    if method == "quadrature":
-        return adaptive_gauss_legendre(lambda y: model.cgf(a1 + a2 * y), 0.0, 1.0, tol=1e-10)
     return model.limit(a1, a2)
 
 
@@ -130,7 +121,6 @@ class RegularityReport:
     lsc: bool
     lsc_case: LscCase
     steep: bool
-    essentially_smooth: bool
     full_ldp_certificate: str  # gartner_ellis_c | gradient_image | weak_only
 
 
@@ -145,20 +135,13 @@ def regularity_report(model: HoldingTimeModel) -> RegularityReport:
     case = model.domain.case
     lsc = case is not LscCase.OPEN_INTEGRABLE
     steep = case is not LscCase.CLOSED_BOUNDARY
-    essentially_smooth = steep  # differentiability holds throughout the interior
-    if lsc and essentially_smooth:
+    if lsc and steep:  # L is differentiable on the interior, so steep is essentially smooth
         certificate = "gartner_ellis_c"
     elif model.kind == "exponential":
         certificate = "gradient_image"
     else:
         certificate = "weak_only"
-    return RegularityReport(
-        lsc=lsc,
-        lsc_case=case,
-        steep=steep,
-        essentially_smooth=essentially_smooth,
-        full_ldp_certificate=certificate,
-    )
+    return RegularityReport(lsc=lsc, lsc_case=case, steep=steep, full_ldp_certificate=certificate)
 
 
 def poisson_lambda_closed_form(lam: float, a1: float, a2: float) -> float:

@@ -219,47 +219,46 @@ def sup_norm_exceedance(delta: float) -> RegionUnion:
     return RegionUnion(tuple(HalfPlane(normal, delta) for normal in AXES.values()))
 
 
-def region_min(region, center, rate: Callable, row_argmin: Callable, other: Callable) -> float:
+def region_min(region, center, rate: Callable, row_argmin: Callable, line: Callable, other: Callable) -> float:
     """Infimum over a region of a convex rate that is 0 at ``center``; both regimes use it.
 
     A :class:`RegionUnion` takes the least value of its parts, INF when it has
-    none.  A :class:`Rectangle` takes INF when empty and 0 when it holds
-    ``center``; else the infimum lies on its finite edges, where the rate is
-    convex: least at z2 = z1/2 on an edge of fixed z1 (the midline, by the
+    none; any other region 0 when it holds ``center``.  Else a
+    :class:`HalfPlane` {n.z >= c} takes ``line(n, c)``, the least rate on its
+    edge, and a :class:`Rectangle` INF when empty, else the least rate on its
+    finite edges: at z2 = z1/2 on an edge of fixed z1 (the midline, by the
     reflection z2 -> z1 - z2) and at z1 = row_argmin(z2) on an edge of fixed
     z2, each clamped into its edge.  Any other region goes to ``other(region)``.
     """
     if isinstance(region, RegionUnion):
-        return min((region_min(p, center, rate, row_argmin, other) for p in region.parts), default=INF)
+        return min((region_min(p, center, rate, row_argmin, line, other) for p in region.parts), default=INF)
+    if region.contains(*center):
+        return 0.0
+    if isinstance(region, HalfPlane):
+        return line(region.normal, region.offset)
     if not isinstance(region, Rectangle):
         return other(region)
     r = region
     if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
         return INF
-    if r.contains(*center):
-        return 0.0
     points = [(c, min(max(c / 2.0, r.y_lo), r.y_hi)) for c in (r.x_lo, r.x_hi) if math.isfinite(c)]
     points += [(min(max(row_argmin(c), r.x_lo), r.x_hi), c) for c in (r.y_lo, r.y_hi) if math.isfinite(c)]
     return min((rate(z1, z2) for z1, z2 in points if math.isfinite(z1) and math.isfinite(z2)), default=INF)
 
 
 def md_event_rate(model: HoldingTimeModel, region) -> float:
-    """Infimum of the moderate quadratic rate over a region.
+    """Infimum of the moderate quadratic rate over a region, by :func:`region_min`.
 
-    Exact for half-planes (stationary point on the bounding line, using
-    min (1/2) z^T C^{-1} z s.t. n.z = c  ->  c^2 / (2 n^T C n)), and for
-    rectangles and unions by :func:`region_min`: psi* is least at
-    z1 = 3 z2/2 on a line of fixed z2.
+    On the line n.z = c, psi* is least at its stationary point: c^2 / (2 n^T C n),
+    INF for n = 0.  On a line of fixed z2 it is least at z1 = 3 z2/2.
     """
 
-    def half_plane(plane):
-        if not isinstance(plane, HalfPlane):
-            raise TypeError(f"unsupported region type {type(plane).__name__}")
-        if plane.offset <= 0.0:
-            return 0.0  # the origin satisfies n.z >= c
-        n = np.array(plane.normal)
-        return plane.offset**2 / (2.0 * float(n @ hessian_origin(model).C @ n))
+    def line(normal, offset):
+        q = 2.0 * float(np.array(normal) @ hessian_origin(model).C @ np.array(normal))
+        return offset**2 / q if q else INF
+
+    def other(region):
+        raise TypeError(f"unsupported region type {type(region).__name__}")
 
     return region_min(region, (0.0, 0.0), lambda z1, z2: psi_star(model, z1, z2), lambda z2: 1.5 * z2,
-                      half_plane)
-
+                      line, other)

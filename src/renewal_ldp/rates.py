@@ -125,20 +125,44 @@ def marginal_I1(model: HoldingTimeModel, z1: float) -> RateEvaluation:
 
 
 def marginal_I2(model: HoldingTimeModel, z2: float) -> RateEvaluation:
-    """Marginal rate of the scaled area: sup_t {t*z2 - L(0, t)}.
-
-    The infimum of the joint rate over z1 is, by contraction and Fenchel
-    duality, the transform of t -> L(0, t).  Its maximiser is the root of
-    d2L(0, t) = z2 below the top of the domain, or that top.  Infinite for
-    z2 <= 0, where the supremum diverges.
-    """
+    """Marginal rate of the scaled area, sup_t {t*z2 - L(0, t)}: the line z2 = const, INF for z2 <= 0."""
     if z2 <= 0.0:
         return RateEvaluation(INF, method="closed_form", on_boundary=z2 == 0.0)
-    top = model.domain.search_top(finite_at_face=True)
-    t, iterations = increasing_root(lambda t: lambda_grad(model, 0.0, t)[1] - z2, top)
-    value = t * z2 - lambda_eval(model, 0.0, t)
-    return RateEvaluation(max(value, 0.0), argmax_tilt=(0.0, t), iterations=iterations,
-                          method="monotone_root")
+    return line_rate(model, (0.0, 1.0), z2)
+
+
+def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
+    """Least joint rate on the line {n.z = c}: sup_t {t c - L(t n)}, the same for (-n, -c).
+
+    By contraction and Fenchel duality, also the least I on {n.z >= c} if that
+    misses p = (mean, mean/2).  The maximiser is the root of the increasing
+    n.gradL(t n) - c, or the top of D(L) along n, where t max(n1, n1 + n2) is
+    the bound; the line is signed so that top is finite, with n.p <= c (a root
+    t >= 0) where t n is bounded below too.  INF if n.z > c on the open cone,
+    phi*(c/n1) if t n spans no double at the top (vertical), 0 or INF if n = 0.
+    """
+    n1, n2 = normal
+    if n1 == 0.0 and n2 == 0.0:
+        return RateEvaluation(0.0 if offset == 0.0 else INF, method="closed_form")
+    if max(n1, n1 + n2) <= 0.0 or (min(n1, n1 + n2) < 0.0 and (n1 + 0.5 * n2) * model.mean > offset):
+        n1, n2, offset = -n1, -n2, -offset
+    if offset <= 0.0 and min(n1, n1 + n2) >= 0.0:  # n.z spans (0, inf) on the open cone
+        return RateEvaluation(INF, method="closed_form")
+    bound = model.domain.search_top(finite_at_face=True)
+    top = bound / max(n1, n1 + n2)
+    while max(top * n1, top * n1 + top * n2) > bound:  # lambda_grad's own test of t n
+        top = math.nextafter(top, -INF)
+    if top * n1 + top * n2 == top * n1:
+        return phi_star(model, offset / n1)
+
+    def slope(t):
+        d1, d2 = lambda_grad(model, t * n1, t * n2)
+        return n1 * d1 + n2 * d2 - offset
+
+    t, iterations = increasing_root(slope, top)
+    a1, a2 = t * n1 + 0.0, t * n2  # + 0.0: the line z2 = c has the tilt (0, t), not (-0, t)
+    return RateEvaluation(max(t * offset - lambda_eval(model, a1, a2), 0.0), argmax_tilt=(a1, a2),
+                          iterations=iterations, method="monotone_root")
 
 
 def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:

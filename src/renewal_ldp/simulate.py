@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lambda_surface import lambda_grad
-from .models import INF, HoldingTimeModel, increasing_root, phi_star
+from .models import INF, HoldingTimeModel, increasing_root
 from .moderate import (
     HalfPlane,
     MarginalThreshold,
@@ -35,7 +35,7 @@ from .moderate import (
     region_min,
     sup_norm_exceedance,
 )
-from .rates import marginal_I2, rate_ld
+from .rates import line_rate, marginal_I2, rate_ld
 
 BLOCK_SIZE = 4096          # samples per random stream; independent of worker count
 CHUNK_DRAWS = 1 << 16      # draws materialized at once, in at least 8 rows: 512 KiB, inside L2
@@ -171,19 +171,19 @@ def wilson_interval(hits: int, n: int, level: float = 0.99) -> tuple[float, floa
 def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     """Predicted exponential decay rate: the infimum of the joint rate I over the event.
 
-    I is convex and 0 at p = (mean, mean/2).  Rectangles and unions take the
-    edge rule of :func:`moderate.region_min`, exact.  An axis
-    :class:`HalfPlane` takes its marginal rate in closed form.  A tilted one
-    or a :class:`PredicateEvent` takes the least I where rays from p first
-    enter it: N_RAYS rays march to them in the cone, and a golden-section
-    search in the angle refines each local minimum.  0.0 if p is in the
-    event, INF if no ray enters it, else I at a point of the event: exact
+    I is convex and 0 at p = (mean, mean/2).  Half-planes, rectangles and
+    unions are exact by :func:`moderate.region_min`, a half-plane with the
+    :func:`rates.line_rate` of its edge.  A :class:`PredicateEvent` takes the
+    least I where rays from p first enter it: N_RAYS rays march to them in
+    the cone, and a golden-section search in the angle refines each local
+    minimum.  INF if no ray enters it, else I at a point of the event: exact
     when that rate is finite and unimodal in the angle between the
     neighbours of those rays, else an upper bound.
     """
     p = (model.mean, 0.5 * model.mean)
-    return region_min(event, p, lambda z1, z2: rate_ld(model, z1, z2).value,
-                      partial(_row_argmin, model), partial(_ray_search_rate, model, p))
+    return region_min(event, p, lambda z1, z2: rate_ld(model, z1, z2).value, partial(_row_argmin, model),
+                      lambda normal, offset: line_rate(model, normal, offset).value,
+                      partial(_ray_search_rate, model, p))
 
 
 def _row_argmin(model: HoldingTimeModel, z2: float) -> float:
@@ -202,11 +202,7 @@ def _row_argmin(model: HoldingTimeModel, z2: float) -> float:
 
 
 def _ray_search_rate(model: HoldingTimeModel, p, event) -> float:
-    """:func:`ld_event_rate` of a half-plane or a :class:`PredicateEvent`."""
-    if event.contains(*p):  # the rates are convex with their zero at p
-        return 0.0
-    if axis := axis_threshold(event):
-        return (phi_star if axis[0] == "z1" else marginal_I2)(model, axis[2]).value
+    """:func:`ld_event_rate` of a :class:`PredicateEvent` that misses p."""
     rate_at = partial(_first_hit_rate, model, event, p)
     # ray j is angles[j + 1]; ray 0 aims at the apex (0, 0), as events there subtend a small angle
     angles = math.atan2(-p[1], -p[0]) + 2.0 * math.pi / N_RAYS * np.arange(-1, N_RAYS + 1)

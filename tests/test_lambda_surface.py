@@ -103,10 +103,6 @@ class TestLambdaEval:
         assert math.isfinite(value) and value > 0.0
         assert value == pytest.approx(lambda_eval(ncx, a1 + a2, -a2), rel=1e-13)
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            lambda_eval(EXP1, -0.5, 0.3, method="quadratur")
-
     def test_a2_zero_reduces_to_phi(self):
         for m in builtin_models():
             assert lambda_eval(m, -0.3, 0.0) == m.phi(-0.3)
@@ -267,7 +263,7 @@ class TestPoissonClosedForm:
             if not interior_with_margin(m, a1, a2, 1e-9):
                 continue
             assert poisson_lambda_closed_form(lam, a1, a2) == pytest.approx(
-                lambda_eval(m, a1, a2, method="quadrature"), abs=1e-10
+                quad_oracle(m, a1, a2), abs=1e-10
             )
 
     def test_boundary_start_finite_for_negative_a2(self):

@@ -12,6 +12,7 @@ from renewal_ldp import (
     INF,
     MarginalThreshold,
     ModerateScaling,
+    PredicateEvent,
     Rectangle,
     RegionUnion,
     builtin_models,
@@ -193,6 +194,33 @@ class TestRegions:
 
     def test_half_plane_through_origin(self):
         assert md_event_rate(EXP1, HalfPlane((1.0, 0.0), -0.5)) == 0.0
+
+    def test_tilted_half_plane_against_a_scan_of_its_line(self):
+        # the stationary point c^2 / (2 n^T C n) is the least psi* on the line n.z = c
+        for model in builtin_models():
+            for normal, c in (((1.0, 1.0), 1.0), ((1.0, -2.0), 0.5), ((-0.6, 0.8), 0.3)):
+                base = np.array(normal) * c / (normal[0] ** 2 + normal[1] ** 2)
+
+                def line(s):  # the points c n/|n|^2 + s (-n2, n1)
+                    return psi_star(model, base[0] - s * normal[1], base[1] + s * normal[0])
+
+                s = np.linspace(-20.0, 20.0, 20001)  # two passes, the second around the best of the first
+                k = int(np.argmin(line(s)))
+                scan = float(np.min(line(np.linspace(s[k - 1], s[k + 1], 20001))))
+                rate = md_event_rate(model, HalfPlane(normal, c))
+                assert rate <= scan + 1e-15
+                assert rate == pytest.approx(scan, rel=1e-9)
+
+    def test_zero_normal(self):
+        # {0 >= c}: every point for c <= 0, none for c > 0
+        assert md_event_rate(EXP1, HalfPlane((0.0, 0.0), 1.0)) == INF
+        assert md_event_rate(EXP1, HalfPlane((0.0, 0.0), -1.0)) == 0.0
+        assert md_event_rate(EXP1, HalfPlane((0.0, 0.0), 0.0)) == 0.0
+
+    def test_opaque_events_raise_unless_they_hold_the_origin(self):
+        with pytest.raises(TypeError):
+            md_event_rate(EXP1, PredicateEvent(lambda z1, z2: z1 >= 1.0, "z1>=1"))
+        assert md_event_rate(EXP1, PredicateEvent(lambda z1, z2: z1 >= -1.0, "z1>=-1")) == 0.0
 
     def test_sup_norm_region_rate(self):
         # the cheapest face of {||z||_inf > 1} is a z1 face: rate 1/2

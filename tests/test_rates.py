@@ -25,6 +25,7 @@ from renewal_ldp import (
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
 from renewal_ldp.models import model_of
+from renewal_ldp.rates import line_rate
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 IG1 = make_model("inverse_gaussian", {"mu": 1.0})
@@ -421,6 +422,101 @@ class TestMarginals:
         )
         assert i2 <= scan + 1e-9
         assert i2 == pytest.approx(scan, abs=1e-3)
+
+
+class TestLineRate:
+    """line_rate: the least joint rate on a line, sup_t {t c - L(t n)}; marginal_I2 is its z2 line."""
+
+    # (kind, z2 in multiples of the mean, value, tilt t of (0, t), iterations) of marginal_I2 as
+    # its own root of d2L(0, t) = z2 gave them, on both sides of the zero t = 0 at z2 = mean/2;
+    # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2
+    FROZEN_I2 = [
+        ("exponential", 0.05, 1.210669258179635, -16.535689406843094, 13),
+        ("exponential", 0.3, 0.08650424714787508, -1.061757737119453, 9),
+        ("exponential", 0.45, 0.0040553865998585875, -0.16884938949242326, 13),
+        ("exponential", 0.55, 0.0034892209802293295, 0.13473174103486185, 12),
+        ("exponential", 1.0, 0.21621659550187322, 0.6838026237520206, 11),
+        ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 12),
+        ("exponential", 3.0, 2.019869140883343, 0.978779993029125, 14),
+        ("inverse_gaussian", 0.05, 3.5160623391752868, -87.51773828152298, 16),
+        ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 10),
+        ("inverse_gaussian", 0.45, 0.004220272300838823, -0.17929303585267686, 18),
+        ("inverse_gaussian", 0.55, 0.003367632713317109, 0.12777545930810155, 9),
+        ("inverse_gaussian", 1.0, 0.16891768638357046, 0.47683362468102014, 11),
+        ("inverse_gaussian", 1.5, 0.41666666666666663, 0.5, 0),
+        ("inverse_gaussian", 3.0, 1.1666666666666665, 0.5, 0),
+        ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 12),
+        ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333332, 9),
+        ("noncentral_chi_squared", 0.45, 0.0026802578289132004, -0.055555555555554824, 9),
+        ("noncentral_chi_squared", 0.55, 0.0023449100978375492, 0.04545454545454534, 11),
+        ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 4),
+        ("noncentral_chi_squared", 1.5, 0.4506938556659452, 0.3333333333333333, 12),
+        ("noncentral_chi_squared", 3.0, 1.6041202653859723, 0.4166666666666667, 13),
+        ("gamma", 0.05, 2.42133851635927, -33.07137881368619, 13),
+        ("gamma", 0.3, 0.17300849429575016, -2.123515474238906, 9),
+        ("gamma", 0.45, 0.008110773199717175, -0.3376987789848465, 13),
+        ("gamma", 0.55, 0.006978441960458659, 0.2694634820697237, 12),
+        ("gamma", 1.0, 0.43243319100374644, 1.3676052475040412, 11),
+        ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 12),
+        ("gamma", 3.0, 4.039738281766686, 1.95755998605825, 14),
+    ]
+
+    @pytest.mark.parametrize("kind, level, value, t, iterations", FROZEN_I2)
+    def test_marginal_I2_frozen(self, kind, level, value, t, iterations):
+        model = MODELS[[m.kind for m in MODELS].index(kind)]
+        res = marginal_I2(model, level * model.mean)
+        assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert res.argmax_tilt[1] == pytest.approx(t, rel=1e-14, abs=0.0)
+        assert math.copysign(1.0, res.argmax_tilt[0]) == 1.0 and res.argmax_tilt[0] == 0.0
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("level", [0.02, 0.3, 0.8, 2.0])
+    def test_reflected_area_line(self, model, level):
+        # I(z1, z2) = I(z1, z1 - z2) maps the line z1 - z2 = w onto z2 = w, with the tilt
+        # (a1, a2) -> (a1 + a2, -a2); the line is the same for (n, c) and (-n, -c)
+        w = level * model.mean
+        area = marginal_I2(model, w)
+        for normal, c in (((1.0, -1.0), w), ((-1.0, 1.0), -w)):
+            res = line_rate(model, normal, c)
+            assert res.value == pytest.approx(area.value, rel=1e-12)
+            a1, a2 = res.argmax_tilt
+            assert (a1 + a2, -a2) == pytest.approx(area.argmax_tilt, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("level", [0.6, 1.5])
+    def test_near_vertical_lines_tend_to_phi_star(self, model, level):
+        # a tilt of the normal below one ulp of n1 leaves t n no width at the top of the
+        # search, and the difference form of the gradient no digit; such a line is vertical
+        c = level * model.mean
+        vertical = phi_star(model, c).value
+        for eps in (1e-9, 1e-12, 1e-15, 1.2e-16, 1e-16, 5e-17, 1e-17, 1e-100, 6e-261, 0.0):
+            for sign in (1.0, -1.0):
+                res = line_rate(model, (1.0, sign * eps), c)
+                assert res.value == pytest.approx(vertical, rel=1e-14 + 4.0 * eps), (eps, sign)
+
+    @given(kind=st.integers(0, 3), angle=st.floats(0.0, 2.0 * math.pi), level=st.floats(0.01, 3.0),
+           negative=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_of_the_plane(self, kind, angle, level, negative):
+        # both signs of a line give one value: INF off the open cone, phi* on a vertical line,
+        # else t c - L(t n) at a tilt t n of D(L), which no t of a coarse scan beats
+        model = MODELS[kind]
+        normal = (math.cos(angle), math.sin(angle))
+        c = (-level if negative else level) * model.mean
+        res = line_rate(model, normal, c)
+        flipped = line_rate(model, (-normal[0], -normal[1]), -c)
+        assert res.value == flipped.value and res.value >= 0.0
+        if res.value == INF or len(res.argmax_tilt) == 1:
+            return
+        a1, a2 = res.argmax_tilt
+        assert in_lambda_domain(model, a1, a2)
+        t = a2 / normal[1]
+        assert res.value == pytest.approx(max(t * c - lambda_eval(model, a1, a2), 0.0), rel=1e-9, abs=1e-12)
+        for s in np.linspace(-4.0, 4.0, 41) * abs(t):
+            if in_lambda_domain(model, s * normal[0], s * normal[1]):
+                bound = s * c - lambda_eval(model, s * normal[0], s * normal[1])
+                assert res.value >= bound - 1e-12 * max(1.0, abs(bound))
 
 
 class TestConditionalRate:

@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from renewal_ldp import (
     INF,
@@ -219,6 +222,39 @@ MODELS = builtin_models()
 MODEL_IDS = [m.kind for m in MODELS]
 
 
+def line_scan(model, normal, c, n=401):
+    """Least rate_ld on the line n.z = c in the open cone: a grid in z2/z1, refined by a bounded search."""
+
+    def rate(s):  # the point of the line with z2 = s z1
+        z1 = c / (normal[0] + normal[1] * s)
+        return rate_ld(model, z1, s * z1).value if z1 > 0.0 else INF
+
+    # the slopes s in (0, 1) where z1 > 0: on one side of the zero of n1 + n2 s
+    s0 = -normal[0] / normal[1]
+    lo, hi = (max(s0, 0.0), 1.0) if c * normal[1] > 0.0 else (0.0, min(s0, 1.0))
+    grid = np.linspace(lo, hi, n)[1:-1]
+    j = int(np.argmin([rate(s) for s in grid]))
+    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+    return min(rate(grid[j]), minimize_scalar(rate, bounds=(lo, hi), method="bounded",
+                                              options={"xatol": 1e-14}).fun)
+
+
+def bounded_dual(model, normal, c):
+    """max of t c - L(t n) over 0 <= t <= top, the largest t with t n in the domain, top included.
+
+    A bounded scalar search stops some 1e-8 |t| short of a maximiser at top, so top is tried as well.
+    """
+    top = model.domain.boundary / max(normal[0], normal[0] + normal[1])
+
+    def dual(t):
+        return t * c - lambda_eval(model, t * normal[0], t * normal[1])
+
+    while dual(top) == -INF:  # an open boundary
+        top = math.nextafter(top, 0.0)
+    inner = minimize_scalar(lambda t: -dual(t), bounds=(0.0, top), method="bounded", options={"xatol": 1e-12})
+    return max(-inner.fun, dual(top))
+
+
 def boundary_scan(model, event, segments, n=201):
     """Least rate_ld over the points of straight segments that lie in the event and the open cone."""
     best = math.inf
@@ -294,6 +330,58 @@ class TestBoundarySearch:
         ts = np.linspace(0.0, model.domain.boundary, 2001)
         dual = max(t * c - lambda_eval(model, t * normal[0], t * normal[1]) for t in ts)
         assert rate >= dual - 1e-12
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("normal, level", [((1.0, 1.0), 2.4), ((1.0, -2.0), 0.5)])
+    def test_tilted_half_plane_is_the_bounded_dual(self, model, normal, level):
+        # the inverse-Gaussian (1, -2) case has its maximiser on the closed face t = top
+        c = level * model.mean
+        assert ld_event_rate(model, HalfPlane(normal, c), 100) == pytest.approx(
+            bounded_dual(model, normal, c), rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    # thin wedges of the cone far from p, along its edge z2 = z1 and along z2 = 0, in
+    # multiples of the mean; a ray search from p finds no ray that enters them
+    @pytest.mark.parametrize("normal, level", [((-0.6924, 0.7215), 1.3099), ((0.0413, -0.9991), 0.9488),
+                                               ((0.0625, -0.998), 1.392)])
+    def test_thin_far_wedge(self, model, normal, level):
+        c = level * model.mean
+        rate = ld_event_rate(model, HalfPlane(normal, c), 100)
+        assert math.isfinite(rate)
+        assert rate == pytest.approx(line_scan(model, normal, c), rel=1e-5)
+        assert rate == pytest.approx(bounded_dual(model, normal, c), rel=1e-12)
+
+    @given(kind=st.sampled_from(MODEL_IDS), s=st.floats(0.3, 3.0), f=st.floats(0.15, 0.85),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_tilted_half_planes_match_the_ray_search(self, kind, s, f, angle):
+        # a line through a point q of the cone away from its edges, at 0.3 to 3 means, with
+        # p outside the half-plane; the ray search of the same event is then exact, and
+        # near p, where the rate is small, both carry the cancellation of t c - L
+        model = MODELS[MODEL_IDS.index(kind)]
+        m = model.mean
+        q = (s * m, f * s * m)
+        normal = (math.cos(angle), math.sin(angle))
+        c = normal[0] * q[0] + normal[1] * q[1]
+        if normal[0] * m + 0.5 * normal[1] * m >= c:
+            normal, c = (-normal[0], -normal[1]), -c
+        rate = ld_event_rate(model, HalfPlane(normal, c), 100)
+        rays = ld_event_rate(model, PredicateEvent(lambda z1, z2: normal[0] * z1 + normal[1] * z2 >= c,
+                                                   "tilted"), 100)
+        assert math.isfinite(rays)
+        assert rate == pytest.approx(rays, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_half_planes_that_miss_or_touch_the_cone(self, model):
+        # in multiples of the mean: off the cone, touching an edge or the apex, and the
+        # normal (0, 0), whose half-plane is every point or none
+        m = model.mean
+        cases = [((-1.0, 1.0), 0.1, INF), ((0.0, -1.0), 0.1, INF), ((-1.0, -1.0), 0.1, INF),
+                 ((-1.0, 1.0), 0.0, INF), ((-1.0, -1.0), 0.0, INF), ((0.0, -1.0), 0.0, INF),
+                 ((0.0, -1.0), -0.0, INF), ((-1.0, 0.0), 0.0, INF), ((-2.0, 1.0), 0.0, INF),
+                 ((0.0, 0.0), 1.0, INF), ((0.0, 0.0), -1.0, 0.0), ((0.0, 0.0), 0.0, 0.0)]
+        for normal, level, expected in cases:
+            assert ld_event_rate(model, HalfPlane(normal, level * m), 100) == expected, (normal, level)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_rectangle_union_and_sup_norm(self, model):
@@ -406,6 +494,9 @@ class TestRegionEdgeRule:
         ld_event_rate(model, sup_norm_exceedance(1.4 * m), 100)
         two_sided = RegionUnion((HalfPlane((0.0, 1.0), 0.8 * m), HalfPlane((0.0, -1.0), -0.3 * m)))
         ld_event_rate(model, two_sided, 100)
+        for normal, level in [((1.0, 1.0), 2.4), ((1.0, -2.0), 0.5), ((-1.0, 1.0), -0.02),
+                              ((-0.6924, 0.7215), 1.3099), ((-1.0, 1.0), 0.1), ((0.0, 0.0), 1.0)]:
+            ld_event_rate(model, HalfPlane(normal, level * m), 100)
 
 
 class TestWilson:
