@@ -413,14 +413,23 @@ def increasing_root(f: Callable[[float], float], top: float, scale: Optional[flo
     return root, doublings + iterations
 
 
+def reject_nan(*levels: float) -> None:
+    """Raise ValueError for a NaN level at the entry of a rate function, before any solver sees it."""
+    for z in levels:
+        if z != z:
+            raise ValueError(f"a rate level is NaN: {levels}")
+
+
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
     """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}.
 
-    Infinite for z1 <= 0 (holding times are positive); zero exactly at the
-    mean z1 = phi'(0).  The maximiser is the root of phi'(a) = z1 below the
-    boundary, with the exponential closed form short-circuited.
+    Infinite for z1 <= 0 (holding times are positive) and at z1 = inf; zero
+    exactly at the mean z1 = phi'(0).  The maximiser is the root of
+    phi'(a) = z1 below the boundary, with the exponential closed form
+    short-circuited.  ValueError for a NaN z1.
     """
-    if z1 <= 0.0:
+    reject_nan(z1)
+    if z1 <= 0.0 or z1 == INF:
         return RateEvaluation(INF, method="closed_form")
     if model.kind == "exponential":
         lam = model.domain.boundary

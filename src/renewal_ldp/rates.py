@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .lambda_surface import lambda_d1, lambda_eval, lambda_grad
-from .models import INF, HoldingTimeModel, RateEvaluation, brent, increasing_root, phi_star
+from .models import INF, HoldingTimeModel, RateEvaluation, brent, increasing_root, phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
@@ -40,8 +40,9 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     The inner root runs on d1L alone (:func:`lambda_d1`), and every inner
     solve but the first of a call starts from the last a1*, since successive
     outer iterates a2 move a1* little.  ``iterations`` counts the steps of
-    the outer root and of every inner one.
+    the outer root and of every inner one.  ValueError for a NaN level.
     """
+    reject_nan(z1, z2)
     if not in_support_cone(z1, z2):
         return RateEvaluation(INF, method="closed_form")
     if z2 == 0.0 or z2 == z1:
@@ -125,7 +126,10 @@ def marginal_I1(model: HoldingTimeModel, z1: float) -> RateEvaluation:
 
 
 def marginal_I2(model: HoldingTimeModel, z2: float) -> RateEvaluation:
-    """Marginal rate of the scaled area, sup_t {t*z2 - L(0, t)}: the line z2 = const, INF for z2 <= 0."""
+    """Marginal rate of the scaled area, sup_t {t*z2 - L(0, t)}: the line z2 = const, INF for z2 <= 0.
+
+    A NaN z2 reaches :func:`line_rate`'s guard, which raises ValueError before any solve.
+    """
     if z2 <= 0.0:
         return RateEvaluation(INF, method="closed_form", on_boundary=z2 == 0.0)
     return line_rate(model, (0.0, 1.0), z2)
@@ -140,7 +144,9 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     the bound; the line is signed so that top is finite, with n.p <= c (a root
     t >= 0) where t n is bounded below too.  INF if n.z > c on the open cone,
     phi*(c/n1) if t n spans no double at the top (vertical), 0 or INF if n = 0.
+    ValueError for a NaN c.
     """
+    reject_nan(offset)
     n1, n2 = normal
     if n1 == 0.0 and n2 == 0.0:
         return RateEvaluation(0.0 if offset == 0.0 else INF, method="closed_form")

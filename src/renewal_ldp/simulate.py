@@ -45,10 +45,12 @@ N_RAYS = 64                # angles of the boundary search in ld_event_rate
 # r = exit * MARCH / (1 + MARCH), whose radii crowd both p and the cone edge.  A ray steps over
 # an event it crosses within less than a factor 2**(1/8) in r, or in r / (exit - r).
 MARCH = np.append(0.0, 2.0 ** (np.arange(-53 * 8, 1024 * 8) / 8))
+MARCH_TO_EXIT = (MARCH / (1.0 + MARCH))[MARCH <= 2.0**54]  # every ratio past 2**54 rounds to 1: the exit
 SECTIONS = 64              # points per refinement of a ray's first crossing
+STEPS = np.arange(SECTIONS + 1.0)
 REFINEMENTS = 9            # 64**-9 < 2**-53: a bracket in [0, r] shrinks below one ulp of r
-ANGLE_TOL = 1e-7           # width of the final golden-section bracket, radians
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ANGLE_TOL = 1e-7           # width of the final bracket of Brent's minimiser, radians
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction of a bracket
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -175,8 +177,8 @@ def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     unions are exact by :func:`moderate.region_min`, a half-plane with the
     :func:`rates.line_rate` of its edge.  A :class:`PredicateEvent` takes the
     least I where rays from p first enter it: N_RAYS rays march to them in
-    the cone, and a golden-section search in the angle refines each local
-    minimum.  INF if no ray enters it, else I at a point of the event: exact
+    the cone, and Brent's minimiser in the angle refines each local minimum.
+    INF if no ray enters it, else I at a point of the event: exact
     when that rate is finite and unimodal in the angle between the
     neighbours of those rays, else an upper bound.
     """
@@ -207,40 +209,69 @@ def _ray_search_rate(model: HoldingTimeModel, p, event) -> float:
     # ray j is angles[j + 1]; ray 0 aims at the apex (0, 0), as events there subtend a small angle
     angles = math.atan2(-p[1], -p[0]) + 2.0 * math.pi / N_RAYS * np.arange(-1, N_RAYS + 1)
     rates = [rate_at(a) for a in angles[1:-1]]
-    return min(rates + [_golden_min(rate_at, angles[j], angles[j + 2]) for j, rate in enumerate(rates)
+    return min(rates + [_brent_min(rate_at, angles[j], angles[j + 2]) for j, rate in enumerate(rates)
                         if rate < INF and rate <= rates[j - 1] and rate <= rates[(j + 1) % N_RAYS]])
 
 
-def _golden_min(f, lo: float, hi: float) -> float:
-    """Least value of f seen by a golden-section search of [lo, hi] down to ANGLE_TOL."""
-    fc, fd = f(c := hi - GOLDEN * (hi - lo)), f(d := lo + GOLDEN * (hi - lo))
-    while hi - lo > ANGLE_TOL:  # the kept interior point holds the least value seen
-        if fc <= fd:
-            hi, d, fd, c = d, c, fc, d - GOLDEN * (d - lo)
-            fc = f(c)
+def _brent_min(f, lo: float, hi: float) -> float:
+    """Least value of f seen by Brent's minimiser on [lo, hi], down to a bracket of ANGLE_TOL.
+
+    Golden section plus parabolic steps through the three best points x, w, v
+    (Brent 1973, Algorithms for Minimization without Derivatives, ch. 5); x
+    holds the least value seen.  A ray that misses the event gives INF, and a
+    parabola through INF a NaN step, so a parabolic step needs three finite values.
+    """
+    x = w = v = lo + GOLDEN * (hi - lo)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step and the one before it
+    tol = 0.25 * ANGLE_TOL  # the least step
+    while max(x - lo, hi - x) > 2.0 * tol:
+        m, golden = 0.5 * (lo + hi), True
+        if abs(e) > tol and fx < INF and fw < INF and fv < INF:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = -p if q > 0.0 else p, abs(q)
+            # the parabola's vertex, if inside and less than half the step before last
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                e, d, golden = d, p / q, False
+                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, m - x)
+        if golden:
+            e = (lo if x >= m else hi) - x
+            d = GOLDEN * e
+        fu = f(u := x + (d if abs(d) >= tol else math.copysign(tol, d)))
+        if fu <= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, fc, d = c, d, fd, c + GOLDEN * (hi - c)
-            fd = f(d)
-    return min(fc, fd)
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return fx
 
 
 def _first_hit_rate(model, event, p, angle) -> float:
     """I where the ray p + r (cos a, sin a) first enters the event on its march; INF if never."""
     c, s = math.cos(angle), math.sin(angle)
     exit_r = min(-p[1] / s if s < 0.0 else INF, (p[0] - p[1]) / (s - c) if s > c else INF)
-    radii = exit_r * (MARCH / (1.0 + MARCH)) if exit_r < INF else p[0] * MARCH[MARCH < 2.0**1023 / p[0]]
+    radii = exit_r * MARCH_TO_EXIT if exit_r < INF else p[0] * MARCH[:np.searchsorted(MARCH, 2.0**1023 / p[0])]
 
     def first_in(radii):
         z1, z2 = p[0] + radii * c, p[1] + radii * s
-        with np.errstate(over="ignore", invalid="ignore"):  # the march ends at the largest doubles
-            # the cone test drops a point that rounding puts past the exit
-            hit = (0.0 <= z2) & (z2 <= z1) & np.asarray(event.contains(z1, z2))
+        # the cone test drops a point that rounding puts past the exit
+        hit = (0.0 <= z2) & (z2 <= z1) & np.asarray(event.contains(z1, z2))
         return (k := int(hit.argmax())), hit[k], float(z1[k]), float(z2[k])
 
-    k, entered, z1, z2 = first_in(radii)
-    for _ in range(REFINEMENTS if entered else 0):  # the event holds at radii[k], not at radii[k - 1]
-        radii = np.linspace(radii[k - 1], radii[k], SECTIONS + 1)  # both ends exact
-        k, _, z1, z2 = first_in(radii)
+    with np.errstate(over="ignore", invalid="ignore"):  # the march ends at the largest doubles
+        k, entered, z1, z2 = first_in(radii)
+        for _ in range(REFINEMENTS if entered else 0):  # the event holds at radii[k], not at radii[k - 1]
+            lo, hi = radii[k - 1], radii[k]
+            # np.linspace(lo, hi, SECTIONS + 1) by its own formula, bit for bit while (hi - lo) / SECTIONS > 0
+            radii = STEPS * ((hi - lo) / SECTIONS) + lo
+            radii[-1] = hi
+            k, _, z1, z2 = first_in(radii)
     return rate_ld(model, z1, z2).value if entered else INF
 
 

@@ -64,6 +64,35 @@ class TestSupportCone:
             assert rate_ld(m, 1.0, -0.1).value == INF
 
 
+class TestExtremeLevels:
+    # each public rate function with the level z, in multiples of the mean
+    ENTRIES = {
+        "phi_star": lambda m, z: phi_star(m, z * m.mean),
+        "marginal_I2": lambda m, z: marginal_I2(m, z * m.mean),
+        "line_rate": lambda m, z: line_rate(m, (1.0, 1.0), z * m.mean),
+        "rate_ld_z1": lambda m, z: rate_ld(m, z * m.mean, 0.5 * m.mean),
+        "rate_ld_z2": lambda m, z: rate_ld(m, m.mean, z * m.mean),
+    }
+
+    @pytest.mark.parametrize("model", MODELS, ids=[m.kind for m in MODELS])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nan_level_raises_before_any_solve(self, model, entry, monkeypatch):
+        # the solvers raised RootError from inside on a NaN level, and rate_ld returned INF
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a NaN level")
+
+        for module in ("models", "rates"):
+            monkeypatch.setattr(f"renewal_ldp.{module}.increasing_root", no_solve)
+        with pytest.raises(ValueError, match="NaN"):
+            self.ENTRIES[entry](model, math.nan)
+
+    @pytest.mark.parametrize("model", MODELS, ids=[m.kind for m in MODELS])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_infinite_level_is_INF(self, model, entry):
+        # exponential phi_star gave inf - 1 - log(inf) = NaN
+        assert self.ENTRIES[entry](model, INF).value == INF
+
+
 class TestRateZero:
     def test_zero_at_lln_point(self):
         for m in builtin_models():

@@ -48,3 +48,15 @@ def test_rate_ld_cost_reports_the_grid(tmp_path):
     assert report["calls"] == 200
     assert report["evaluations_per_call"] > report["iterations_per_call"] > 0
     assert len(report["ms_per_call"]) == 1
+
+
+def test_ray_search_cost_reports_each_model(tmp_path):
+    done = run_script("ray_search_cost.py", ["--repeats", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert sorted(report) == sorted(["exponential", "gamma", "inverse_gaussian", "noncentral_chi_squared"])
+    for row in report.values():
+        assert row["events"] == 12
+        assert row["evaluations_per_event"] > row["rate_ld_calls_per_event"] > 0
+        assert row["benchmark_half_plane"]["evaluations"] <= 75
+        assert len(row["ms_per_event"]) == 1

@@ -424,6 +424,86 @@ class TestBoundarySearch:
         assert ld_event_rate(model, above, 100) == INF
 
 
+class TestBrentMin:
+    @pytest.mark.parametrize("center", [-0.4, 0.09, 0.3, 1.0])
+    @pytest.mark.parametrize("bowl", [lambda a: 1.0 - math.cos(a), lambda a: 2.0 + a * a,
+                                      lambda a: math.cosh(3.0 * a) + 0.5 * a**3, lambda a: math.exp(a) - a],
+                             ids=["cos", "square", "cosh", "exp"])
+    def test_smooth_bowl(self, bowl, center):
+        seen = []
+
+        def f(a):
+            seen.append(a)
+            return bowl(a - center)
+
+        assert abs(simulate._brent_min(f, -0.5, 1.2) - bowl(0.0)) <= 1e-14
+        assert len(seen) <= 15
+
+    # where f is finite: inside, across the first probe lo + 0.382 (hi - lo), at an end, and nowhere probed
+    @pytest.mark.parametrize("finite", [(0.2, 0.45), (0.0, 0.39), (0.38, 0.4), (0.6, 0.8), (0.9, 0.95),
+                                        (0.05, 0.1)])
+    def test_infinite_on_parts_of_the_bracket(self, finite):
+        # a parabola through INF gives a NaN step
+        seen, values = [], []
+
+        def f(a):
+            values.append((a - 0.5) ** 2 if finite[0] <= a <= finite[1] else INF)
+            seen.append(a)
+            return values[-1]
+
+        least = simulate._brent_min(f, 0.0, 1.0)
+        assert all(0.0 <= a <= 1.0 for a in seen)  # no NaN either
+        assert least == min(values)
+        assert math.isfinite(least) == (finite != (0.05, 0.1))
+
+
+class TestRaySearchFrozen:
+    TILTED_CASES = [((1.0, 1.0), 2.4), ((1.0, -2.0), 0.5), ((-1.0, 1.0), -0.3), ((1.0, 3.0), 3.5),
+                    ((0.0625, -0.998), 1.392)]
+    # ld_event_rate of each PredicateEvent by the golden-section search of the angle that
+    # Brent's minimiser replaced: TestBoundarySearch.AXIS_CASES, then TILTED_CASES {n.z >= c mean}
+    FROZEN = {
+        "exponential": (0.09453489189183562, 0.1108256237659907, 0.0935489152184904, 0.08650424714787536,
+                        2.0457322735539942, 2.0138544523800466, 0.1238277456014657, 0.2627722726636347,
+                        0.08650424714787525, 0.055577806812651176, INF),
+        "inverse_gaussian": (0.08333333333333331, 0.1333333333333333, 0.07892357102764774, 0.10566524021882362,
+                             9.02500000000004, 10.140536596427491, 0.1062023519168317, 0.19280904158206347,
+                             0.10566524021882362, 0.04936846784768567, INF),
+        "noncentral_chi_squared": (0.06497581511015105, 0.07121576502206606, 0.06499818537713231,
+                                   0.05541281188299538, 1.1535104775106704, 1.1294379124341045,
+                                   0.08569567028881298, 0.1887140381100465, 0.05541281188299532,
+                                   0.0381071851138772, INF),
+        "gamma": (0.18906978378367123, 0.2216512475319814, 0.1870978304369808, 0.17300849429575071,
+                  4.0914645471079885, 4.027708904760093, 0.2476554912029314, 0.5255445453272694,
+                  0.1730084942957505, 0.11115561362530235, INF),
+    }
+
+    @staticmethod
+    def events(m):
+        axis = [lambda z1, z2, t=MarginalThreshold(coord, op, level * m): t.contains(z1, z2)
+                for coord, op, level in TestBoundarySearch.AXIS_CASES]
+        tilted = [lambda z1, z2, n=normal, c=level * m: n[0] * z1 + n[1] * z2 >= c
+                  for normal, level in TestRaySearchFrozen.TILTED_CASES]
+        return [PredicateEvent(fn, "frozen") for fn in axis + tilted]
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_values_of_the_golden_section_search(self, model):
+        for event, frozen in zip(self.events(model.mean), self.FROZEN[model.kind], strict=True):
+            assert ld_event_rate(model, event, 100) == pytest.approx(frozen, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "noncentral_chi_squared"])
+    def test_first_hits_per_benchmark_half_plane(self, kind, monkeypatch):
+        # the event of the rate_surface benchmark; the golden-section search made 97 first hits
+        model = MODELS[MODEL_IDS.index(kind)]
+        hits = []
+        first_hit_rate = simulate._first_hit_rate
+        monkeypatch.setattr(simulate, "_first_hit_rate", lambda *args: hits.append(args) or first_hit_rate(*args))
+        c = 1.5 * model.mean
+        rate = ld_event_rate(model, PredicateEvent(lambda z1, z2: z1 >= c, f"z1>={c:g}"), 100.0)
+        assert rate == pytest.approx(self.FROZEN[kind][0], rel=1e-12)
+        assert len(hits) <= 75
+
+
 def grid_scan(model, rect, n=25):
     """Least rate_ld over an n x n grid of the rectangle, cut at 4 means, in the open cone."""
     top = 4.0 * model.mean
