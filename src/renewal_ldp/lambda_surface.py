@@ -5,8 +5,9 @@ For a holding-time CGF phi, the limit function is
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
 on its effective domain, +inf outside.  This module evaluates L from the
-closed form in the model table, its gradient (from phi, phi' and L itself)
-and its Hessian at the origin, decides membership of D(L) and of its
+closed form in the model table, its gradient (the means of phi' and y phi'
+over the same segment, from closed forms in the same table row) and its
+Hessian at the origin, decides membership of D(L) and of its
 interior, and reports the regularity facts (lower semicontinuity and
 steepness) that follow from the model's domain case and decide which form of
 the large-deviation principle is certified.  The defining integral itself is
@@ -22,14 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import INF, HoldingTimeModel, LscCase
-
-# below |a2| = A2_SWITCH (abar - a1) the 1/a2 cancellation of the gradient
-# formulas dominates; use their Taylor branch.  Both errors are relative in
-# u = a2/(abar - a1), the scale of phi's derivatives at a1: the difference
-# branch loses ~eps/u to cancellation, the quadratic Taylor truncates at
-# O(u^3), and both stay at a few 1e-12 here at any model scale.
-A2_SWITCH = 1e-4
-
 
 @dataclass(frozen=True)
 class CovarianceStructure:
@@ -73,37 +66,34 @@ def lambda_eval(model: HoldingTimeModel, a1: float, a2: float) -> float:
         return INF
     if a2 == 0.0:
         return model.phi(a1)
-    return model.limit(a1, a2)
+    return model.means(a1, a2)[0]
 
 
-def _gradient(model: HoldingTimeModel, a1: float, a2: float, with_d2: bool) -> tuple[float, float]:
-    """d1L and, if ``with_d2``, d2L (else NaN): the one domain check and Taylor switch."""
+def _phi1_means(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, tuple]:
+    """The evaluated a2 and the table's means at (a1, a2): the one domain check of the gradient."""
+    a2 = (a1 + a2) - a1  # the width of the segment that phi' is averaged over, a few ulps or 1e300
     dom = model.domain
     top = max(a1, a1 + a2)
     if not (top < dom.boundary or (dom.boundary_closed and a2 != 0.0 and top == dom.boundary)):
         raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
-    if abs(a2) < A2_SWITCH * (dom.boundary - a1):  # never on a face, where abar - a1 <= |a2|
-        d1, d2, d3 = model.cgf_d1(a1), model.cgf_d2(a1), model.cgf_d3(a1)
-        return (d1 + 0.5 * a2 * d2 + a2**2 * d3 / 6.0,
-                0.5 * d1 + a2 * d2 / 3.0 + 0.125 * a2**2 * d3)
-    phi_end = model.cgf(a1 + a2)
-    d1L = (phi_end - model.cgf(a1)) / a2
-    return d1L, (a2 * phi_end - a2 * model.limit(a1, a2)) / a2**2 if with_d2 else math.nan
+    return a2, model.means(a1, a2)
 
 
 def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, float]:
-    """Gradient of the limit function on the interior of its domain.
+    """Gradient of the limit function on the interior of its domain, at a2 = fl(a1 + a2) - a1.
 
-    On a closed boundary face (a2 != 0 and the segment's top at abar) it is
-    the one-sided gradient from inside: phi' is infinite at abar but phi is
-    finite, so the difference forms hold there and the Taylor branch does not.
+    d1L and d2L are the means of phi' and y phi' over the segment, so on a
+    closed boundary face (a2 != 0 and the segment's top at abar) it is the
+    one-sided gradient from inside: phi' is infinite at abar but integrable.
+    For a2 >= 0, d2L is the mean of phi' less that of (1 - y) phi', at most half of it.
     """
-    return _gradient(model, a1, a2, with_d2=True)
+    a2, (_, d1, tail) = _phi1_means(model, a1, a2)
+    return d1, (tail if a2 < 0.0 else d1 - tail)
 
 
 def lambda_d1(model: HoldingTimeModel, a1: float, a2: float) -> float:
-    """d1L alone, where :func:`lambda_grad` is defined: phi at the segment's ends and no L."""
-    return _gradient(model, a1, a2, with_d2=False)[0]
+    """d1L alone, where :func:`lambda_grad` is defined: the mean of phi' over the segment."""
+    return _phi1_means(model, a1, a2)[1][1]
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

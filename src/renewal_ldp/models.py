@@ -2,10 +2,11 @@
 
 Every supported kind is one row of :data:`MODEL_TABLE`: its parameter names,
 the effective domain of phi, phi and its first three derivatives on the
-interior of that domain, the closed form of the limit function
-L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy, and an exact sampler.  All holding
-times are positive and light-tailed: phi is finite on a right neighborhood
-of 0 and its domain has a finite boundary.
+interior of that domain, closed forms of the limit function
+L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of its gradient as means over
+the segment of (a1, a2), and an exact sampler.  All holding times are positive
+and light-tailed: phi is finite on a right neighborhood of 0 and its domain
+has a finite boundary.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class DomainSpec:
         abar itself when it is closed and the function is finite there, else
         the last double below abar.  phi' is infinite at every built-in
         boundary, closed or open; the segment means d1L and d2L at a2 != 0
-        are finite on a closed face, because phi is.
+        are finite on a closed face, where phi' is integrable.
         """
         if finite_at_face and self.boundary_closed:
             return self.boundary
@@ -81,8 +82,8 @@ class HoldingTimeModel:
     cgf: Callable[[float], float]
     cgf_d1: Callable[[float], float]
     cgf_d2: Callable[[float], float]
-    cgf_d3: Callable[[float], float]
-    _limit: Callable[[float, float], float] = field(repr=False)
+    cgf_d3: Callable[[float], float]  # read by no code of the package; benchmark tracers replace it
+    _means: Callable[[float, float, float], tuple] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
 
@@ -100,16 +101,16 @@ class HoldingTimeModel:
             return INF
         return self.cgf(alpha)
 
-    def limit(self, a1: float, a2: float) -> float:
-        """Closed form of L(a1, a2) for a2 != 0 with (a1, a2) in D(L).
+    def means(self, a1: float, a2: float) -> tuple[float, float, float]:
+        """Closed forms at a tilt of D(L): L(a1, a2), d1L and the (1 - y) mean of phi'.
 
-        The table holds the mean of phi over a segment [lo, hi] of length
-        |a2|; a2 < 0 runs the segment backwards, which is the reflection
-        L(a1, a2) = L(a1 + a2, -a2) (substitute y -> 1 - y).
+        The table holds the means of phi, phi' and (1 - y) phi'(lo + |a2| y)
+        over the segment [lo, hi] of length |a2|; a2 < 0 runs it backwards,
+        which is the reflection L(a1, a2) = L(a1 + a2, -a2) (y -> 1 - y).
         """
         if a2 < 0.0:
-            return self._limit(a1 + a2, a1, -a2)
-        return self._limit(a1, a1 + a2, a2)
+            return self._means(a1 + a2, a1, -a2)
+        return self._means(a1, a1 + a2, a2)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Exact variates of the holding-time law."""
@@ -121,50 +122,53 @@ class HoldingTimeModel:
 
 
 # ---------------------------------------------------------------------------
-# closed forms of L: the mean of phi over a segment [lo, hi] of length width > 0,
-# with hi in the domain of phi.  They are written so that nothing is divided by
-# the width after a subtraction (finite differences of L at step 1e-5 must see
-# roundoff only at the last bit), and near the boundary they use the distance
-# of hi from it, which is what the domain check has seen.
+# closed forms over a segment [lo, hi] of length width >= 0, with hi in the
+# domain of phi: the means of phi (that is L), of phi' (that is d1L) and of
+# (1 - y) phi'(lo + width y) over y in (0, 1).  They are written so that nothing
+# is divided by the width after a subtraction (finite differences of L at step
+# 1e-5 must see roundoff only at the last bit), and near the boundary they use
+# the distance of hi from it, which is what the domain check has seen.
 
 
-def _log_limit(rate: float, lo: float, hi: float, width: float) -> float:
-    """Mean of -log(1 - a/rate) over [lo, hi].
+def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) -> tuple:
+    """The means for phi(a) = -shape log(1 - a/rate), from r = width/(rate - lo).
 
-    With r = width/(rate - lo) the mean is -log1p(-lo/rate) + h(r), where
-    h(r) = 1 + (1 - r) log(1 - r)/r is the mean of -log(1 - r*y) over y in
-    (0, 1): a short series below r = 1e-4, and h(1) = 1 at the integrable
-    open boundary.
+    The mean of phi is shape (-log1p(-lo/rate) + h(r)), where h(r) = 1 + (1 -
+    r) log(1 - r)/r is the mean of -log(1 - r*y) over y in (0, 1), and h(1) =
+    1 at the integrable open boundary.  D = -log(1 - r)/r and E = h(r)/r are
+    the means of 1/(1 - r*y) and (1 - y)/(1 - r*y), so those of phi' are shape
+    D and shape E over rate - lo.  Below r = 1e-4 all three are short series.
     """
     d0 = rate - lo
     r = width / d0
     if r < 1e-4:
-        h = r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 12.0 + r / 20.0)))
-    elif r < 0.5:
-        h = 1.0 + (1.0 - r) * math.log1p(-r) / r
+        E = 0.5 + r * (1.0 / 6.0 + r * (1.0 / 12.0 + r / 20.0))
+        D, h = 1.0 + r * (0.5 + r * (1.0 / 3.0 + r / 4.0)), r * E
     else:
-        s = (rate - hi) / d0  # 1 - r
-        h = 1.0 + s * math.log(s) / r if s > 0.0 else 1.0
-    return -math.log1p(-lo / rate) + h
+        s = 1.0 - r if r < 0.5 else (rate - hi) / d0  # from r = 1/2 on, hi's distance to the boundary
+        log_s = math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF
+        h = 1.0 + s * log_s / r if s > 0.0 else 1.0
+        D, E = -log_s / r, h / r
+    return shape * (-math.log1p(-lo / rate) + h), shape * D / d0, shape * E / d0
 
 
-def _gamma_limit(shape: float, rate: float, lo: float, hi: float, width: float) -> float:
-    return shape * _log_limit(rate, lo, hi, width)
-
-
-def _inverse_gaussian_limit(mu: float, lo: float, hi: float, width: float) -> float:
-    # (s0^3 - s1^3)/(3 width) with 2 width = s0^2 - s1^2, s = sqrt(mu^2 - 2a) at both ends
+def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tuple:
+    # s = sqrt(mu^2 - 2a) at both ends, 2 width = s0^2 - s1^2 and phi' = 1/s: the mean of
+    # phi is (s0^3 - s1^3)/(3 width), of phi' 2/(s0 + s1), of (1 - y) phi' 2(s0 + 2 s1)/(3(s0 + s1)^2)
     s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
     s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
-    return mu - 2.0 * (s0 * s0 + s0 * s1 + s1 * s1) / (3.0 * (s0 + s1))
+    limit, d1 = mu - 2.0 * (s0 * s0 + s0 * s1 + s1 * s1) / (3.0 * (s0 + s1)), 2.0 / (s0 + s1)
+    return limit, d1, d1 * (s0 + 2.0 * s1) / (3.0 * (s0 + s1))
 
 
-def _noncentral_chi_squared_limit(lam: float, k: float, lo: float, hi: float, width: float) -> float:
-    # lam*a/(1-2a) = (lam/2)(1/(1-2a) - 1), and 1/(1-2a) averages to a log ratio
+def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
+    # lam*a/(1-2a) = (lam/2)(1/u - 1) with u = 1 - 2a, and -(k/2) log(u) is k/2 times the gamma
+    # form at shape 1, rate 1/2, whose means P and Q of phi' and (1 - y) phi' are twice those
+    # of 1/u; 1/u^2 averages to 1/(u0 u1) and (1 - y)/u^2 to (P - Q)/(2 u0)
+    mean, P, Q = _gamma_means(1.0, 0.5, lo, hi, width)
     u0 = 1.0 - 2.0 * lo
-    r = 2.0 * width / u0
-    log_ratio = -math.log1p(-r) if r < 0.5 else math.log(u0 / (1.0 - 2.0 * hi))
-    return 0.5 * lam * (log_ratio / (2.0 * width) - 1.0) + 0.5 * k * _log_limit(0.5, lo, hi, width)
+    return (0.5 * lam * (0.5 * P - 1.0) + 0.5 * k * mean, lam / (u0 * (1.0 - 2.0 * hi)) + 0.5 * k * P,
+            0.5 * (lam * (P - Q) / u0 + k * Q))
 
 
 def _gamma_cgf(shape: float, rate: float, a: float) -> float:
@@ -187,8 +191,8 @@ class ModelKind:
     cgf: Callable[..., float]
     cgf_d1: Callable[..., float]
     cgf_d2: Callable[..., float]
-    cgf_d3: Callable[..., float]
-    limit: Callable[..., float]  # (*args, lo, hi, width) -> mean of phi over [lo, hi]
+    cgf_d3: Callable[..., float]  # read by no code of the package; benchmark tracers replace it
+    means: Callable[..., tuple]  # (*args, lo, hi, width) -> means of phi, phi' and (1 - y) phi'
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
 
@@ -199,7 +203,7 @@ _GAMMA_FUNCTIONS = dict(
     cgf_d1=lambda shape, rate, a: shape / (rate - a),
     cgf_d2=lambda shape, rate, a: shape / (rate - a) ** 2,
     cgf_d3=lambda shape, rate, a: 2.0 * shape / (rate - a) ** 3,
-    limit=_gamma_limit,
+    means=_gamma_means,
 )
 
 MODEL_TABLE = {
@@ -221,7 +225,7 @@ MODEL_TABLE = {
         cgf_d1=lambda mu, a: (mu**2 - 2.0 * a) ** -0.5,
         cgf_d2=lambda mu, a: (mu**2 - 2.0 * a) ** -1.5,
         cgf_d3=lambda mu, a: 3.0 * (mu**2 - 2.0 * a) ** -2.5,
-        limit=_inverse_gaussian_limit,
+        means=_inverse_gaussian_means,
         sampler=lambda mu, rng, size: rng.wald(mean=1.0 / mu, scale=1.0, size=size),
         sampler_spec="Michael-Schucany-Haas transform (numpy wald)",
     ),
@@ -234,7 +238,7 @@ MODEL_TABLE = {
         cgf_d1=lambda lam, k, a: lam / (1.0 - 2.0 * a) ** 2 + k / (1.0 - 2.0 * a),
         cgf_d2=lambda lam, k, a: 4.0 * lam / (1.0 - 2.0 * a) ** 3 + 2.0 * k / (1.0 - 2.0 * a) ** 2,
         cgf_d3=lambda lam, k, a: 24.0 * lam / (1.0 - 2.0 * a) ** 4 + 8.0 * k / (1.0 - 2.0 * a) ** 3,
-        limit=_noncentral_chi_squared_limit,
+        means=_noncentral_chi_squared_means,
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
         sampler_spec="Poisson-mixed chi-squared (numpy noncentral_chisquare)",
     ),
@@ -281,7 +285,7 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         cgf_d1=partial(row.cgf_d1, *args),
         cgf_d2=partial(row.cgf_d2, *args),
         cgf_d3=partial(row.cgf_d3, *args),
-        _limit=partial(row.limit, *args),
+        _means=partial(row.means, *args),
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
     )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +36,25 @@ def interior_with_margin(m, a1, a2, margin):
 def quad_oracle(model, a1, a2):
     """Independent evaluation: integral of phi(a1 + a2*y) over y in (0,1)."""
     return adaptive_gauss_legendre(lambda y: model.cgf(a1 + a2 * y), 0.0, 1.0, tol=1e-12)
+
+
+# phi of the built-in instances, written for mpmath
+MP_PHI = {
+    "exponential": lambda a: -mpmath.log(1 - a),
+    "inverse_gaussian": lambda a: 1 - mpmath.sqrt(1 - 2 * a),
+    "noncentral_chi_squared": lambda a: a / (1 - 2 * a) - mpmath.log(1 - 2 * a) / 2,
+    "gamma": lambda a: -2 * mpmath.log(1 - a / 2),
+}
+
+
+def mp_gradient(model, a1, a2):
+    """(d1L, d2L) at 50 digits: (phi(a1 + a2) - phi(a1))/a2 and (phi(a1 + a2) - L)/a2, L by quadrature."""
+    phi = MP_PHI[model.kind]
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpf(a1), mpmath.mpf(a2)
+        end = phi(a1 + a2)
+        limit = mpmath.quad(lambda y: phi(a1 + a2 * y), [0, 1])
+        return float((end - phi(a1)) / a2), float((end - limit) / a2)
 
 
 class TestQuadrature:
@@ -108,7 +128,7 @@ class TestLambdaEval:
             assert lambda_eval(m, -0.3, 0.0) == m.phi(-0.3)
 
     def test_small_a2_branches_match_quadrature(self):
-        # both sides of the Taylor/integral switch agree with direct quadrature
+        # segments of 1e-6, on the short series of the table's closed form, agree with direct quadrature
         for m in builtin_models():
             for a2 in (9e-7, 1.1e-6):
                 assert lambda_eval(m, 0.1, a2) == pytest.approx(
@@ -217,10 +237,60 @@ class TestGradient:
                 lambda_grad(model, a1, a2)
 
 
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_few_ulp_segments_next_to_the_boundary(self, model):
+        # segments 1 to 8 ulps wide that end 0 to 8 ulps below the boundary (0 on a closed
+        # face only), on both sides of a2, and segments 0.9 to 2.7 ulps wide from 8 ulps below
+        # it, against mpmath at the evaluated tilt.  On exponential:1 the last are 1e-16 to
+        # 3e-16 wide, where d1L divided by a2, not by the evaluated width, was 12-28% off
+        b = model.domain.boundary
+        ulp = b - math.nextafter(b, -INF)
+        tilts = [(b - 8.0 * ulp, w * ulp) for w in (0.9, 1.35, 1.8, 2.7)]
+        for gap in ((0, 1, 2, 8) if model.domain.boundary_closed else (1, 2, 8)):
+            top = b - gap * ulp
+            for width in (1.0, 2.0, 3.0, 5.0, 8.0):
+                tilts += [(top - width * ulp, width * ulp), (top, -width * ulp), (top, -(width + 0.5) * ulp)]
+        for a1, a2 in tilts:
+            expected = mp_gradient(model, a1, (a1 + a2) - a1)
+            assert lambda_grad(model, a1, a2) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_segments_up_to_1e300(self, model):
+        # d2L squared a2 and raised OverflowError from |a2| = 1.3e154; d1L is a difference of phi
+        # at the ends over the width, exact in mpmath, and d2L lies in (0, d1L)
+        phi = MP_PHI[model.kind]
+        for size in (1e100, 1e155, 1e200, 1e300):
+            for a1, a2 in ((0.0, -size), (-size, size)):
+                d1, d2 = lambda_grad(model, a1, a2)
+                with mpmath.workdps(50):
+                    expected = float((phi(mpmath.mpf(a1 + a2)) - phi(mpmath.mpf(a1))) / a2)
+                assert d1 == pytest.approx(expected, rel=1e-13, abs=0.0)
+                assert 0.0 < d2 < d1
+
+    @given(model=st.sampled_from(builtin_models()), a1=st.floats(-4.0, 0.9), a2=st.floats(-4.0, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_against_quadrature_of_phi_prime(self, model, a1, a2):
+        # independent of the table's means: d1L and d2L are the integrals of phi'(a1 + a2 y)
+        # and y phi'(a1 + a2 y) over (0, 1), at tilts in units of the boundary that keep the
+        # segment a tenth of it below the boundary
+        b = model.domain.boundary
+        a1, a2 = a1 * b, a2 * b
+        assume(max(a1, a1 + a2) <= 0.9 * b)
+        g = lambda_grad(model, a1, a2)
+        a2 = (a1 + a2) - a1
+
+        def dphi(y):
+            return model.cgf_d1(a1 + a2 * y)
+
+        tol = 1e-14 * model.cgf_d1(max(a1, a1 + a2))
+        d1 = adaptive_gauss_legendre(dphi, 0.0, 1.0, tol=tol)
+        d2 = adaptive_gauss_legendre(lambda y: y * dphi(y), 0.0, 1.0, tol=tol)
+        assert g == pytest.approx((d1, d2), rel=1e-12)
+
     @pytest.mark.parametrize("a1,a2", INTERIOR_TILTS + [(0.3, 1e-5), (-0.5, -3e-6), (0.1, 0.0),
                                                         (-40.0, 3e-3), (0.5, -0.3), (0.5 - 3e-5, 3e-5)])
     def test_first_component_alone(self, a1, a2):
-        # lambda_d1 is lambda_grad's first component, bit for bit, on both branches and the face
+        # lambda_d1 is lambda_grad's first component, bit for bit, on short and long segments and the face
         for m in builtin_models():
             try:
                 expected = lambda_grad(m, a1, a2)[0]
@@ -234,10 +304,10 @@ class TestGradient:
     @pytest.mark.parametrize("a1,a2", [(0.3, 1e-5), (-0.5, -3e-6), (-40.0, 3e-3), (0.2, 0.4),
                                        (0.3, -1.2), (0.9, 2e-6), (0.9, 2e-5), (-3.0, 5e-4)])
     def test_free_of_the_scale(self, r, a1, a2):
-        # gamma:2,r has phi_r(a) = phi_1(a/r), so r grad L_r(r a) = grad L_1(a); the Taylor
-        # switch |a2| < A2_SWITCH (abar - a1) picks the same branch at every scale.  The last
-        # two tilts sit just above the switch, where the difference branch's cancellation
-        # leaves a few 1e-12; the absolute switch was 100% off at r = 1e-6
+        # gamma:2,r has phi_r(a) = phi_1(a/r), so r grad L_r(r a) = grad L_1(a); the segment
+        # forms see only width/(rate - lo), which is free of the scale.  Two tilts sit just
+        # above the series at width/(rate - lo) = 1e-4, where E = h(r)/r keeps the cancellation
+        # of h, a few 1e-12; a gradient switched at an absolute |a2| was 100% off at r = 1e-6
         unit = make_model("gamma", {"shape": 2.0, "rate": 1.0})
         scaled = make_model("gamma", {"shape": 2.0, "rate": r})
         g, h = lambda_grad(unit, a1, a2), lambda_grad(scaled, r * a1, r * a2)

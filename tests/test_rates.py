@@ -24,8 +24,10 @@ from renewal_ldp import (
 )
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
+from renewal_ldp.moderate import HalfPlane
 from renewal_ldp.models import model_of
 from renewal_ldp.rates import line_rate
+from renewal_ldp.simulate import ld_event_rate
 
 EXP1 = make_model("exponential", {"lam": 1.0})
 IG1 = make_model("inverse_gaussian", {"mu": 1.0})
@@ -91,6 +93,21 @@ class TestExtremeLevels:
     def test_infinite_level_is_INF(self, model, entry):
         # exponential phi_star gave inf - 1 - log(inf) = NaN
         assert self.ENTRIES[entry](model, INF).value == INF
+
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "noncentral_chi_squared"])
+    def test_area_far_below_the_mean(self, kind):
+        # the area tilt reaches -1e300, where d2L squared a2 and raised OverflowError; exponential:1
+        # has I2(z) = log(1/z) - 2 + O(z log(1/z)), and gamma:2,2 twice that (phi(a) = 2 phi_exp(a/2))
+        model = MODELS[[m.kind for m in MODELS].index(kind)]
+        levels = (1e-100, 1e-200, 1e-300)
+        values = [marginal_I2(model, z * model.mean).value for z in levels]
+        assert all(math.isfinite(v) for v in values) and values[0] < values[1] < values[2]
+        if kind != "noncentral_chi_squared":
+            shape = 2.0 if kind == "gamma" else 1.0
+            assert values == pytest.approx([shape * (math.log(1.0 / z) - 2.0) for z in levels], rel=1e-14)
+        # the strip {z1 - z2 <= 1e-300} is the reflected area line at 1e-300
+        strip = ld_event_rate(model, HalfPlane((-1.0, 1.0), -1e-300), 100.0)
+        assert strip == pytest.approx(marginal_I2(model, 1e-300).value, rel=1e-14)
 
 
 class TestRateZero:
@@ -314,7 +331,7 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 1.0, 1e6])
     def test_gamma_probe(self, r):
-        # the absolute Taylor switch returned 0 here at r = 1e-6, after 427 iterations
+        # a gradient switched at an absolute |a2| returned 0 here at r = 1e-6, after 427 iterations
         res = rate_ld(model_of("gamma", 2.0, r), 3.0 / r, 1.0 / r)
         assert res.value == pytest.approx(0.5343642983625092, rel=1e-14, abs=0.0)
         assert res.iterations <= 80
@@ -326,7 +343,8 @@ class TestScaleFree:
         assert res.iterations <= 80
 
     def test_inverse_gaussian_marginal_probe(self):
-        # 16% low with the absolute switch; phi_mu(a) = mu phi_1(a/mu^2), so I_mu(z/mu) = mu I_1(z)
+        # 16% low with a gradient switched at an absolute |a2|; phi_mu(a) = mu phi_1(a/mu^2), so
+        # I_mu(z/mu) = mu I_1(z)
         model = model_of("inverse_gaussian", 1e-3)
         res = marginal_I2(model, 0.8 * model.mean)
         assert res.value == pytest.approx(7.892357102764753e-05, rel=1e-14, abs=0.0)
@@ -456,37 +474,37 @@ class TestMarginals:
 class TestLineRate:
     """line_rate: the least joint rate on a line, sup_t {t c - L(t n)}; marginal_I2 is its z2 line."""
 
-    # (kind, z2 in multiples of the mean, value, tilt t of (0, t), iterations) of marginal_I2 as
-    # its own root of d2L(0, t) = z2 gave them, on both sides of the zero t = 0 at z2 = mean/2;
+    # (kind, z2 in multiples of the mean, value, tilt t of (0, t), iterations) of marginal_I2,
+    # with d2L from the table's segment means, on both sides of the zero t = 0 at z2 = mean/2;
     # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2
     FROZEN_I2 = [
-        ("exponential", 0.05, 1.210669258179635, -16.535689406843094, 13),
-        ("exponential", 0.3, 0.08650424714787508, -1.061757737119453, 9),
-        ("exponential", 0.45, 0.0040553865998585875, -0.16884938949242326, 13),
-        ("exponential", 0.55, 0.0034892209802293295, 0.13473174103486185, 12),
+        ("exponential", 0.05, 1.2106692581796352, -16.535689406843098, 13),
+        ("exponential", 0.3, 0.08650424714787508, -1.061757737119452, 8),
+        ("exponential", 0.45, 0.004055386599858574, -0.16884938949242206, 11),
+        ("exponential", 0.55, 0.003489220980229288, 0.13473174103486218, 10),
         ("exponential", 1.0, 0.21621659550187322, 0.6838026237520206, 11),
-        ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 12),
+        ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 11),
         ("exponential", 3.0, 2.019869140883343, 0.978779993029125, 14),
         ("inverse_gaussian", 0.05, 3.5160623391752868, -87.51773828152298, 16),
-        ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 10),
-        ("inverse_gaussian", 0.45, 0.004220272300838823, -0.17929303585267686, 18),
-        ("inverse_gaussian", 0.55, 0.003367632713317109, 0.12777545930810155, 9),
+        ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 9),
+        ("inverse_gaussian", 0.45, 0.004220272300838698, -0.17929303585267617, 8),
+        ("inverse_gaussian", 0.55, 0.003367632713317123, 0.12777545930809997, 9),
         ("inverse_gaussian", 1.0, 0.16891768638357046, 0.47683362468102014, 11),
         ("inverse_gaussian", 1.5, 0.41666666666666663, 0.5, 0),
         ("inverse_gaussian", 3.0, 1.1666666666666665, 0.5, 0),
         ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 12),
-        ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333332, 9),
-        ("noncentral_chi_squared", 0.45, 0.0026802578289132004, -0.055555555555554824, 9),
-        ("noncentral_chi_squared", 0.55, 0.0023449100978375492, 0.04545454545454534, 11),
+        ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333337, 9),
+        ("noncentral_chi_squared", 0.45, 0.0026802578289130963, -0.05555555555555545, 9),
+        ("noncentral_chi_squared", 0.55, 0.00234491009783757, 0.04545454545454546, 10),
         ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 4),
-        ("noncentral_chi_squared", 1.5, 0.4506938556659452, 0.3333333333333333, 12),
-        ("noncentral_chi_squared", 3.0, 1.6041202653859723, 0.4166666666666667, 13),
-        ("gamma", 0.05, 2.42133851635927, -33.07137881368619, 13),
-        ("gamma", 0.3, 0.17300849429575016, -2.123515474238906, 9),
-        ("gamma", 0.45, 0.008110773199717175, -0.3376987789848465, 13),
-        ("gamma", 0.55, 0.006978441960458659, 0.2694634820697237, 12),
+        ("noncentral_chi_squared", 1.5, 0.4506938556659451, 0.3333333333333335, 11),
+        ("noncentral_chi_squared", 3.0, 1.6041202653859725, 0.41666666666666674, 12),
+        ("gamma", 0.05, 2.4213385163592704, -33.071378813686195, 13),
+        ("gamma", 0.3, 0.17300849429575016, -2.123515474238904, 8),
+        ("gamma", 0.45, 0.008110773199717147, -0.33769877898484413, 11),
+        ("gamma", 0.55, 0.006978441960458576, 0.26946348206972437, 10),
         ("gamma", 1.0, 0.43243319100374644, 1.3676052475040412, 11),
-        ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 12),
+        ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 11),
         ("gamma", 3.0, 4.039738281766686, 1.95755998605825, 14),
     ]
 
@@ -516,7 +534,8 @@ class TestLineRate:
     @pytest.mark.parametrize("level", [0.6, 1.5])
     def test_near_vertical_lines_tend_to_phi_star(self, model, level):
         # a tilt of the normal below one ulp of n1 leaves t n no width at the top of the
-        # search, and the difference form of the gradient no digit; such a line is vertical
+        # search, where the gradient on the closed inverse-Gaussian face is not defined; such
+        # a line is vertical
         c = level * model.mean
         vertical = phi_star(model, c).value
         for eps in (1e-9, 1e-12, 1e-15, 1.2e-16, 1e-16, 5e-17, 1e-17, 1e-100, 6e-261, 0.0):
