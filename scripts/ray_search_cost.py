@@ -8,8 +8,9 @@ z2 <= 0.02), five tilted half-planes {n.z >= c}, the last a thin wedge that no
 ray enters, and {z1 >= 1.5}, the half-plane of the rate_surface benchmark, once
 more in the benchmark's own form.  One counting pass wraps the first-hit
 evaluation and rate_ld in simulate and reports both per event; then the
-unwrapped events run --repeats times and each pass gives its wall time per
-event.  Prints one JSON object.
+events run --repeats times with a timer around rate_ld, and each pass gives
+its wall time per event and the part of it spent outside rate_ld: the march,
+the bisections and the angle search.  Prints one JSON object.
 
 Usage: python scripts/ray_search_cost.py [--repeats 5]
 """
@@ -62,6 +63,28 @@ def count_pass(model, evs) -> dict:
     return per_event
 
 
+def timed_pass(model, evs) -> tuple[float, float]:
+    """Seconds of one pass over the events, and the part of them spent inside rate_ld."""
+    rate_ld, inside = simulate.rate_ld, 0.0
+
+    def timed(*args):
+        nonlocal inside
+        start = time.perf_counter()
+        try:
+            return rate_ld(*args)
+        finally:
+            inside += time.perf_counter() - start
+
+    simulate.rate_ld = timed
+    try:
+        start = time.perf_counter()
+        for event in evs:
+            simulate.ld_event_rate(model, event, 100.0)
+        return time.perf_counter() - start, inside
+    finally:
+        simulate.rate_ld = rate_ld
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
@@ -71,12 +94,11 @@ def main() -> int:
     for model in builtin_models():
         evs = events(model)
         per_event = count_pass(model, evs)
-        ms = []
+        ms, outside = [], []
         for _ in range(args.repeats):
-            start = time.perf_counter()
-            for event in evs:
-                simulate.ld_event_rate(model, event, 100.0)
-            ms.append(1e3 * (time.perf_counter() - start) / len(evs))
+            total, inside = timed_pass(model, evs)
+            ms.append(1e3 * total / len(evs))
+            outside.append(1e3 * (total - inside) / len(evs))
         report[model.kind] = {
             "events": len(evs),
             "evaluations_per_event": sum(e for e, _ in per_event) / len(evs),
@@ -84,6 +106,8 @@ def main() -> int:
             "benchmark_half_plane": {"evaluations": per_event[-1][0], "rate_ld_calls": per_event[-1][1]},
             "ms_per_event": [round(v, 4) for v in ms],
             "ms_per_event_median": round(statistics.median(ms), 4),
+            "ms_outside_rate_ld_per_event": [round(v, 4) for v in outside],
+            "ms_outside_rate_ld_per_event_median": round(statistics.median(outside), 4),
         }
     print(json.dumps(report))
     return 0

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .models import INF, RateEvaluation, increasing_root, model_of
+from .models import INF, RateEvaluation, increasing_root, model_of, reject_nan
 from .rates import conditional_rate_J
 
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
@@ -50,8 +50,10 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
 
     Finite on (0, z1); zero exactly at z2 = z1/2.  The supremum at the
     support endpoints diverges (continuous law), reported as infinity with
-    converged=False since it is approached, never attained.
+    converged=False since it is approached, never attained.  ValueError for
+    a NaN level.
     """
+    reject_nan(z2, z1)
     if z1 < 0:
         raise ValueError("z1 must be nonnegative")
     if z1 == 0.0:

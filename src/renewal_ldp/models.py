@@ -418,10 +418,10 @@ def increasing_root(f: Callable[[float], float], top: float, scale: Optional[flo
 
 
 def reject_nan(*levels: float) -> None:
-    """Raise ValueError for a NaN level at the entry of a rate function, before any solver sees it."""
+    """Raise ValueError for a NaN level at the entry of a rate function or an event, before any solver sees it."""
     for z in levels:
         if z != z:
-            raise ValueError(f"a rate level is NaN: {levels}")
+            raise ValueError(f"a level is NaN: {levels}")
 
 
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:

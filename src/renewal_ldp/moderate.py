@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lambda_surface import hessian_origin
-from .models import INF, HoldingTimeModel
+from .models import INF, HoldingTimeModel, reject_nan
 
 CORRELATION_LIMIT = math.sqrt(3.0) / 2.0
 
@@ -162,10 +162,13 @@ AXES = {("z1", ">="): (1.0, 0.0), ("z1", "<="): (-1.0, 0.0), ("z2", ">="): (0.0,
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """{z : normal . z >= offset}."""
+    """{z : normal . z >= offset}; ValueError for a NaN normal or offset."""
 
     normal: tuple[float, float]
     offset: float
+
+    def __post_init__(self):
+        reject_nan(*self.normal, self.offset)
 
     def contains(self, z1, z2):
         return self.normal[0] * z1 + self.normal[1] * z2 >= self.offset

@@ -142,11 +142,11 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     misses p = (mean, mean/2).  The maximiser is the root of the increasing
     n.gradL(t n) - c, or the top of D(L) along n, where t max(n1, n1 + n2) is
     the bound; the line is signed so that top is finite, with n.p <= c (a root
-    t >= 0) where t n is bounded below too.  INF if n.z > c on the open cone,
-    phi*(c/n1) if t n spans no double at the top (vertical), 0 or INF if n = 0.
-    ValueError for a NaN c.
+    t >= 0, searched for up from 0) where t n is bounded below too.  INF if
+    n.z > c on the open cone, phi*(c/n1) if t n spans no double at the top
+    (vertical), 0 or INF if n = 0.  ValueError for a NaN n or c.
     """
-    reject_nan(offset)
+    reject_nan(*normal, offset)
     n1, n2 = normal
     if n1 == 0.0 and n2 == 0.0:
         return RateEvaluation(0.0 if offset == 0.0 else INF, method="closed_form")
@@ -155,7 +155,9 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     if offset <= 0.0 and min(n1, n1 + n2) >= 0.0:  # n.z spans (0, inf) on the open cone
         return RateEvaluation(INF, method="closed_form")
     bound = model.domain.search_top(finite_at_face=True)
-    top = bound / max(n1, n1 + n2)
+    # t n1 + t n2 is evaluated with an error up to 2**-53 t (|n1| + |n2|); this top leaves room for it, so
+    # every t below passes lambda_grad's test even where n1 + n2 is a rounding residue (a top near 1e16)
+    top = bound / max(n1, n1 + n2 + 2.0**-53 * (abs(n1) + abs(n2)))
     while max(top * n1, top * n1 + top * n2) > bound:  # lambda_grad's own test of t n
         top = math.nextafter(top, -INF)
     if top * n1 + top * n2 == top * n1:
@@ -165,7 +167,10 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
         d1, d2 = lambda_grad(model, t * n1, t * n2)
         return n1 * d1 + n2 * d2 - offset
 
-    t, iterations = increasing_root(slope, top)
+    # the root's scale is the t at which the larger end of the segment t (n1, n1 + n2) has the bound's size
+    # (top can be 1e16 times that); where t n is bounded below too, n.p <= c puts the root at t >= 0
+    t, iterations = increasing_root(slope, top, scale=min(top, bound / max(abs(n1), abs(n1 + n2))),
+                                    start=0.0 if min(n1, n1 + n2) < 0.0 else None)
     a1, a2 = t * n1 + 0.0, t * n2  # + 0.0: the line z2 = c has the tilt (0, t), not (-0, t)
     return RateEvaluation(max(t * offset - lambda_eval(model, a1, a2), 0.0), argmax_tilt=(a1, a2),
                           iterations=iterations, method="monotone_root")

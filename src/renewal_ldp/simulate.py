@@ -43,12 +43,10 @@ N_RAYS = 64                # angles of the boundary search in ld_event_rate
 # a ray's march: 0, then 8 steps per doubling from 2**-53 to the top of the doubles.  A ray that
 # stays in the cone marches on r = mean * MARCH; one that leaves it at exit marches on
 # r = exit * MARCH / (1 + MARCH), whose radii crowd both p and the cone edge.  A ray steps over
-# an event it crosses within less than a factor 2**(1/8) in r, or in r / (exit - r).
+# an event it crosses within less than a factor 2**(1/8) in r, or in r / (exit - r); where it
+# enters one, a bisection between two neighbouring radii finds the entry to one ulp.
 MARCH = np.append(0.0, 2.0 ** (np.arange(-53 * 8, 1024 * 8) / 8))
 MARCH_TO_EXIT = (MARCH / (1.0 + MARCH))[MARCH <= 2.0**54]  # every ratio past 2**54 rounds to 1: the exit
-SECTIONS = 64              # points per refinement of a ray's first crossing
-STEPS = np.arange(SECTIONS + 1.0)
-REFINEMENTS = 9            # 64**-9 < 2**-53: a bracket in [0, r] shrinks below one ulp of r
 ANGLE_TOL = 1e-7           # width of the final bracket of Brent's minimiser, radians
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction of a bracket
 
@@ -61,7 +59,7 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PredicateEvent:
-    """Arbitrary vectorized event on the scaled pair, e.g. the cone complement."""
+    """Vectorized event on the scaled pair: ``contains`` sees arrays in a ray's march, floats in its bisection."""
 
     fn: Callable
     name: str
@@ -176,8 +174,8 @@ def ld_event_rate(model: HoldingTimeModel, event, x: float) -> float:
     I is convex and 0 at p = (mean, mean/2).  Half-planes, rectangles and
     unions are exact by :func:`moderate.region_min`, a half-plane with the
     :func:`rates.line_rate` of its edge.  A :class:`PredicateEvent` takes the
-    least I where rays from p first enter it: N_RAYS rays march to them in
-    the cone, and Brent's minimiser in the angle refines each local minimum.
+    least I where rays from p first enter it: N_RAYS rays march and bisect to
+    them in the cone, and Brent's minimiser in the angle refines each local minimum.
     INF if no ray enters it, else I at a point of the event: exact
     when that rate is finite and unimodal in the angle between the
     neighbours of those rays, else an upper bound.
@@ -253,26 +251,24 @@ def _brent_min(f, lo: float, hi: float) -> float:
 
 
 def _first_hit_rate(model, event, p, angle) -> float:
-    """I where the ray p + r (cos a, sin a) first enters the event on its march; INF if never."""
+    """I where the ray p + r (cos a, sin a) first enters the event, bisected to one ulp of r; INF if it never does."""
     c, s = math.cos(angle), math.sin(angle)
     exit_r = min(-p[1] / s if s < 0.0 else INF, (p[0] - p[1]) / (s - c) if s > c else INF)
     radii = exit_r * MARCH_TO_EXIT if exit_r < INF else p[0] * MARCH[:np.searchsorted(MARCH, 2.0**1023 / p[0])]
 
-    def first_in(radii):
-        z1, z2 = p[0] + radii * c, p[1] + radii * s
+    def inside(r):
+        z1, z2 = p[0] + r * c, p[1] + r * s
         # the cone test drops a point that rounding puts past the exit
-        hit = (0.0 <= z2) & (z2 <= z1) & np.asarray(event.contains(z1, z2))
-        return (k := int(hit.argmax())), hit[k], float(z1[k]), float(z2[k])
+        return (0.0 <= z2) & (z2 <= z1) & event.contains(z1, z2)
 
     with np.errstate(over="ignore", invalid="ignore"):  # the march ends at the largest doubles
-        k, entered, z1, z2 = first_in(radii)
-        for _ in range(REFINEMENTS if entered else 0):  # the event holds at radii[k], not at radii[k - 1]
-            lo, hi = radii[k - 1], radii[k]
-            # np.linspace(lo, hi, SECTIONS + 1) by its own formula, bit for bit while (hi - lo) / SECTIONS > 0
-            radii = STEPS * ((hi - lo) / SECTIONS) + lo
-            radii[-1] = hi
-            k, _, z1, z2 = first_in(radii)
-    return rate_ld(model, z1, z2).value if entered else INF
+        hit = inside(radii)
+        if not hit[k := int(hit.argmax())]:
+            return INF
+        lo, hi = float(radii[k - 1]), float(radii[k])  # the event holds at hi, not at lo
+        while lo < (mid := lo + (hi - lo) / 2.0) < hi:  # lo + hi overflows at the end of the march
+            lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return rate_ld(model, p[0] + hi * c, p[1] + hi * s).value
 
 
 def _passage_gamma(model: HoldingTimeModel, event, x: float):

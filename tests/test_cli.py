@@ -208,6 +208,8 @@ class TestRateCommand:
          "x must be finite"),
         (["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "nan"],
          "x must be positive"),
+        (["moderate", "--model", "exponential:1", "--region", "supnorm>nan", "--x-grid", "100"],
+         "a level is NaN: (1.0, 0.0, nan)"),
         *[(["simulate", "--model", "exponential:1", "--x", "2", "--n", "10", "--seed", "1",
             f"--workers={w}"], "workers must be >= 1") for w in ("0", "-3")],
     ])

@@ -95,6 +95,16 @@ class TestKappaStar:
         assert kappa_star(0.0, 2.0).value == INF
         assert kappa_star(2.0, 2.0).value == INF
 
+    @pytest.mark.parametrize("z2, z1", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_level_raises_before_any_solve(self, z2, z1, monkeypatch):
+        # kappa_star(nan, 1) raised RootError from inside the solver
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a NaN level")
+
+        monkeypatch.setattr("renewal_ldp.conditional.increasing_root", no_solve)
+        with pytest.raises(ValueError, match="NaN"):
+            kappa_star(z2, z1)
+
     @pytest.mark.parametrize("f", [1e-3, 1.0 - 1e-3])
     def test_next_to_the_endpoints(self, f):
         # beta -> -z1/z2: kappa*(z2) = -1 - log(z2/z1) up to e^{-1/f}, symmetric about z1/2

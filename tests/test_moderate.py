@@ -195,6 +195,15 @@ class TestRegions:
     def test_half_plane_through_origin(self):
         assert md_event_rate(EXP1, HalfPlane((1.0, 0.0), -0.5)) == 0.0
 
+    @pytest.mark.parametrize("normal, offset", [((1.0, 0.0), math.nan), ((math.nan, 0.0), 1.0),
+                                                ((1.0, math.nan), 1.0)])
+    def test_nan_half_plane_raises_when_built(self, normal, offset):
+        # md_event_rate(m, HalfPlane((1, 0), nan)) returned NaN, which `moderate` printed with exit 0
+        with pytest.raises(ValueError, match="NaN"):
+            HalfPlane(normal, offset)
+        with pytest.raises(ValueError, match="NaN"):
+            sup_norm_exceedance(math.nan)
+
     def test_tilted_half_plane_against_a_scan_of_its_line(self):
         # the stationary point c^2 / (2 n^T C n) is the least psi* on the line n.z = c
         for model in builtin_models():

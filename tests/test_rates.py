@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -87,6 +88,17 @@ class TestExtremeLevels:
             monkeypatch.setattr(f"renewal_ldp.{module}.increasing_root", no_solve)
         with pytest.raises(ValueError, match="NaN"):
             self.ENTRIES[entry](model, math.nan)
+
+    @pytest.mark.parametrize("model", MODELS, ids=[m.kind for m in MODELS])
+    @pytest.mark.parametrize("normal", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_normal_raises_before_any_solve(self, model, normal, monkeypatch):
+        # line_rate gave ValueError "tilt (nan, nan) is not interior" or RootError from inside a solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran on a NaN normal")
+
+        monkeypatch.setattr("renewal_ldp.rates.increasing_root", no_solve)
+        with pytest.raises(ValueError, match="NaN"):
+            line_rate(model, normal, 0.3 * model.mean)
 
     @pytest.mark.parametrize("model", MODELS, ids=[m.kind for m in MODELS])
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -542,6 +554,30 @@ class TestLineRate:
             for sign in (1.0, -1.0):
                 res = line_rate(model, (1.0, sign * eps), c)
                 assert res.value == pytest.approx(vertical, rel=1e-14 + 4.0 * eps), (eps, sign)
+
+    # the exact normals (-1, 1)/sqrt(2), n1 + n2 = 0, at c = -0.3 mean: the line z2 = z1 - 0.3 sqrt(2) mean
+    ANTI_DIAGONAL = {"exponential": 0.009714576927591173, "gamma": 0.019429153855182346,
+                     "inverse_gaussian": 0.010340453095808805, "noncentral_chi_squared": 0.006390085454937577}
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("degrees", [135, 315])
+    @pytest.mark.parametrize("level", [-0.3, 0.3])
+    def test_normals_next_to_the_anti_diagonal(self, model, degrees, level):
+        # cos and sin of 135 and 315 degrees leave n1 + n2 a rounding residue, 1.1e-16 and -3.3e-16,
+        # so the top of the search lies near 1e16: it was stepped down one ulp at a time (40 s), and
+        # its size set brent's tolerance, so 135 degrees at -0.3 mean gave -0.0 on exponential:1
+        normal = (math.cos(math.radians(degrees)), math.sin(math.radians(degrees)))
+        exact_normal = tuple(math.copysign(1.0 / math.sqrt(2.0), n) for n in normal)
+        c = level * model.mean
+        start = time.perf_counter()
+        res = line_rate(model, normal, c)
+        assert time.perf_counter() - start < 0.1
+        exact = line_rate(model, exact_normal, c).value
+        if exact == INF:  # the tilted line meets the cone only near z1 = 2.7e15 mean
+            assert res.value == INF or res.value >= 1e12
+        else:
+            assert exact == pytest.approx(self.ANTI_DIAGONAL[model.kind], rel=1e-14)
+            assert res.value == pytest.approx(exact, rel=1e-12)
 
     @given(kind=st.integers(0, 3), angle=st.floats(0.0, 2.0 * math.pi), level=st.floats(0.01, 3.0),
            negative=st.booleans())

@@ -60,3 +60,5 @@ def test_ray_search_cost_reports_each_model(tmp_path):
         assert row["evaluations_per_event"] > row["rate_ld_calls_per_event"] > 0
         assert row["benchmark_half_plane"]["evaluations"] <= 75
         assert len(row["ms_per_event"]) == 1
+        assert len(row["ms_outside_rate_ld_per_event"]) == 1
+        assert 0.0 < row["ms_outside_rate_ld_per_event_median"] < row["ms_per_event_median"]

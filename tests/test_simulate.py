@@ -504,6 +504,34 @@ class TestRaySearchFrozen:
         assert len(hits) <= 75
 
 
+class TestBisection:
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_rate_ld_within_ulps_of_the_entry(self, model, monkeypatch):
+        # each ray that enters {z1 >= c} takes I at its first double inside: at most a few ulps of c past
+        # the edge, as the march's neighbouring radii are bisected down to adjacent doubles
+        points = []
+        monkeypatch.setattr(simulate, "rate_ld", lambda m, z1, z2: points.append(z1) or rate_ld(m, z1, z2))
+        c = 1.5 * model.mean
+        ld_event_rate(model, PredicateEvent(lambda z1, z2: z1 >= c, "z1>=1.5 mean"), 100.0)
+        assert len(points) >= 20
+        assert all(0.0 <= z1 - c <= 8.0 * np.finfo(float).eps * c for z1 in points)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_contains_on_arrays_in_the_march_and_floats_in_the_bisection(self, model):
+        frozen = TestRaySearchFrozen.FROZEN[model.kind]
+        for event, value in zip(TestRaySearchFrozen.events(model.mean), frozen, strict=True):
+            calls = {np.ndarray: 0, float: 0}  # any other type is a KeyError
+
+            def typed(z1, z2, fn=event.fn):
+                calls[type(z1)] += 1
+                return fn(z1, z2)
+
+            assert ld_event_rate(model, PredicateEvent(typed, "typed"), 100.0) == pytest.approx(value, rel=1e-12)
+            # one march per ray; one float call tests p itself, the others are bisection steps
+            assert calls[np.ndarray] >= simulate.N_RAYS
+            assert calls[float] > 1 or value == INF
+
+
 def grid_scan(model, rect, n=25):
     """Least rate_ld over an n x n grid of the rectangle, cut at 4 means, in the open cone."""
     top = 4.0 * model.mean
