@@ -3,11 +3,13 @@
 
 The grid is z1 in {0.6, 1.2, 2, 3, 5} times the model mean and z2/z1 in
 {1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1 - 1e-6}: the edges, the
-interior and the midline.  One counting pass wraps the gradient functions that
-rates.rate_ld calls (lambda_grad, and lambda_d1 where the package has it) and
-reports evaluations and root iterations per call; then the unwrapped grid runs
---repeats times and each pass gives its wall time per call.  Prints one JSON
-object.
+interior and the midline.  One counting pass wraps the functions through which
+rates.rate_ld evaluates the derivatives of L, those of them that the package
+has: _second_order (gradient and Hessian, one call per Newton evaluation), or
+lambda_grad and lambda_d1 in versions that solved by nested roots.  It reports
+evaluations and iterations per call (Newton steps; root iterations in those
+versions); then the unwrapped grid runs --repeats times and each pass gives its
+wall time per call.  Prints one JSON object.
 
 Usage: python scripts/rate_ld_cost.py [--repeats 5]
 """
@@ -21,7 +23,7 @@ from renewal_ldp import builtin_models, rates
 
 Z1_LEVELS = (0.6, 1.2, 2.0, 3.0, 5.0)
 FRACTIONS = (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)
-GRADIENT_FUNCTIONS = ("lambda_grad", "lambda_d1")
+EVALUATED_FUNCTIONS = ("_second_order", "lambda_grad", "lambda_d1")
 
 
 def grid() -> list:
@@ -30,9 +32,9 @@ def grid() -> list:
 
 
 def count_pass(points) -> tuple[int, int]:
-    """Gradient evaluations and root iterations summed over the grid."""
+    """Derivative evaluations and iterations summed over the grid."""
     calls = {"n": 0}
-    originals = {name: getattr(rates, name) for name in GRADIENT_FUNCTIONS if hasattr(rates, name)}
+    originals = {name: getattr(rates, name) for name in EVALUATED_FUNCTIONS if hasattr(rates, name)}
 
     def counted(fn):
         def wrapper(*args):

@@ -5,10 +5,10 @@ For a holding-time CGF phi, the limit function is
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
 on its effective domain, +inf outside.  This module evaluates L from the
-closed form in the model table, its gradient (the means of phi' and y phi'
-over the same segment, from closed forms in the same table row) and its
-Hessian at the origin, decides membership of D(L) and of its
-interior, and reports the regularity facts (lower semicontinuity and
+closed form in the model table, its gradient and Hessian (the means of phi'
+and y phi', and of phi'', y phi'' and y^2 phi'', over the same segment, from
+the same table row) and the Hessian at the origin, decides membership of D(L)
+and of its interior, and reports the regularity facts (lower semicontinuity and
 steepness) that follow from the model's domain case and decide which form of
 the large-deviation principle is certified.  The defining integral itself is
 left to the oracles: :func:`quadrature.adaptive_gauss_legendre` of
@@ -69,14 +69,12 @@ def lambda_eval(model: HoldingTimeModel, a1: float, a2: float) -> float:
     return model.means(a1, a2)[0]
 
 
-def _phi1_means(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, tuple]:
-    """The evaluated a2 and the table's means at (a1, a2): the one domain check of the gradient."""
+def _interior_width(model: HoldingTimeModel, a1: float, a2: float) -> float | None:
+    """fl(a1 + a2) - a1 on the interior of D(L) or a closed face at a2 != 0, else None: the one domain check."""
     a2 = (a1 + a2) - a1  # the width of the segment that phi' is averaged over, a few ulps or 1e300
     dom = model.domain
     top = max(a1, a1 + a2)
-    if not (top < dom.boundary or (dom.boundary_closed and a2 != 0.0 and top == dom.boundary)):
-        raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
-    return a2, model.means(a1, a2)
+    return a2 if top < dom.boundary or (dom.boundary_closed and a2 != 0.0 and top == dom.boundary) else None
 
 
 def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, float]:
@@ -87,13 +85,21 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
     one-sided gradient from inside: phi' is infinite at abar but integrable.
     For a2 >= 0, d2L is the mean of phi' less that of (1 - y) phi', at most half of it.
     """
-    a2, (_, d1, tail) = _phi1_means(model, a1, a2)
-    return d1, (tail if a2 < 0.0 else d1 - tail)
+    if (width := _interior_width(model, a1, a2)) is None:
+        raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
+    _, d1, tail = model.means(a1, width)
+    return d1, (tail if width < 0.0 else d1 - tail)
 
 
-def lambda_d1(model: HoldingTimeModel, a1: float, a2: float) -> float:
-    """d1L alone, where :func:`lambda_grad` is defined: the mean of phi' over the segment."""
-    return _phi1_means(model, a1, a2)[1][1]
+def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None:
+    """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1, or None off lambda_grad's domain; H11 = inf on a face."""
+    if (a2 := _interior_width(model, a1, a2)) is None:
+        return None
+    value, d1, tail = model.means(a1, a2)
+    m0, m1, m2 = model.curvatures(a1, a2)
+    if a2 < 0.0:
+        return a2, value, (d1, tail), (m0, m1, m2)
+    return a2, value, (d1, d1 - tail), (m0, m0 - m1, m0 - 2.0 * m1 + m2)
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

@@ -203,6 +203,9 @@ class Rectangle:
     y_lo: float
     y_hi: float
 
+    def __post_init__(self):
+        reject_nan(self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+
     def contains(self, z1, z2):
         return (self.x_lo <= z1) & (z1 <= self.x_hi) & (self.y_lo <= z2) & (z2 <= self.y_hi)
 

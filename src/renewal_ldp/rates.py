@@ -1,24 +1,27 @@
 """Large-deviation rate functions for the scaled passage pair.
 
 The bivariate rate is the Legendre-Fenchel transform I = L* of the limit
-function, and the marginal rates follow from it by contraction.  Every
-transform here is solved by one routine, :func:`models.increasing_root`: the
-root of an increasing function on a half-line (-inf, top], or top itself when
-the supremum sits on a face of the domain.  The specialized path for
-exponential holding times, where the optimal area tilt is the nonzero root of
-an explicit scalar equation, is kept independent of it as a reference.
+function, and the marginal rates follow from it by contraction.  The joint rate
+is one projected Newton ascent on the dual; every other transform is one
+:func:`models.increasing_root`, the root of an increasing function on (-inf, top]
+or top itself, a face of the domain.  The specialized path for exponential
+holding times, where the optimal area tilt is the nonzero root of an explicit
+scalar equation, is kept independent of both as a reference.
 """
 
 from __future__ import annotations
 
 import math
 
-from .lambda_surface import lambda_d1, lambda_eval, lambda_grad
-from .models import INF, HoldingTimeModel, RateEvaluation, brent, increasing_root, phi_star, reject_nan
+from .lambda_surface import _second_order, hessian_origin, lambda_eval, lambda_grad
+from .models import _RTOL, INF, HoldingTimeModel, RateEvaluation, RootError, brent, increasing_root
+from .models import phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
 POISSON_S_FLOOR = 2.0**-30
+# far from the optimum a Newton step about doubles |a|, so a tilt of 1e300 takes some 1000 steps
+MAX_NEWTON_STEPS = 2100
 
 
 def in_support_cone(z1: float, z2: float) -> bool:
@@ -27,52 +30,86 @@ def in_support_cone(z1: float, z2: float) -> bool:
 
 
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
-    """Bivariate rate function sup_a {a.z - L(a)}.
+    """Bivariate rate function sup_a {a.z - L(a)}, by one projected Newton ascent.
 
-    Infinite off the support cone, and on its edges z2 in {0, z1}: every
-    built-in phi tends to -inf at -inf, so the supremum diverges there.  The
-    reflection I(z1, z2) = I(z1, z1 - z2) folds the area onto
-    w = min(z2, z1 - z2) <= z1/2, where the optimal area tilt a2 is <= 0.
-    For fixed a2 the best a1 is the root of d1L(., a2) = z1 below the top of
-    the domain, or that top (the inverse-Gaussian face).  The envelope
-    d2L(a1*(a2), a2) - w is then increasing in a2 and equals z1/2 - w at 0,
-    so a2 is its root on (-inf, 0]; a2 = 0 is the midline, where I = phi*(z1).
-    The inner root runs on d1L alone (:func:`lambda_d1`), and every inner
-    solve but the first of a call starts from the last a1*, since successive
-    outer iterates a2 move a1* little.  ``iterations`` counts the steps of
-    the outer root and of every inner one.  ValueError for a NaN level.
+    Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every
+    built-in phi tends to -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area
+    onto w = min(z2, z1 - z2) <= z1/2, where the optimal a2 is <= 0; on the midline a2 = 0 and
+    I = phi*(z1), elsewhere :func:`_newton_ascent` gives the optimum, and ``iterations`` counts
+    its Newton steps.  ValueError for a NaN level.
     """
     reject_nan(z1, z2)
-    if not in_support_cone(z1, z2):
+    if not in_support_cone(z1, z2) or z1 == INF:
         return RateEvaluation(INF, method="closed_form")
     if z2 == 0.0 or z2 == z1:
         return RateEvaluation(INF, method="closed_form", on_boundary=True)
     w = min(z2, z1 - z2)
-    top = model.domain.search_top(finite_at_face=True)
-    inner = []  # (a1*, steps) of each inner solve
-
-    def a1_star(a2):
-        a1, steps = increasing_root(lambda a1: lambda_d1(model, a1, a2) - z1, top,
-                                    start=inner[-1][0] if inner else None)
-        inner.append((a1, steps))
-        return a1
-
-    def envelope(a2):
-        if a2 == 0.0:
-            return 0.5 * z1 - w
-        return lambda_grad(model, a1_star(a2), a2)[1] - w
-
-    a2, outer = increasing_root(envelope, 0.0, model.domain.boundary)
-    if a2 == 0.0:
+    if 2.0 * w == z1:
         mid = phi_star(model, z1)
-        a1, value, method = mid.argmax_tilt[0], mid.value, mid.method
-        inner.append((a1, mid.iterations))
+        a1, a2, value, iterations, method = mid.argmax_tilt[0], 0.0, mid.value, mid.iterations, mid.method
     else:
-        a1 = a1_star(a2)
-        value, method = a1 * z1 + a2 * w - lambda_eval(model, a1, a2), "monotone_root"
+        ((a1, a2, value), iterations), method = _newton_ascent(model, z1, w), "newton"
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
-    iterations = outer + sum(steps for _, steps in inner)
     return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=iterations, method=method)
+
+
+def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple, int]:
+    """((a1, a2, g), steps): the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, for w < z1/2.
+
+    Newton steps from the moderate-deviation tilt C^-1 (z - p), halved until they land in D(L) with
+    a2 < 0 and g no lower up to its roundoff, and stopped short of the top of the search, or on a
+    closed face.  On the top a2 alone moves (next to the edges the best a1 lies within an ulp of the
+    boundary); if d1L > z1 at the optimum there, the ascent resumes below it.  RootError where the
+    Hessian leaves the normal doubles.
+    """
+    top, closed = model.domain.search_top(finite_at_face=True), model.domain.boundary_closed
+
+    def state(a1, a2, below):
+        if (terms := _second_order(model, a1, a2)) is None or not terms[0] < 0.0 or (below and terms[3][0] == INF):
+            return None
+        a2, value, (d1, d2), hessian = terms
+        roundoff = _RTOL * (abs(a1 * z1) + abs(a2 * w) + abs(value))
+        return a1, a2, a1 * z1 + a2 * w - value, roundoff, z1 - d1, w - d2, hessian
+
+    C_inv, mean = hessian_origin(model).C_inv, model.mean
+    # C^-1 (z - p), its second row (-1/2, 1) C_inv[1, 1] applied as (w - z1/2) C_inv[1, 1]; scaled down
+    # onto a1 = top/2, and with a width that fl(a1 + a2) resolves (min puts it in place of the NaN that
+    # an overflowed a1 leaves, too)
+    a1 = float(C_inv[0, 0]) * (z1 - mean) + float(C_inv[0, 1]) * (w - 0.5 * mean)
+    a2 = float(C_inv[1, 1]) * (w - 0.5 * z1)
+    if a1 > 0.5 * top:
+        a1, a2 = 0.5 * top, a2 * (0.5 * top / a1)
+    a2 = min(-_RTOL * max(abs(a1), top), a2)
+    if (current := state(a1, a2, False)) is None:
+        raise RootError(f"no start of the ascent in D(L) for z = ({z1}, {w})")
+    below, resume = False, current
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        a1, a2, g, roundoff, g1, g2, (h11, h12, h22) = current
+        # the step's a1 by elimination of a2, from normal doubles only; the Schur complement
+        # h11 - h12^2/h22 is infinite on a closed face, where a1 stays
+        rho = h12 / h22 if 2.0**-1022 <= min(h12, h22) and h22 < INF else math.nan
+        s1 = (g1 - rho * g2) / (h11 - rho * h12) if h11 - rho * h12 > 0.0 else math.nan
+        if not math.isfinite(s1):
+            raise RootError(f"no Newton step at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
+        # a1 moves t s1 or up to the stop (99% of the way to the top, or a closed face), and a2 to the
+        # best of the quadratic model given that move
+        stop = top if closed and not below else a1 + 0.99 * (top - a1)
+        decrement = g1 * (move := min(a1 + s1, stop) - a1) + g2 * (g2 - h12 * move) / h22
+        t = 1.0
+        while True:
+            b1 = min(a1 + t * s1, stop)
+            if (new := state(b1, a2 + (t * g2 - h12 * (b1 - a1)) / h22, below)) and new[2] >= g - roundoff:
+                break
+            t *= 0.5
+        current, resume = new, (new if new[6][0] < INF else resume)
+        # done after a step that moves a by at most 4 eps |a| or whose Newton decrement is below the
+        # roundoff of g, unless it ends on the top with d1L > z1
+        if not decrement <= roundoff and (abs(new[0] - a1) > _RTOL * abs(a1) or abs(new[1] - a2) > _RTOL * abs(a2)):
+            continue
+        if below or new[0] != top or new[4] >= 0.0:
+            return new[:3], steps
+        below, current = True, resume  # d1L > z1 on the top: the optimum lies below it
+    raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
 
 
 def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation:

@@ -19,7 +19,7 @@ from renewal_ldp import (
     poisson_lambda_closed_form,
     regularity_report,
 )
-from renewal_ldp.lambda_surface import lambda_d1
+from renewal_ldp.lambda_surface import _second_order
 from renewal_ldp.quadrature import QuadratureError, gauss_legendre_panel
 
 EXP1 = make_model("exponential", {"lam": 1.0})
@@ -287,19 +287,6 @@ class TestGradient:
         d2 = adaptive_gauss_legendre(lambda y: y * dphi(y), 0.0, 1.0, tol=tol)
         assert g == pytest.approx((d1, d2), rel=1e-12)
 
-    @pytest.mark.parametrize("a1,a2", INTERIOR_TILTS + [(0.3, 1e-5), (-0.5, -3e-6), (0.1, 0.0),
-                                                        (-40.0, 3e-3), (0.5, -0.3), (0.5 - 3e-5, 3e-5)])
-    def test_first_component_alone(self, a1, a2):
-        # lambda_d1 is lambda_grad's first component, bit for bit, on short and long segments and the face
-        for m in builtin_models():
-            try:
-                expected = lambda_grad(m, a1, a2)[0]
-            except ValueError:
-                with pytest.raises(ValueError):
-                    lambda_d1(m, a1, a2)
-                continue
-            assert lambda_d1(m, a1, a2) == expected
-
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e-3, 1e3, 1e6])
     @pytest.mark.parametrize("a1,a2", [(0.3, 1e-5), (-0.5, -3e-6), (-40.0, 3e-3), (0.2, 0.4),
                                        (0.3, -1.2), (0.9, 2e-6), (0.9, 2e-5), (-3.0, 5e-4)])
@@ -323,6 +310,103 @@ class TestHessian:
             assert np.allclose(cs.C, expected, atol=1e-15)
             assert np.allclose(cs.C @ cs.C_inv, np.eye(2), atol=1e-12)
             assert cs.phi2 == m.variance
+
+
+# phi' and the antiderivative of phi of the built-in instances, written for mpmath
+MP_PHI_PRIME = {
+    "exponential": lambda a: 1 / (1 - a),
+    "inverse_gaussian": lambda a: 1 / mpmath.sqrt(1 - 2 * a),
+    "noncentral_chi_squared": lambda a: 1 / (1 - 2 * a) ** 2 + 1 / (1 - 2 * a),
+    "gamma": lambda a: 2 / (2 - a),
+}
+MP_PHI_INTEGRAL = {
+    "exponential": lambda a: (1 - a) * mpmath.log(1 - a) + a,
+    "inverse_gaussian": lambda a: a + (1 - 2 * a) ** mpmath.mpf(1.5) / 3,
+    "noncentral_chi_squared": lambda a: (-mpmath.log(1 - 2 * a) + (1 - 2 * a) * mpmath.log(1 - 2 * a)) / 4,
+    "gamma": lambda a: 2 * ((2 - a) * mpmath.log(1 - a / 2) + a),
+}
+
+
+def mp_curvatures(model, lo, hi):
+    """Means of (1 - y)^k phi''(lo + (hi - lo) y), k = 0, 1, 2, from phi', phi and its antiderivative at 100 digits.
+
+    With W = hi - lo they are (phi'(hi) - phi'(lo))/W, -phi'(lo)/W + (phi(hi) - phi(lo))/W^2 and
+    -phi'(lo)/W + 2(-phi(lo)/W + (Phi(hi) - Phi(lo))/W^2)/W, by parts; exact in mpmath, where they cancel.
+    """
+    phi, dphi, big_phi = MP_PHI[model.kind], MP_PHI_PRIME[model.kind], MP_PHI_INTEGRAL[model.kind]
+    with mpmath.workdps(100):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        width = hi - lo
+        dphi_lo = dphi(lo)
+        m0 = INF if hi == model.domain.boundary else float((dphi(hi) - dphi_lo) / width)
+        m1 = -dphi_lo / width + (phi(hi) - phi(lo)) / width**2
+        m2 = -dphi_lo / width + 2 * (-phi(lo) / width + (big_phi(hi) - big_phi(lo)) / width**2) / width
+        return m0, float(m1), float(m2)
+
+
+def segment(a1, a2):
+    """(lo, hi) of the segment that the table sees at the evaluated tilt."""
+    top = a1 + a2
+    return (top, a1) if top < a1 else (a1, top)
+
+
+class TestCurvatures:
+    """The table's means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over a segment: the Hessian of L."""
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_seeded_tilts_against_mpmath(self, model):
+        # 300 a2 < 0 tilts per model: boundary distance 1e-12 to 20 and |a2| 1e-14 to 30, in
+        # boundary units; the (1 - y)^2 closed form loses eps/r^2 below its series at r = 1/10
+        rng = np.random.default_rng(25)
+        b = model.domain.boundary
+        for gap, size in zip(10.0 ** rng.uniform(-12.0, math.log10(20.0), 300),
+                             10.0 ** rng.uniform(-14.0, math.log10(30.0), 300)):
+            a1 = b - float(gap) * b
+            a2 = (a1 - float(size) * b) - a1
+            got = model.curvatures(a1, a2)
+            assert got == pytest.approx(mp_curvatures(model, *segment(a1, a2)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_few_ulp_segments_next_to_the_boundary(self, model):
+        # the segments of TestGradient's test of the same name, both signs of a2: finite, and
+        # infinite only in the mean of phi'' on the closed inverse-Gaussian face
+        b = model.domain.boundary
+        ulp = b - math.nextafter(b, -INF)
+        tilts = [(b - 8.0 * ulp, w * ulp) for w in (0.9, 1.35, 1.8, 2.7)]
+        for gap in ((0, 1, 2, 8) if model.domain.boundary_closed else (1, 2, 8)):
+            top = b - gap * ulp
+            for width in (1.0, 2.0, 3.0, 5.0, 8.0):
+                tilts += [(top - width * ulp, width * ulp), (top, -width * ulp), (top, -(width + 0.5) * ulp)]
+        for a1, a2 in tilts:
+            a2 = (a1 + a2) - a1
+            lo, hi = segment(a1, a2)
+            got = model.curvatures(a1, a2)
+            on_face = hi == b
+            assert on_face == (got[0] == INF)
+            assert all(0.0 < v < INF for v in got[on_face:])
+            assert got == pytest.approx(mp_curvatures(model, lo, hi), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_meets_the_origin_hessian_as_a2_vanishes(self, model):
+        # at a2 = 0 the Hessian of L is phi''(a1) [[1, 1/2], [1/2, 1/3]], hessian_origin's C at a1 = 0,
+        # and it is continuous there from both sides
+        b = model.domain.boundary
+        C = hessian_origin(model).C
+        assert _second_order(model, 0.0, 0.0)[3] == pytest.approx((C[0, 0], C[0, 1], C[1, 1]), rel=1e-15)
+        for a1 in (-2.0 * b, -0.3 * b, 0.0, 0.4 * b):
+            exact = model.cgf_d2(a1) * np.array([1.0, 0.5, 1.0 / 3.0])
+            assert _second_order(model, a1, 0.0)[3] == pytest.approx(exact, rel=1e-15)
+            for a2 in (1e-9 * b, -1e-9 * b):
+                assert _second_order(model, a1, a2)[3] == pytest.approx(exact, rel=1e-8)
+
+    def test_off_the_interior_none(self):
+        # the one domain check: None where lambda_grad raises ValueError
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        for model, a1, a2 in [(ig, 0.5, 0.0), (EXP1, 1.0, -0.3), (EXP1, 0.7, 0.3), (ig, 0.6, -0.2)]:
+            assert _second_order(model, a1, a2) is None
+        a2, value, gradient, hessian = _second_order(ig, 0.5, -0.3)
+        assert (value, gradient) == (lambda_eval(ig, 0.5, -0.3), lambda_grad(ig, 0.5, -0.3))
+        assert hessian[0] == INF and 0.0 < hessian[2] < hessian[1] < INF
 
 
 class TestPoissonClosedForm:

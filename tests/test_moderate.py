@@ -204,6 +204,14 @@ class TestRegions:
         with pytest.raises(ValueError, match="NaN"):
             sup_norm_exceedance(math.nan)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 3.0, 0.2, 0.4), (2.0, math.nan, 0.2, 0.4),
+                                        (2.0, 3.0, math.nan, 0.4), (2.0, 3.0, 0.2, math.nan)])
+    def test_nan_rectangle_raises_when_built(self, bounds):
+        # a NaN bound was dropped as if unbounded: on exponential:1, Rectangle(2, 3, nan, 0.4)
+        # gave the rates of Rectangle(2, 3, 0.2, 0.4), and Rectangle(nan, 3, 0.2, 0.4) 0.06
+        with pytest.raises(ValueError, match="NaN"):
+            Rectangle(*bounds)
+
     def test_tilted_half_plane_against_a_scan_of_its_line(self):
         # the stationary point c^2 / (2 n^T C n) is the least psi* on the line n.z = c
         for model in builtin_models():

@@ -287,7 +287,7 @@ class TestConeEdges:
 
 
 class TestWarmInnerRoot:
-    """rate_ld starts every inner a1* solve but the first at the last a1*."""
+    """rate_ld near the cone's edges and its midline (named for the warm inner roots it once had)."""
 
     @given(kind=st.integers(0, 3), log_z1=st.floats(-2.5, 2.5), anchor=st.sampled_from([0.0, 0.5, 1.0]),
            log_d=st.floats(-6.0, -0.31), upward=st.booleans(), log_a2=st.floats(-6.0, 4.0),
@@ -322,9 +322,9 @@ class TestWarmInnerRoot:
                                           rel=1e-12, abs=1e-14)
 
     def test_fewer_iterations_on_a_fixed_grid(self):
-        # the 200-point grid of scripts/rate_ld_cost.py; with a cold inner bracket one scale
-        # below the top and the whole gradient in the inner residual it took 132.8 iterations
-        # a call (lambda_grad: 147.2 evaluations); the warm start must save a quarter of them
+        # the 200-point grid of scripts/rate_ld_cost.py; nested roots with a cold inner bracket
+        # one scale below the top took 132.8 iterations a call (lambda_grad: 147.2 evaluations),
+        # warm inner roots 77.3, and the Newton ascent takes about 12 steps
         cold_mean = 132.795
         grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
                 for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
@@ -402,6 +402,112 @@ class TestScaleFree:
                                (marginal_I2(unit, z2), marginal_I2(scaled, z2 / r))]:
                 assert other.value == pytest.approx(factor * one.value, rel=1e-14, abs=0.0)
                 assert other.iterations <= one.iterations + 20
+
+
+class TestNewtonStepsFreeOfTheScale:
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "inverse_gaussian"])
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e3, 1e6])
+    def test_within_one_step_of_scale_one(self, kind, r):
+        # Newton's method is affine-invariant: the scaled problem takes the same steps, so the
+        # counts move by at most the last step's roundoff (the nested roots moved by -8 to +10)
+        unit, scaled = gamma_like(kind, 1.0), gamma_like(kind, r)
+        for c1, c2 in [(3.0, 1.0), (0.7, 0.21), (1.5, 0.1), (5.0, 1.5), (1.0, 0.2), (2.0, 1.2)]:
+            z1, z2 = c1 * unit.mean, c2 * unit.mean
+            one, other = rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)
+            assert one.method == other.method == "newton"
+            assert abs(other.iterations - one.iterations) <= 1
+
+
+def folded_optimum(model, z1, w):
+    """The tilt of rate_ld at (z1, w), w < z1/2, with d1L and d2L there."""
+    res = rate_ld(model, z1, w)
+    return res.argmax_tilt, lambda_grad(model, *res.argmax_tilt)
+
+
+class TestNewtonAscent:
+    """rate_ld by one projected Newton ascent on g(a) = a1 z1 + a2 w - L(a) over a2 < 0."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_stationary_at_interior_optima(self, model):
+        # grad L(a*) = (z1, w) where a1* lies a thousandth of the boundary below the top of the
+        # search; closer to it d1L changes by 1e13 per unit of a1, and a1 is a double
+        top = model.domain.search_top(finite_at_face=True)
+        interior = 0
+        for c1 in (0.3, 0.6, 1.2, 2.0, 3.0, 5.0):
+            for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+                z1 = c1 * model.mean
+                (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1)
+                assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
+                if top - a1 > 1e-3 * top:
+                    interior += 1
+                    assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+        assert interior >= (8 if model.domain.boundary_closed else 30)
+
+    @pytest.mark.parametrize("c1", [0.3, 1.2, 5.0])
+    @pytest.mark.parametrize("f", [1e-6, 0.02, 0.2, 0.3])
+    def test_kkt_on_the_inverse_gaussian_face(self, c1, f):
+        # on the closed face a1 = mu^2/2 the optimum has d1L <= z1 and d2L = w
+        z1 = c1 * IG1.mean
+        (a1, _), (d1, d2) = folded_optimum(IG1, z1, f * z1)
+        assert a1 == IG1.domain.boundary
+        assert d1 <= z1 * (1.0 + 1e-12)
+        assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model, z1, f", [(IG1, 2.7, 0.49), (IG1, 12.0, 0.49), (EXP1, 1.0, 0.0256)],
+                             ids=["inverse_gaussian-2.7", "inverse_gaussian-12", "exponential-1"])
+    def test_resumes_below_the_top(self, model, z1, f, monkeypatch):
+        # a step lands on the top of the search, whose optimum has d1L > z1: the ascent resumes below
+        # it and ends stationary; on the inverse-Gaussian face the step could not leave, H11 being inf
+        from renewal_ldp import rates
+
+        top, tops = model.domain.search_top(finite_at_face=True), []
+
+        def second_order(m, a1, a2):
+            tops.append(a1 == top)
+            return second_order.inner(m, a1, a2)
+
+        second_order.inner = rates._second_order
+        monkeypatch.setattr(rates, "_second_order", second_order)
+        (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1)
+        assert any(tops) and a1 < top
+        assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
+        if model is IG1:
+            assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+
+    def test_midline_is_phi_star(self):
+        for model in MODELS:
+            res, mid = rate_ld(model, 1.5 * model.mean, 0.75 * model.mean), phi_star(model, 1.5 * model.mean)
+            assert (res.value, res.argmax_tilt, res.method) == (mid.value, (mid.argmax_tilt[0], 0.0), mid.method)
+
+    def test_seeded_sweep(self):
+        # 3,600 points: z1 from 0.02 to 50 times the mean, area fractions from 1e-12 to 1 - 1e-12,
+        # scales 1e-12 to 1e6 on six models (about 1 s).  No call raises; each value is finite,
+        # the exponential ones within 1e-13 of the independent rate_ld_poisson, and d2L = w at
+        # the tilt of every folded point
+        rng = np.random.default_rng(3600)
+        kinds = [("exponential", 1.0), ("gamma", 2.0), ("inverse_gaussian", None),
+                 ("noncentral_chi_squared", (1.0, 1.0)), ("gamma", 0.5), ("noncentral_chi_squared", (3.0, 0.5))]
+        steps = []
+        for i in range(3600):
+            kind, param = kinds[i % 6]
+            scale = 10.0 ** rng.uniform(-12.0, 6.0)
+            if kind == "noncentral_chi_squared":
+                model = model_of(kind, *param)
+            elif kind == "gamma":
+                model = model_of(kind, param, 2.0 * scale)
+            else:
+                model = model_of(kind, scale)
+            z1 = model.mean * 10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0))
+            f = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+            z2 = z1 - f * z1 if rng.random() < 0.5 else f * z1
+            res = rate_ld(model, z1, z2)
+            assert 0.0 < res.value < INF and res.method == "newton"
+            steps.append(res.iterations)
+            if kind == "exponential":
+                assert res.value == pytest.approx(rate_ld_poisson(model.domain.boundary, z1, z2).value, rel=1e-13)
+            if z2 <= 0.5 * z1:
+                assert lambda_grad(model, *res.argmax_tilt)[1] == pytest.approx(z2, rel=1e-12)
+        assert np.mean(steps) < 30 and max(steps) <= 80
 
 
 class TestPoissonPath:
