@@ -3,13 +3,11 @@
 
 The grid is z1 in {0.6, 1.2, 2, 3, 5} times the model mean and z2/z1 in
 {1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1 - 1e-6}: the edges, the
-interior and the midline.  One counting pass wraps the functions through which
-rates.rate_ld evaluates the derivatives of L, those of them that the package
-has: _second_order (gradient and Hessian, one call per Newton evaluation), or
-lambda_grad and lambda_d1 in versions that solved by nested roots.  It reports
-evaluations and iterations per call (Newton steps; root iterations in those
-versions); then the unwrapped grid runs --repeats times and each pass gives its
-wall time per call.  Prints one JSON object.
+interior and the midline.  One counting pass wraps rates._second_order, through
+which rates.rate_ld evaluates L with its gradient and Hessian (one call per
+Newton evaluation, line-search trials included), and reports evaluations and
+Newton steps per call; then the unwrapped grid runs --repeats times and each
+pass gives its wall time per call.  Prints one JSON object.
 
 Usage: python scripts/rate_ld_cost.py [--repeats 5]
 """
@@ -23,7 +21,6 @@ from renewal_ldp import builtin_models, rates
 
 Z1_LEVELS = (0.6, 1.2, 2.0, 3.0, 5.0)
 FRACTIONS = (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)
-EVALUATED_FUNCTIONS = ("_second_order", "lambda_grad", "lambda_d1")
 
 
 def grid() -> list:
@@ -32,23 +29,19 @@ def grid() -> list:
 
 
 def count_pass(points) -> tuple[int, int]:
-    """Derivative evaluations and iterations summed over the grid."""
+    """Evaluations of L with its derivatives, and Newton steps, summed over the grid."""
     calls = {"n": 0}
-    originals = {name: getattr(rates, name) for name in EVALUATED_FUNCTIONS if hasattr(rates, name)}
+    evaluate = rates._second_order
 
-    def counted(fn):
-        def wrapper(*args):
-            calls["n"] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls["n"] += 1
+        return evaluate(*args)
 
-    for name, fn in originals.items():
-        setattr(rates, name, counted(fn))
+    rates._second_order = counted
     try:
         iterations = sum(rates.rate_ld(model, z1, z2).iterations for model, z1, z2 in points)
     finally:
-        for name, fn in originals.items():
-            setattr(rates, name, fn)
+        rates._second_order = evaluate
     return calls["n"], iterations
 
 

@@ -92,14 +92,11 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
 
 
 def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None:
-    """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1, or None off lambda_grad's domain; H11 = inf on a face."""
-    if (a2 := _interior_width(model, a1, a2)) is None:
+    """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1 < 0, else None; the Hessian as model.curvatures gives it."""
+    if (a2 := _interior_width(model, a1, a2)) is None or a2 >= 0.0:
         return None
     value, d1, tail = model.means(a1, a2)
-    m0, m1, m2 = model.curvatures(a1, a2)
-    if a2 < 0.0:
-        return a2, value, (d1, tail), (m0, m1, m2)
-    return a2, value, (d1, d1 - tail), (m0, m0 - m1, m0 - 2.0 * m1 + m2)
+    return a2, value, (d1, tail), model.curvatures(a1, a2)
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

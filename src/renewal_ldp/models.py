@@ -114,8 +114,11 @@ class HoldingTimeModel:
         return self._means(a1, a1 + a2, a2)
 
     def curvatures(self, a1: float, a2: float) -> tuple[float, float, float]:
-        """The means of (1 - y)^k phi'', k = 0, 1, 2, over the segment of :meth:`means`; at a2 < 0, the Hessian of L."""
-        return self._curvatures(a1 + a2, a1, -a2) if a2 < 0.0 else self._curvatures(a1, a1 + a2, a2)
+        """The Hessian of L at a2 < 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2; r1 = inf on a face."""
+        # H11, H12 and H22 are the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over the segment of
+        # means(); far out they fall like 1/|a|^2 out of the doubles and their ratios span 1e300, where
+        # the roots and the correlation (0 on a closed face) stay in range
+        return self._curvatures(a1 + a2, a1, -a2)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Exact variates of the holding-time law."""
@@ -130,7 +133,8 @@ class HoldingTimeModel:
 # closed forms over a segment [lo, hi] of length width >= 0, with hi in the
 # domain of phi: the means of phi (that is L), of phi' (that is d1L) and of
 # (1 - y) phi'(lo + width y) over y in (0, 1), and those of phi'' times 1, (1 - y)
-# and (1 - y)^2 (the curvatures).  They are written so that nothing
+# and (1 - y)^2 (the curvatures, as the square roots of the first and last and
+# their correlation).  They are written so that nothing
 # is divided by the width after a subtraction (finite differences of L at step
 # 1e-5 must see roundoff only at the last bit), and near the boundary they use
 # the distance of hi from it, which is what the domain check has seen.
@@ -151,16 +155,11 @@ def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) 
         E = 0.5 + r * (1.0 / 6.0 + r * (1.0 / 12.0 + r / 20.0))
         D, h = 1.0 + r * (0.5 + r * (1.0 / 3.0 + r / 4.0)), r * E
     else:
-        s, log_s = _far_end(rate, hi, d0, r)
+        s = 1.0 - r if r < 0.5 else (rate - hi) / d0  # from r = 1/2 on, hi's distance to the boundary
+        log_s = math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF
         h = 1.0 + s * log_s / r if s > 0.0 else 1.0
         D, E = -log_s / r, h / r
     return shape * (-math.log1p(-lo / rate) + h), shape * D / d0, shape * E / d0
-
-
-def _far_end(rate: float, hi: float, d0: float, r: float) -> tuple[float, float]:
-    """s = 1 - r = (rate - hi)/d0, from hi's distance to the boundary from r = 1/2 on, and log(s)."""
-    s = 1.0 - r if r < 0.5 else (rate - hi) / d0
-    return s, math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF
 
 
 # series in r of the (1 - y) and (1 - y)^2 means of 1/(1 - r y)^2 and of the (1 - y)^2 mean of
@@ -170,28 +169,26 @@ def _far_end(rate: float, hi: float, d0: float, r: float) -> tuple[float, float]
 _CURVATURE_SERIES = tuple((1.0 / (n + 2), 2.0 / ((n + 2) * (n + 3)), 1.0 / (n + 3)) for n in reversed(range(17)))
 
 
-def _reciprocal_power_means(rate: float, lo: float, hi: float, width: float) -> tuple:
-    # d0 = rate - lo, s = 1 - r at r = width/d0, and the means over y in (0, 1) of (1 - y)/(1 - r y)^2,
-    # (1 - y)^2/(1 - r y)^2 and (1 - y)^2/(1 - r y)^3: with D = -log(s)/r, the mean of 1/(1 - r y),
-    # they are (D - 1)/r, (1 + s - 2 s D)/r^2 and (D - 2 + (1 + s)/2)/r^2
-    d0 = rate - lo
+def _power_curvatures(c2: float, c3: float, rate: float, lo: float, hi: float, width: float) -> tuple:
+    # phi'' = c2/d^2 + c3/d^3 with d = rate - a = d0 (1 - r y), from d0 down to gap = rate - hi = d0 s.
+    # With D = -log(s)/r, the mean of 1/(1 - r y), the means of (1 - y)/(1 - r y)^2, (1 - y)^2/(1 - r y)^2
+    # and (1 - y)^2/(1 - r y)^3 are m1 = (D - 1)/r, m2 = (1 + s - 2 s D)/r^2 and n2 = (D - 2 + (1 + s)/2)/r^2,
+    # and those of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are (c2 + c3 (1 + s)/(2 gap))/(d0 gap),
+    # (c2 m1 + c3/(2 gap))/d0^2 and (c2 m2 + c3 n2/d0)/d0^2.  The square roots and the correlation take
+    # d0 and gap apart, which can be 1e300 and 1e-16
+    d0, gap = rate - lo, rate - hi
     r = width / d0
-    s, log_s = _far_end(rate, hi, d0, r)
+    s = 1.0 - r if r < 0.5 else gap / d0
     if r < 0.1:
         m1 = m2 = n2 = 0.0
-        for c1, c2, c3 in _CURVATURE_SERIES:
-            m1, m2, n2 = c1 + r * m1, c2 + r * m2, c3 + r * n2
-        return d0, s, m1, m2, n2
-    D = -log_s / r
-    return d0, s, (D - 1.0) / r, (1.0 + s - 2.0 * s * D) / r / r, (D - 2.0 + 0.5 * (1.0 + s)) / r / r
-
-
-def _gamma_curvatures(shape: float, rate: float, lo: float, hi: float, width: float) -> tuple:
-    # phi'' = shape/(rate - a)^2 with rate - a = d0 (1 - r y): shape/d0^2 times the means of 1/(1 - r y)^2,
-    # which is 1/s, and of it times 1 - y and (1 - y)^2
-    d0, s, m1, m2, _ = _reciprocal_power_means(rate, lo, hi, width)
-    c = shape / d0 / d0
-    return c / s, c * m1, c * m2
+        for b1, b2, b3 in _CURVATURE_SERIES:
+            m1, m2, n2 = b1 + r * m1, b2 + r * m2, b3 + r * n2
+    else:
+        D = -(math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF) / r
+        m1, m2, n2 = (D - 1.0) / r, (1.0 + s - 2.0 * s * D) / r / r, (D - 2.0 + 0.5 * (1.0 + s)) / r / r
+    root_d0, root_gap = math.sqrt(d0), math.sqrt(gap)
+    k1, k2 = math.sqrt(c2 + c3 * (1.0 + s) / (2.0 * gap)), math.sqrt(c2 * m2 + c3 * n2 / d0)
+    return k1 / root_d0 / root_gap, k2 / d0, (c2 * m1 + 0.5 * c3 / gap) * root_gap / root_d0 / k1 / k2
 
 
 def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tuple:
@@ -205,11 +202,13 @@ def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tu
 
 def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) -> tuple:
     # phi'' = 1/s^3: the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)),
-    # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3); the first is infinite on the closed face
+    # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1));
+    # the first is infinite on the closed face
     s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
     s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
-    m1 = 2.0 / s0 / (s0 + s1) / (s0 + s1)
-    return (m1 * (s0 + s1) / s1 if s1 > 0.0 else INF), m1, m1 * (s0 + 3.0 * s1) / (3.0 * (s0 + s1))
+    t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
+    return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
+            math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
 
 
 def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
@@ -220,15 +219,6 @@ def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, wi
     u0 = 1.0 - 2.0 * lo
     return (0.5 * lam * (0.5 * P - 1.0) + 0.5 * k * mean, lam / (u0 * (1.0 - 2.0 * hi)) + 0.5 * k * P,
             0.5 * (lam * (P - Q) / u0 + k * Q))
-
-
-def _noncentral_chi_squared_curvatures(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
-    # phi'' = 2k/u^2 + 4 lam/u^3 with u = 1 - 2a = u0 (1 - r y): 2k/u0^2 times the gamma means at
-    # shape 1, plus 4 lam/u0^3 times the means of 1/(1 - r y)^3 and of it times 1 - y and (1 - y)^2,
-    # which are (1 + s)/(2 s^2), 1/(2 s) and the last of the reciprocal power means
-    d0, s, m1, m2, n2 = _reciprocal_power_means(0.5, lo, hi, width)  # d0 = u0/2
-    c, e = 0.5 * k / d0 / d0, 0.5 * lam / d0 / d0 / d0
-    return c / s + e * (1.0 + s) / (2.0 * s) / s, c * m1 + e / (2.0 * s), c * m2 + e * n2
 
 
 def _gamma_cgf(shape: float, rate: float, a: float) -> float:
@@ -253,7 +243,8 @@ class ModelKind:
     cgf_d2: Callable[..., float]
     cgf_d3: Callable[..., float]  # read by no code of the package; benchmark tracers replace it
     means: Callable[..., tuple]  # (*args, lo, hi, width) -> means of phi, phi' and (1 - y) phi'
-    curvatures: Callable[..., tuple]  # (*args, lo, hi, width) -> means of (1 - y)^k phi'', k = 0, 1, 2
+    curvatures: Callable[..., tuple]  # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as
+                                      # the roots of the first and last and their correlation
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
 
@@ -265,7 +256,7 @@ _GAMMA_FUNCTIONS = dict(
     cgf_d2=lambda shape, rate, a: shape / (rate - a) ** 2,
     cgf_d3=lambda shape, rate, a: 2.0 * shape / (rate - a) ** 3,
     means=_gamma_means,
-    curvatures=_gamma_curvatures,
+    curvatures=lambda shape, rate, lo, hi, width: _power_curvatures(shape, 0.0, rate, lo, hi, width),
 )
 
 MODEL_TABLE = {
@@ -302,7 +293,7 @@ MODEL_TABLE = {
         cgf_d2=lambda lam, k, a: 4.0 * lam / (1.0 - 2.0 * a) ** 3 + 2.0 * k / (1.0 - 2.0 * a) ** 2,
         cgf_d3=lambda lam, k, a: 24.0 * lam / (1.0 - 2.0 * a) ** 4 + 8.0 * k / (1.0 - 2.0 * a) ** 3,
         means=_noncentral_chi_squared_means,
-        curvatures=_noncentral_chi_squared_curvatures,
+        curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5 * lam, 0.5, lo, hi, width),
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
         sampler_spec="Poisson-mixed chi-squared (numpy noncentral_chisquare)",
     ),

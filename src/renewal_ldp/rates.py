@@ -57,19 +57,22 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
     """((a1, a2, g), steps): the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, for w < z1/2.
 
     Newton steps from the moderate-deviation tilt C^-1 (z - p), halved until they land in D(L) with
-    a2 < 0 and g no lower up to its roundoff, and stopped short of the top of the search, or on a
-    closed face.  On the top a2 alone moves (next to the edges the best a1 lies within an ulp of the
-    boundary); if d1L > z1 at the optimum there, the ascent resumes below it.  RootError where the
-    Hessian leaves the normal doubles.
+    a2 < 0 and g no lower up to its roundoff (or a decrement four times smaller), and stopped short of
+    the top of the search, or on a closed face.  On the top a2 alone moves (next to the edges the best
+    a1 lies within an ulp of the boundary); if d1L > z1 at the optimum there, the ascent resumes below
+    it.  One step past convergence ends it.  RootError where a step or L leaves the doubles: the
+    optimal tilt is then beyond them.
     """
     top, closed = model.domain.search_top(finite_at_face=True), model.domain.boundary_closed
 
     def state(a1, a2, below):
-        if (terms := _second_order(model, a1, a2)) is None or not terms[0] < 0.0 or (below and terms[3][0] == INF):
+        # None off the interior and on a closed face once below it
+        if (terms := _second_order(model, a1, a2)) is None or (below and terms[3][0] == INF):
             return None
         a2, value, (d1, d2), hessian = terms
-        roundoff = _RTOL * (abs(a1 * z1) + abs(a2 * w) + abs(value))
-        return a1, a2, a1 * z1 + a2 * w - value, roundoff, z1 - d1, w - d2, hessian
+        if not (-INF < value < INF and (g := a1 * z1 + a2 * w - value) == g):
+            raise RootError(f"L or g leaves the doubles at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
+        return a1, a2, g, _RTOL * (abs(a1 * z1) + abs(a2 * w) + abs(value)), z1 - d1, w - d2, hessian
 
     C_inv, mean = hessian_origin(model).C_inv, model.mean
     # C^-1 (z - p), its second row (-1/2, 1) C_inv[1, 1] applied as (w - z1/2) C_inv[1, 1]; scaled down
@@ -82,34 +85,49 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
     a2 = min(-_RTOL * max(abs(a1), top), a2)
     if (current := state(a1, a2, False)) is None:
         raise RootError(f"no start of the ascent in D(L) for z = ({z1}, {w})")
-    below, resume = False, current
+    below, resume, settled = False, current, 0
     for steps in range(1, MAX_NEWTON_STEPS + 1):
-        a1, a2, g, roundoff, g1, g2, (h11, h12, h22) = current
-        # the step's a1 by elimination of a2, from normal doubles only; the Schur complement
-        # h11 - h12^2/h22 is infinite on a closed face, where a1 stays
-        rho = h12 / h22 if 2.0**-1022 <= min(h12, h22) and h22 < INF else math.nan
-        s1 = (g1 - rho * g2) / (h11 - rho * h12) if h11 - rho * h12 > 0.0 else math.nan
-        if not math.isfinite(s1):
-            raise RootError(f"no Newton step at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
+        a1, a2, g, roundoff, g1, g2, (r1, r2, rho) = current
+        # the step in the coordinates (a1 r1, a2 r2), where the Hessian is [[1, rho], [rho, 1]]: a1 by
+        # elimination of a2, and 0 on a closed face, where r1 = inf and rho = 0; kappa = H12/r2
+        u2, kappa = g2 / r2, (rho * r1 if rho else 0.0)
+        s1 = (g1 / r1 - rho * u2) / r1 / (1.0 - rho * rho)
         # a1 moves t s1 or up to the stop (99% of the way to the top, or a closed face), and a2 to the
-        # best of the quadratic model given that move
+        # best of the quadratic model given that move; a step up that overflows goes to the stop
         stop = top if closed and not below else a1 + 0.99 * (top - a1)
-        decrement = g1 * (move := min(a1 + s1, stop) - a1) + g2 * (g2 - h12 * move) / h22
+        s1 = stop - a1 if s1 == INF else s1
+        if not (math.isfinite(s1) and math.isfinite(u2 / r2)):
+            raise RootError(f"no Newton step at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
+        decrement = g1 * (move := min(a1 + s1, stop) - a1) + u2 * (u2 - kappa * move)
+        # a step is taken where g is no lower up to its roundoff, or, for the whole step, where the
+        # Newton decrement falls fourfold: L can carry more error than that roundoff (the
+        # noncentral chi-squared form near a = 0), and the gradient still tells the way
         t = 1.0
         while True:
             b1 = min(a1 + t * s1, stop)
-            if (new := state(b1, a2 + (t * g2 - h12 * (b1 - a1)) / h22, below)) and new[2] >= g - roundoff:
+            new = state(b1, a2 + (t * u2 - kappa * (b1 - a1)) / r2, below)
+            if new and (new[2] + roundoff >= g or t == 1.0 and _decrement(new) < 0.25 * _decrement(current)):
                 break
             t *= 0.5
         current, resume = new, (new if new[6][0] < INF else resume)
-        # done after a step that moves a by at most 4 eps |a| or whose Newton decrement is below the
-        # roundoff of g, unless it ends on the top with d1L > z1
-        if not decrement <= roundoff and (abs(new[0] - a1) > _RTOL * abs(a1) or abs(new[1] - a2) > _RTOL * abs(a2)):
-            continue
-        if below or new[0] != top or new[4] >= 0.0:
+        # converged after a step that moves a by at most 4 eps |a| or whose decrement is below the
+        # roundoff of g, unless it ends on the top with d1L > z1 beyond its roundoff, where the optimum
+        # lies below the top; the second converged step in a row ends it (the first settles the last
+        # digits, which that roundoff can hide where g cancels)
+        converged = decrement <= roundoff or (abs(new[0] - a1) <= _RTOL * abs(a1)
+                                              and abs(new[1] - a2) <= _RTOL * abs(a2))
+        if converged and not (below or new[0] != top or new[4] >= -_RTOL * z1):
+            below, current, settled = True, resume, 0
+        elif (settled := settled + 1 if converged else 0) == 2:
             return new[:3], steps
-        below, current = True, resume  # d1L > z1 on the top: the optimum lies below it
     raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
+
+
+def _decrement(state: tuple) -> float:
+    """The Newton decrement g^T H^-1 g of an ascent state, from the gradient of g and the factored Hessian."""
+    g1, g2, (r1, r2, rho) = state[4:]
+    u1, u2 = g1 / r1, g2 / r2
+    return (u1 * u1 - 2.0 * rho * u1 * u2 + u2 * u2) / (1.0 - rho * rho)
 
 
 def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation:

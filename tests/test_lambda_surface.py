@@ -328,30 +328,42 @@ MP_PHI_INTEGRAL = {
 
 
 def mp_curvatures(model, lo, hi):
-    """Means of (1 - y)^k phi''(lo + (hi - lo) y), k = 0, 1, 2, from phi', phi and its antiderivative at 100 digits.
+    """The table's curvatures over [lo, hi] from phi', phi and its antiderivative at 100 digits.
 
-    With W = hi - lo they are (phi'(hi) - phi'(lo))/W, -phi'(lo)/W + (phi(hi) - phi(lo))/W^2 and
-    -phi'(lo)/W + 2(-phi(lo)/W + (Phi(hi) - Phi(lo))/W^2)/W, by parts; exact in mpmath, where they cancel.
+    With W = hi - lo the means of (1 - y)^k phi''(lo + W y), k = 0, 1, 2, are (phi'(hi) - phi'(lo))/W,
+    -phi'(lo)/W + (phi(hi) - phi(lo))/W^2 and -phi'(lo)/W + 2(-phi(lo)/W + (Phi(hi) - Phi(lo))/W^2)/W, by
+    parts; exact in mpmath, where they cancel.  Returned as the table gives them: the square roots of
+    the first and last and the correlation M1/sqrt(M0 M2), (inf, sqrt(M2), 0) on a closed face.
     """
     phi, dphi, big_phi = MP_PHI[model.kind], MP_PHI_PRIME[model.kind], MP_PHI_INTEGRAL[model.kind]
     with mpmath.workdps(100):
         lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
         width = hi - lo
         dphi_lo = dphi(lo)
-        m0 = INF if hi == model.domain.boundary else float((dphi(hi) - dphi_lo) / width)
         m1 = -dphi_lo / width + (phi(hi) - phi(lo)) / width**2
         m2 = -dphi_lo / width + 2 * (-phi(lo) / width + (big_phi(hi) - big_phi(lo)) / width**2) / width
-        return m0, float(m1), float(m2)
+        if hi == model.domain.boundary:
+            return INF, float(mpmath.sqrt(m2)), 0.0
+        m0 = (dphi(hi) - dphi_lo) / width
+        return float(mpmath.sqrt(m0)), float(mpmath.sqrt(m2)), float(m1 / mpmath.sqrt(m0 * m2))
 
 
-def segment(a1, a2):
-    """(lo, hi) of the segment that the table sees at the evaluated tilt."""
+def folded_tilt(a1, a2):
+    """The tilt with a2 < 0 over the segment that fl(a1 + a2) and a1 span, and that segment (lo, hi)."""
     top = a1 + a2
-    return (top, a1) if top < a1 else (a1, top)
+    if top > a1:
+        a1, top = top, a1
+    return (a1, top - a1), (top, a1)
+
+
+def unfactored(hessian):
+    """(H11, H12, H22) from the square roots and the correlation."""
+    r1, r2, rho = hessian
+    return r1 * r1, rho * r1 * r2, r2 * r2
 
 
 class TestCurvatures:
-    """The table's means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over a segment: the Hessian of L."""
+    """The table's means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over a segment: the Hessian of L at a2 < 0."""
 
     @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
     def test_seeded_tilts_against_mpmath(self, model):
@@ -361,15 +373,13 @@ class TestCurvatures:
         b = model.domain.boundary
         for gap, size in zip(10.0 ** rng.uniform(-12.0, math.log10(20.0), 300),
                              10.0 ** rng.uniform(-14.0, math.log10(30.0), 300)):
-            a1 = b - float(gap) * b
-            a2 = (a1 - float(size) * b) - a1
-            got = model.curvatures(a1, a2)
-            assert got == pytest.approx(mp_curvatures(model, *segment(a1, a2)), rel=1e-12, abs=0.0)
+            (a1, a2), segment = folded_tilt(b - float(gap) * b, -float(size) * b)
+            assert model.curvatures(a1, a2) == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
     def test_few_ulp_segments_next_to_the_boundary(self, model):
-        # the segments of TestGradient's test of the same name, both signs of a2: finite, and
-        # infinite only in the mean of phi'' on the closed inverse-Gaussian face
+        # the segments of TestGradient's test of the same name: finite, and on the closed
+        # inverse-Gaussian face (inf, r2, 0), the mean of phi'' being infinite there
         b = model.domain.boundary
         ulp = b - math.nextafter(b, -INF)
         tilts = [(b - 8.0 * ulp, w * ulp) for w in (0.9, 1.35, 1.8, 2.7)]
@@ -377,36 +387,52 @@ class TestCurvatures:
             top = b - gap * ulp
             for width in (1.0, 2.0, 3.0, 5.0, 8.0):
                 tilts += [(top - width * ulp, width * ulp), (top, -width * ulp), (top, -(width + 0.5) * ulp)]
-        for a1, a2 in tilts:
-            a2 = (a1 + a2) - a1
-            lo, hi = segment(a1, a2)
+        for tilt in tilts:
+            (a1, a2), segment = folded_tilt(*tilt)
             got = model.curvatures(a1, a2)
-            on_face = hi == b
-            assert on_face == (got[0] == INF)
-            assert all(0.0 < v < INF for v in got[on_face:])
-            assert got == pytest.approx(mp_curvatures(model, lo, hi), rel=1e-12, abs=0.0)
+            if segment[1] == b:
+                assert got[0] == INF and 0.0 < got[1] < INF and got[2] == 0.0
+            else:
+                assert all(0.0 < v < INF for v in got)
+            assert got == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    def test_far_tilts_stay_in_range(self, model):
+        # out to |a| = 1e280 boundary units H12 and H22 fall like 1/|a|^2, out of the doubles, and
+        # H11/H22 reaches 1e296 at the top; the factors hold them to 1e-12.  At 1e300 units they are
+        # still finite and positive, with the correlation below its value sqrt(3)/2 at a2 = 0
+        b = model.domain.boundary
+        top = model.domain.search_top(finite_at_face=False)
+        for size in (1e100, 1e200, 1e280):
+            for a1 in (top, 0.5 * b, -1e-3 * size * b, -size * b):
+                (a1, a2), segment = folded_tilt(a1, -size * b)
+                assert model.curvatures(a1, a2) == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
+        for a1 in (top, 0.5 * b, -1e297 * b):
+            r1, r2, rho = model.curvatures(a1, -1e300 * b)
+            assert 0.0 < r2 < r1 < INF and 0.0 < rho < 0.5 * math.sqrt(3.0)
 
     @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
     def test_meets_the_origin_hessian_as_a2_vanishes(self, model):
         # at a2 = 0 the Hessian of L is phi''(a1) [[1, 1/2], [1/2, 1/3]], hessian_origin's C at a1 = 0,
-        # and it is continuous there from both sides
+        # and it is continuous there from below; at a2 >= 0, outside the ascent, there is none
         b = model.domain.boundary
         C = hessian_origin(model).C
-        assert _second_order(model, 0.0, 0.0)[3] == pytest.approx((C[0, 0], C[0, 1], C[1, 1]), rel=1e-15)
         for a1 in (-2.0 * b, -0.3 * b, 0.0, 0.4 * b):
             exact = model.cgf_d2(a1) * np.array([1.0, 0.5, 1.0 / 3.0])
-            assert _second_order(model, a1, 0.0)[3] == pytest.approx(exact, rel=1e-15)
-            for a2 in (1e-9 * b, -1e-9 * b):
-                assert _second_order(model, a1, a2)[3] == pytest.approx(exact, rel=1e-8)
+            if a1 == 0.0:
+                assert exact == pytest.approx((C[0, 0], C[0, 1], C[1, 1]), rel=1e-15)
+            assert _second_order(model, a1, 0.0) is None and _second_order(model, a1, 1e-9 * b) is None
+            for a2 in (-1e-9 * b, -1e-12 * b):
+                assert unfactored(_second_order(model, a1, a2)[3]) == pytest.approx(exact, rel=1e-8)
 
     def test_off_the_interior_none(self):
-        # the one domain check: None where lambda_grad raises ValueError
+        # the one domain check: None where lambda_grad raises ValueError, and at a2 >= 0
         ig = make_model("inverse_gaussian", {"mu": 1.0})
-        for model, a1, a2 in [(ig, 0.5, 0.0), (EXP1, 1.0, -0.3), (EXP1, 0.7, 0.3), (ig, 0.6, -0.2)]:
+        for model, a1, a2 in [(ig, 0.5, 0.0), (EXP1, 1.0, -0.3), (EXP1, 0.7, 0.3), (ig, 0.6, -0.2), (EXP1, 0.2, 0.3)]:
             assert _second_order(model, a1, a2) is None
         a2, value, gradient, hessian = _second_order(ig, 0.5, -0.3)
         assert (value, gradient) == (lambda_eval(ig, 0.5, -0.3), lambda_grad(ig, 0.5, -0.3))
-        assert hessian[0] == INF and 0.0 < hessian[2] < hessian[1] < INF
+        assert hessian[0] == INF and 0.0 < hessian[1] < INF and hessian[2] == 0.0
 
 
 class TestPoissonClosedForm:

@@ -26,7 +26,7 @@ from renewal_ldp import (
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
 from renewal_ldp.moderate import HalfPlane
-from renewal_ldp.models import model_of
+from renewal_ldp.models import RootError, model_of
 from renewal_ldp.rates import line_rate
 from renewal_ldp.simulate import ld_event_rate
 
@@ -120,6 +120,26 @@ class TestExtremeLevels:
         # the strip {z1 - z2 <= 1e-300} is the reflected area line at 1e-300
         strip = ld_event_rate(model, HalfPlane((-1.0, 1.0), -1e-300), 100.0)
         assert strip == pytest.approx(marginal_I2(model, 1e-300).value, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "noncentral_chi_squared"])
+    def test_joint_rate_far_below_the_mean(self, kind):
+        # the optimal tilt reaches -1e300, where H12 and H22 fall out of the doubles; exponential:1
+        # matches the independent rate_ld_poisson and gamma:2,2 is twice it.  Inverse-Gaussian is
+        # left out: its area tilt 2/(9 z2^2) overflows
+        model = MODELS[[m.kind for m in MODELS].index(kind)]
+        for points in ([(1.0, z) for z in (1e-100, 1e-200, 1e-300)], [(z, 0.1 * z) for z in (1e-100, 1e-200, 1e-300)]):
+            values = [rate_ld(model, c1 * model.mean, c2 * model.mean).value for c1, c2 in points]
+            assert all(math.isfinite(v) for v in values) and values[0] < values[1] < values[2]
+            if kind != "noncentral_chi_squared":
+                shape = 2.0 if kind == "gamma" else 1.0
+                exact = [shape * rate_ld_poisson(1.0, c1, c2).value for c1, c2 in points]
+                assert values == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_joint_rate_whose_tilt_leaves_the_doubles_raises(self):
+        # the inverse-Gaussian area tilt at z2 = 1e-300 is about -2e599: RootError, neither a value
+        # from the last tilt that the doubles hold nor a line search without end
+        with pytest.raises(RootError):
+            rate_ld(IG1, IG1.mean, 1e-300 * IG1.mean)
 
 
 class TestRateZero:
@@ -286,13 +306,16 @@ class TestConeEdges:
         assert i2 == pytest.approx(scan, abs=2e-3)
 
 
-class TestWarmInnerRoot:
-    """rate_ld near the cone's edges and its midline (named for the warm inner roots it once had)."""
+class TestEdgesAndMidline:
+    """rate_ld near the cone's edges and its midline."""
 
     @given(kind=st.integers(0, 3), log_z1=st.floats(-2.5, 2.5), anchor=st.sampled_from([0.0, 0.5, 1.0]),
            log_d=st.floats(-6.0, -0.31), upward=st.booleans(), log_a2=st.floats(-6.0, 4.0),
            a2_sign=st.booleans(), log_gap=st.floats(-12.0, 0.5))
     @settings(max_examples=150, deadline=None)
+    # 3e-5 below the noncentral chi-squared midline, where L's closed form carries 1e-16 of absolute
+    # error against a roundoff of g of 2e-19, so that g alone cannot tell a Newton step's gain
+    @example(kind=2, log_z1=0.0, anchor=0.5, log_d=-4.5, upward=False, log_a2=0.0, a2_sign=False, log_gap=0.0)
     def test_duality_and_reflection_near_the_edges_and_the_midline(
             self, kind, log_z1, anchor, log_d, upward, log_a2, a2_sign, log_gap):
         # z2/z1 down to 1e-6 from either edge and from the midline
@@ -322,9 +345,8 @@ class TestWarmInnerRoot:
                                           rel=1e-12, abs=1e-14)
 
     def test_fewer_iterations_on_a_fixed_grid(self):
-        # the 200-point grid of scripts/rate_ld_cost.py; nested roots with a cold inner bracket
-        # one scale below the top took 132.8 iterations a call (lambda_grad: 147.2 evaluations),
-        # warm inner roots 77.3, and the Newton ascent takes about 12 steps
+        # the 200-point grid of scripts/rate_ld_cost.py; the bound is a quarter below 132.8
+        # iterations a call
         cold_mean = 132.795
         grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
                 for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
@@ -409,7 +431,7 @@ class TestNewtonStepsFreeOfTheScale:
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e3, 1e6])
     def test_within_one_step_of_scale_one(self, kind, r):
         # Newton's method is affine-invariant: the scaled problem takes the same steps, so the
-        # counts move by at most the last step's roundoff (the nested roots moved by -8 to +10)
+        # counts move by at most the last step's roundoff
         unit, scaled = gamma_like(kind, 1.0), gamma_like(kind, r)
         for c1, c2 in [(3.0, 1.0), (0.7, 0.21), (1.5, 0.1), (5.0, 1.5), (1.0, 0.2), (2.0, 1.2)]:
             z1, z2 = c1 * unit.mean, c2 * unit.mean
@@ -473,6 +495,30 @@ class TestNewtonAscent:
         assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
         if model is IG1:
             assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+
+    def test_where_g_cancels_against_40_digits(self):
+        # noncentral chi-squared:1,1 at (2, 0.94), row 21 of the `rate` grid 0.5:3:6;0.1:1.5:6, where a1 z1
+        # and a2 w cancel 30:1 in g.  The tilt is the optimum: g there, with L by quadrature at 50
+        # digits, meets the 40-digit rate to 1e-15.  The value is off by the error of L's closed form
+        # at that tilt (6e-17 of 2.8e-3) and the rounding of g's terms, 1.9e-14 of the value
+        phi = lambda a: a / (1 - 2 * a) - mpmath.log(1 - 2 * a) / 2  # noqa: E731
+        model, z1, z2 = model_of("noncentral_chi_squared", 1.0, 1.0), 2.0, 0.9399999999999998
+        res = rate_ld(model, z1, z2)
+        a1, a2 = res.argmax_tilt
+        with mpmath.workdps(50):
+            def L(b1, b2):
+                return mpmath.quad(lambda y: phi(b1 + b2 * y), [0, 1])
+
+            def grad(b1, b2):
+                return (phi(b1 + b2) - phi(b1)) / b2 - z1, (phi(b1 + b2) - L(b1, b2)) / b2 - z2
+
+            b1, b2 = mpmath.findroot(grad, (a1, a2))
+            exact = b1 * z1 + b2 * z2 - L(b1, b2)
+            at_tilt = mpmath.mpf(a1) * z1 + mpmath.mpf(a2) * z2 - L(a1, a2)
+            table_error = abs(lambda_eval(model, a1, a2) - L(a1, a2))
+        assert float(at_tilt) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert abs(res.value - float(exact)) <= table_error + 4e-16 * (abs(a1 * z1) + abs(a2 * z2))
+        assert res.value == pytest.approx(float(exact), rel=2e-14, abs=0.0)
 
     def test_midline_is_phi_star(self):
         for model in MODELS:
