@@ -19,15 +19,9 @@ import sys
 from dataclasses import asdict
 from typing import Iterable
 
-import numpy as np
-
-from . import acceptance
-from . import conditional as cond
-from . import lambda_surface as surf
-from . import moderate as mod
-from . import simulate as sim
+# building the parser needs only the model table; each command imports the modules it runs,
+# so that the analytic ones load no numpy
 from .models import MODEL_TABLE, parse_model_spec
-from .rates import rate_ld, rate_ld_poisson
 
 SCHEMA = "v1"
 
@@ -49,14 +43,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if hasattr(obj, "tolist"):  # a numpy array or scalar: its Python list, bool, int or float
+        return _jsonable(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         return _fmt(obj)
     return obj
@@ -104,11 +92,24 @@ def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid mini-syntax: comma list ``0,0.5,1`` or linspace ``lo:hi:count``."""
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(count))]
-    return [float(v) for v in text.split(",")]
+    """Grid mini-syntax: comma list ``0,0.5,1`` or linspace ``lo:hi:count``.
+
+    The linspace points are numpy.linspace's, bit for bit: lo + i*step with step = (hi - lo)/(count - 1)
+    and the last point hi, or lo + (i/(count - 1))*(hi - lo) where the step underflows to 0; a single
+    point is lo + 0*(hi - lo).
+    """
+    if ":" not in text:
+        return [float(v) for v in text.split(",")]
+    lo, hi, count = text.split(":")
+    lo, hi, count = float(lo), float(hi), int(count)
+    if count < 0:
+        raise ValueError(f"Number of samples, {count}, must be non-negative.")
+    delta, div = hi - lo, count - 1
+    if div <= 0:
+        return [lo + 0.0 * delta] * count
+    step = delta / div
+    points = [lo + (i / div * delta if step == 0.0 else i * step) for i in range(div)]
+    return points + [hi]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from . import lambda_surface as surf
+
     model = parse_model_spec(args.model)
     rows = []
     for a1 in _parse_grid(args.a1):
@@ -155,6 +158,8 @@ def cmd_lambda(args) -> int:
 
 
 def _rate_payload(model, z1, z2, method):
+    from .rates import rate_ld, rate_ld_poisson
+
     if method == "poisson":
         if model.kind != "exponential":
             raise ValueError("--method poisson requires an exponential model")
@@ -190,12 +195,16 @@ def cmd_rate(args) -> int:
 
 def _parse_region(text: str):
     """Region mini-syntax: ``supnorm>delta`` for the sup-norm exceedance."""
+    from .moderate import sup_norm_exceedance
+
     if text.startswith("supnorm>"):
-        return mod.sup_norm_exceedance(float(text[len("supnorm>"):]))
+        return sup_norm_exceedance(float(text[len("supnorm>"):]))
     raise ValueError(f"cannot parse region {text!r}; expected e.g. 'supnorm>1'")
 
 
 def cmd_moderate(args) -> int:
+    from . import moderate as mod
+
     model = parse_model_spec(args.model)
     scaling = mod.ModerateScaling(p=args.p)
     region = _parse_region(args.region)
@@ -215,6 +224,8 @@ def cmd_moderate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate as sim
+
     model = parse_model_spec(args.model)
     workers = sim.default_workers() if args.workers is None else args.workers
     config = sim.SimulationConfig(model=model, x=args.x, n_samples=args.n, seed=args.seed, workers=workers)
@@ -233,6 +244,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_conditional(args) -> int:
+    from . import conditional as cond
+
     payload = {
         "x": args.x,
         "y": args.y,
@@ -250,6 +263,8 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:

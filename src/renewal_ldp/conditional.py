@@ -11,11 +11,14 @@ and the variational cross-check against the joint-minus-marginal rate.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .models import INF, RateEvaluation, increasing_root, model_of, reject_nan
 from .rates import conditional_rate_J
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
 
@@ -111,7 +114,12 @@ def nested_integral(x: int, y: float, beta: float, mode: str = "closed_form") ->
     return _brute_force_simplex(int(x), y, beta)
 
 
-_BF_NODES, _BF_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@cache
+def _bf_rule():
+    """The 64-point Gauss-Legendre nodes and weights, built on first use."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(64)
 
 
 def _brute_force_simplex(x: int, y: float, beta: float) -> float:
@@ -122,15 +130,18 @@ def _brute_force_simplex(x: int, y: float, beta: float) -> float:
     64-point Gauss-Legendre on (0, r_j), reading h_{m-1} by barycentric interpolation.  The
     kernel grows where h_{m-1} does, so the error stays relative for either sign of beta.
     """
-    n = _BF_NODES.size
+    import numpy as np  # imported on first use: the closed forms are scalar
+
+    nodes, weights = _bf_rule()
+    n = nodes.size
     r = 0.5 * y * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
-    p = 0.5 * r[:, None] * (1.0 + _BF_NODES)
+    p = 0.5 * r[:, None] * (1.0 + nodes)
     bary = (-1.0) ** np.arange(n) * np.r_[0.5, np.ones(n - 2), 0.5]
     with np.errstate(divide="ignore"):
         q = bary / (p[..., None] - r)
     on_point = np.isinf(q)  # p falls on a point r_m: read the value there
     q = np.where(on_point.any(axis=-1, keepdims=True), on_point, q)
-    step = np.einsum("ji,jim->jm", 0.5 * r[:, None] * _BF_WEIGHTS * np.exp(-beta * p),
+    step = np.einsum("ji,jim->jm", 0.5 * r[:, None] * weights * np.exp(-beta * p),
                      q / q.sum(axis=-1, keepdims=True))
     return float(np.linalg.matrix_power(step, x - 1)[-1].sum())  # h_{x-1} from h_0 = 1, at r = y
 

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import INF, HoldingTimeModel, LscCase
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class CovarianceStructure:
@@ -101,6 +104,8 @@ def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:
     """Exact origin Hessian phi''(0)*[[1,1/2],[1/2,1/3]] and its inverse."""
+    import numpy as np  # imported on first use: the rest of the module is scalar
+
     phi2 = model.cgf_d2(0.0)
     C = phi2 * np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
     C_inv = (1.0 / phi2) * np.array([[4.0, -6.0], [-6.0, 12.0]])

@@ -16,9 +16,10 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is loaded by the samplers' callers, not by the model table
+    import numpy as np
 
 INF = float("inf")
 

@@ -11,13 +11,15 @@ normal-approximation confidence intervals for the mean holding time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import reduce
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .lambda_surface import hessian_origin
 from .models import INF, HoldingTimeModel, reject_nan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CORRELATION_LIMIT = math.sqrt(3.0) / 2.0
 
@@ -95,6 +97,8 @@ def n_terms_for(x: float) -> int:
 
 def passage_weights(x: float) -> np.ndarray:
     """Weights of the holding times inside the passage area: x, x-1, ..., x - (n - 1)."""
+    import numpy as np  # imported on first use: the rest of the module is scalar
+
     return x - np.arange(n_terms_for(x))
 
 
@@ -217,7 +221,7 @@ class RegionUnion:
     parts: tuple = field(default_factory=tuple)
 
     def contains(self, z1, z2):
-        return np.logical_or.reduce([p.contains(z1, z2) for p in self.parts])
+        return reduce(operator.or_, (p.contains(z1, z2) for p in self.parts), False)
 
 
 def sup_norm_exceedance(delta: float) -> RegionUnion:
@@ -255,12 +259,12 @@ def region_min(region, center, rate: Callable, row_argmin: Callable, line: Calla
 def md_event_rate(model: HoldingTimeModel, region) -> float:
     """Infimum of the moderate quadratic rate over a region, by :func:`region_min`.
 
-    On the line n.z = c, psi* is least at its stationary point: c^2 / (2 n^T C n),
+    On the line n.z = c, psi* is least at its stationary point: c^2 / (2 n^T C n) = c^2 / (4 psi(n)),
     INF for n = 0.  On a line of fixed z2 it is least at z1 = 3 z2/2.
     """
 
     def line(normal, offset):
-        q = 2.0 * float(np.array(normal) @ hessian_origin(model).C @ np.array(normal))
+        q = 4.0 * psi(model, *normal)
         return offset**2 / q if q else INF
 
     def other(region):

@@ -12,20 +12,26 @@ integral raises :class:`QuadratureError`.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+import numpy as np
 
 
 class QuadratureError(RuntimeError):
     """Raised when the subdivision budget is exhausted before convergence."""
 
 
+@cache
+def _rule():
+    """The 12-point Gauss-Legendre nodes and weights, built on first use."""
+    return np.polynomial.legendre.leggauss(12)
+
+
 def gauss_legendre_panel(f, a: float, b: float) -> float:
     """Fixed 12-point Gauss-Legendre estimate on [a, b]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * t) for t, w in zip(_NODES, _WEIGHTS))
+    return half * sum(w * f(mid + half * t) for t, w in zip(*_rule()))
 
 
 def adaptive_gauss_legendre(

@@ -12,8 +12,9 @@ scalar equation, is kept independent of both as a reference.
 from __future__ import annotations
 
 import math
+import sys
 
-from .lambda_surface import _second_order, hessian_origin, lambda_eval, lambda_grad
+from .lambda_surface import _second_order, lambda_eval, lambda_grad
 from .models import _RTOL, INF, HoldingTimeModel, RateEvaluation, RootError, brent, increasing_root
 from .models import phi_star, reject_nan
 
@@ -22,6 +23,9 @@ from .models import phi_star, reject_nan
 POISSON_S_FLOOR = 2.0**-30
 # far from the optimum a Newton step about doubles |a|, so a tilt of 1e300 takes some 1000 steps
 MAX_NEWTON_STEPS = 2100
+# J = I - I1 down to -this * I is roundoff: near the midline the true J lies far below an ulp of I, and
+# -J/(eps I) reached 67.1 in a sweep of six models over z1 from 1e-4 to 1e300 times the mean
+J_ROUNDOFF = 68 * sys.float_info.epsilon
 
 
 def in_support_cone(z1: float, z2: float) -> bool:
@@ -74,12 +78,13 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
             raise RootError(f"L or g leaves the doubles at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
         return a1, a2, g, _RTOL * (abs(a1 * z1) + abs(a2 * w) + abs(value)), z1 - d1, w - d2, hessian
 
-    C_inv, mean = hessian_origin(model).C_inv, model.mean
-    # C^-1 (z - p), its second row (-1/2, 1) C_inv[1, 1] applied as (w - z1/2) C_inv[1, 1]; scaled down
-    # onto a1 = top/2, and with a width that fl(a1 + a2) resolves (min puts it in place of the NaN that
-    # an overflowed a1 leaves, too)
-    a1 = float(C_inv[0, 0]) * (z1 - mean) + float(C_inv[0, 1]) * (w - 0.5 * mean)
-    a2 = float(C_inv[1, 1]) * (w - 0.5 * z1)
+    inv, mean = 1.0 / model.cgf_d2(0.0), model.mean
+    # C^-1 (z - p) with C^-1 = [[4, -6], [-6, 12]] / phi''(0), the products hessian_origin's C_inv holds;
+    # its second row (-1/2, 1) C_inv[1, 1] applied as (w - z1/2) C_inv[1, 1]; scaled down onto
+    # a1 = top/2, and with a width that fl(a1 + a2) resolves (min puts it in place of the NaN that an
+    # overflowed a1 leaves, too)
+    a1 = (4.0 * inv) * (z1 - mean) + (-6.0 * inv) * (w - 0.5 * mean)
+    a2 = (12.0 * inv) * (w - 0.5 * z1)
     if a1 > 0.5 * top:
         a1, a2 = 0.5 * top, a2 * (0.5 * top / a1)
     a2 = min(-_RTOL * max(abs(a1), top), a2)
@@ -235,12 +240,13 @@ def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:
     """Conditional rate of the scaled area given the scaled passage time.
 
     Defined as the joint rate minus the first marginal; nonnegative by the
-    variational definitions, clamped against roundoff at the level 1e-8.
+    variational definitions, clamped against roundoff at the level
+    max(1e-8, J_ROUNDOFF * I): at large levels the two rates agree to tens of ulps of I.
     """
     joint = rate_ld(model, z1, z2).value
     if joint == INF:
         return INF
     diff = joint - marginal_I1(model, z1).value  # a finite joint rate means 0 < z2 < z1
-    if diff < -1e-8:
-        raise ArithmeticError(f"conditional rate came out {diff} < -1e-8")
+    if diff < -(bound := max(1e-8, J_ROUNDOFF * joint)):
+        raise ArithmeticError(f"conditional rate came out {diff} < -{bound}")
     return max(diff, 0.0)

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renewal_ldp import cli
 from renewal_ldp import simulate as sim
@@ -106,6 +109,13 @@ def run_cli(args, capsys):
     return code, out
 
 
+# ends of a linspace grid: any finite double, subnormals and signed zeros included, and small
+# round ones; counts from 0 up, with some large
+GRID_ENDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.integers(-50, 50).map(lambda k: k / 4.0))
+GRID_COUNTS = st.one_of(st.integers(0, 40), st.integers(41, 200_000))
+
+
 class TestModelCommand:
     def test_descriptor_json(self, capsys):
         code, out = run_cli(["model", "--model", "gamma:2,2"], capsys)
@@ -161,6 +171,36 @@ class TestLambdaCommand:
         )
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=GRID_ENDS, hi=st.one_of(st.none(), GRID_ENDS), count=GRID_COUNTS)
+    @example(lo=-2.0, hi=0.5, count=20)
+    @example(lo=0.5, hi=-2.0, count=20)
+    @example(lo=5e-324, hi=1e-323, count=7)         # the step underflows to 0
+    @example(lo=-1e-320, hi=-3e-320, count=1000)
+    @example(lo=-1e308, hi=1e308, count=3)          # hi - lo overflows
+    @example(lo=-0.0, hi=1.0, count=1)              # one point: lo + 0*(hi - lo) is +0
+    @example(lo=0.1, hi=0.7, count=1_000_001)
+    def test_linspace_grid_is_numpys(self, lo, hi, count):
+        # the lo:hi:count points equal numpy.linspace's, bit for bit
+        hi = lo if hi is None else hi
+        ours = np.array(cli._parse_grid(f"{lo!r}:{hi!r}:{count}"), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            theirs = np.linspace(lo, hi, count)
+        assert ours.view(np.uint64).tolist() == theirs.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("args, message", [
+        (["lambda", "--model", "exponential:1", "--a1=0:1:0", "--a2", "0"], "no results to emit"),
+        (["lambda", "--model", "exponential:1", "--a1=0:1:-2", "--a2", "0"],
+         "Number of samples, -2, must be non-negative."),
+        (["rate", "--model", "exponential:1", "--grid", "1;0:1:-1"],
+         "Number of samples, -1, must be non-negative."),
+    ])
+    def test_grid_count_below_one_exits_2(self, args, message, capsys):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestRateCommand:
@@ -391,3 +431,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_analytic_commands_leave_numpy_unloaded(self):
+        # numpy is imported where it is first used (sampling, validate, brute-force quadrature);
+        # the import and every closed-form or scalar-Newton command run without it
+        commands = [
+            ["model", "--model", "inverse_gaussian:1"],
+            ["lambda", "--model", "exponential:1", "--a1=-2:0.5:20", "--a2=-1:0.3:20"],
+            ["rate", "--model", "gamma:2,2", "--z1", "2", "--z2", "0.7"],
+            ["rate", "--model", "exponential:1", "--grid", "0.5:3:6;0.1:1.5:6"],
+            ["rate", "--model", "exponential:1", "--z1", "2", "--z2", "1.2", "--method", "poisson"],
+            ["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "100,1000"],
+            ["conditional", "--x", "4", "--y", "2", "--beta", "0.5"],
+        ]
+        script = (
+            "import contextlib, io, sys, renewal_ldp.cli as cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "print('import', loaded())\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(argv[0], code, loaded())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["import []"] + [f"{argv[0]} 0 []" for argv in commands]

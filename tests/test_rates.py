@@ -26,7 +26,8 @@ from renewal_ldp import (
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
 from renewal_ldp.moderate import HalfPlane
-from renewal_ldp.models import RootError, model_of
+from renewal_ldp import rates
+from renewal_ldp.models import RateEvaluation, RootError, model_of, parse_model_spec
 from renewal_ldp.rates import line_rate
 from renewal_ldp.simulate import ld_event_rate
 
@@ -767,6 +768,29 @@ class TestConditionalRate:
 
     def test_infinite_off_cone(self):
         assert conditional_rate_J(EXP1, 1.0, 1.5) == INF
+
+    @pytest.mark.parametrize("spec, z1, fractions", [
+        # I - I1 computes to -2 or -4 there, 1-2 ulps of I, where 1e-8 used to raise
+        ("exponential:1", 1e16, [round(0.1 + 0.01 * k, 2) for k in range(40)]),
+        ("gamma:2,2", 1e16, [0.49]),
+        # the largest -J/(eps I) of the sweep that set J_ROUNDOFF: 67.1
+        ("noncentral_chi_squared:1,1", 4.67548469024955e+36, [0.5001]),
+    ])
+    def test_roundoff_at_large_levels_clamps_to_zero(self, spec, z1, fractions):
+        model = parse_model_spec(spec)
+        for f in fractions:
+            assert conditional_rate_J(model, z1, f * z1) == 0.0
+
+    @pytest.mark.parametrize("z1, z2", [(1e16, 0.3e16), (1.0, 0.3)])
+    def test_difference_beyond_roundoff_raises(self, monkeypatch, z1, z2):
+        # with I1 set above I by 0.9 and by 1.1 times the bound max(1e-8, J_ROUNDOFF I)
+        joint = rate_ld(EXP1, z1, z2).value
+        bound = max(1e-8, rates.J_ROUNDOFF * joint)
+        monkeypatch.setattr(rates, "marginal_I1", lambda model, z1: RateEvaluation(joint + 0.9 * bound))
+        assert conditional_rate_J(EXP1, z1, z2) == 0.0
+        monkeypatch.setattr(rates, "marginal_I1", lambda model, z1: RateEvaluation(joint + 1.1 * bound))
+        with pytest.raises(ArithmeticError, match="conditional rate came out"):
+            conditional_rate_J(EXP1, z1, z2)
 
 
 class TestRateVsModerate:
