@@ -7,7 +7,10 @@ interior and the midline.  One counting pass wraps rates._second_order, through
 which rates.rate_ld evaluates L with its gradient and Hessian (one call per
 Newton evaluation, line-search trials included), and reports evaluations and
 Newton steps per call; then the unwrapped grid runs --repeats times and each
-pass gives its wall time per call.  Prints one JSON object.
+pass gives its wall time per call.  ``per_kind`` reports the same per model
+kind (the closed-form inverse-Gaussian rate reads 0 evaluations and 0 steps),
+so that a change in one kind is not hidden in the mean over four.  Prints one
+JSON object.
 
 Usage: python scripts/rate_ld_cost.py [--repeats 5]
 """
@@ -23,13 +26,14 @@ Z1_LEVELS = (0.6, 1.2, 2.0, 3.0, 5.0)
 FRACTIONS = (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)
 
 
-def grid() -> list:
-    return [(model, z1 * model.mean, f * z1 * model.mean)
-            for model in builtin_models() for z1 in Z1_LEVELS for f in FRACTIONS]
+def grid() -> dict:
+    """The grid's points by model kind."""
+    return {model.kind: [(model, z1 * model.mean, f * z1 * model.mean) for z1 in Z1_LEVELS for f in FRACTIONS]
+            for model in builtin_models()}
 
 
 def count_pass(points) -> tuple[int, int]:
-    """Evaluations of L with its derivatives, and Newton steps, summed over the grid."""
+    """Evaluations of L with its derivatives, and Newton steps, summed over the points."""
     calls = {"n": 0}
     evaluate = rates._second_order
 
@@ -45,25 +49,39 @@ def count_pass(points) -> tuple[int, int]:
     return calls["n"], iterations
 
 
+def timed_pass(points) -> float:
+    """Wall seconds of one pass over the points."""
+    start = time.perf_counter()
+    for model, z1, z2 in points:
+        rates.rate_ld(model, z1, z2)
+    return time.perf_counter() - start
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    points = grid()
-    evaluations, iterations = count_pass(points)
-    ms = []
+    by_kind = grid()
+    counts = {kind: count_pass(points) for kind, points in by_kind.items()}
+    seconds = {kind: [] for kind in by_kind}
     for _ in range(args.repeats):
-        start = time.perf_counter()
-        for model, z1, z2 in points:
-            rates.rate_ld(model, z1, z2)
-        ms.append(1e3 * (time.perf_counter() - start) / len(points))
+        for kind, points in by_kind.items():
+            seconds[kind].append(timed_pass(points))
+    calls = sum(len(points) for points in by_kind.values())
+    ms = [1e3 * sum(run) / calls for run in zip(*seconds.values())]
+    per_kind = {kind: {
+        "evaluations_per_call": counts[kind][0] / len(points),
+        "iterations_per_call": counts[kind][1] / len(points),
+        "ms_per_call_median": round(1e3 * statistics.median(seconds[kind]) / len(points), 4),
+    } for kind, points in by_kind.items()}
     print(json.dumps({
-        "calls": len(points),
-        "evaluations_per_call": evaluations / len(points),
-        "iterations_per_call": iterations / len(points),
+        "calls": calls,
+        "evaluations_per_call": sum(c[0] for c in counts.values()) / calls,
+        "iterations_per_call": sum(c[1] for c in counts.values()) / calls,
         "ms_per_call": [round(v, 4) for v in ms],
         "ms_per_call_median": round(statistics.median(ms), 4),
+        "per_kind": per_kind,
     }))
     return 0
 

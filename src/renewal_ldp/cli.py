@@ -74,11 +74,9 @@ def emit_json(payload: dict, out: str | None) -> None:
 
 
 def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
-    """Write sweep results as CSV (fixed column order, one row at a time) or JSON rows."""
+    """Write sweep results, one row or more, as CSV (fixed column order, one row at a time) or JSON rows."""
     rows = iter(results)
-    first = next(rows, None)
-    if first is None:
-        raise ValueError("no results to emit")
+    first = next(rows)  # a grid has a point, and a sample dump a sample, at least
     columns = list(first)
     if fmt == "csv":
         with _output(out) as fh:
@@ -92,21 +90,21 @@ def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid mini-syntax: comma list ``0,0.5,1`` or linspace ``lo:hi:count``.
+    """Grid mini-syntax: comma list ``0,0.5,1`` or linspace ``lo:hi:count``, count >= 1.
 
     The linspace points are numpy.linspace's, bit for bit: lo + i*step with step = (hi - lo)/(count - 1)
     and the last point hi, or lo + (i/(count - 1))*(hi - lo) where the step underflows to 0; a single
-    point is lo + 0*(hi - lo).
+    point is lo + 0*(hi - lo).  ValueError for a count below 1: every grid command refuses an empty grid.
     """
     if ":" not in text:
         return [float(v) for v in text.split(",")]
     lo, hi, count = text.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
-    if count < 0:
-        raise ValueError(f"Number of samples, {count}, must be non-negative.")
+    if count < 1:
+        raise ValueError(f"a grid needs a count of at least 1, got {count}")
     delta, div = hi - lo, count - 1
-    if div <= 0:
-        return [lo + 0.0 * delta] * count
+    if div == 0:
+        return [lo + 0.0 * delta]
     step = delta / div
     points = [lo + (i / div * delta if step == 0.0 else i * step) for i in range(div)]
     return points + [hi]
@@ -181,10 +179,8 @@ def cmd_rate(args) -> int:
     model = parse_model_spec(args.model)
     if args.grid:
         z1_spec, z2_spec = args.grid.split(";")
-        rows = []
-        for z1 in _parse_grid(z1_spec):
-            for z2 in _parse_grid(z2_spec):
-                rows.append(_rate_payload(model, z1, z2, args.method))
+        rows = [_rate_payload(model, z1, z2, args.method)
+                for z1 in _parse_grid(z1_spec) for z2 in _parse_grid(z2_spec)]
         emit_json({"rows": rows}, args.out)
         return 0
     if args.z1 is None or args.z2 is None:

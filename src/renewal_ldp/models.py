@@ -1,12 +1,12 @@
 """Holding-time distribution models described by their cumulant generating function.
 
 Every supported kind is one row of :data:`MODEL_TABLE`: its parameter names,
-the effective domain of phi, phi and its first three derivatives on the
-interior of that domain, closed forms of the limit function
-L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of its gradient and Hessian as
-means over the segment of (a1, a2), and an exact sampler.  All holding times
-are positive and light-tailed: phi is finite on a right neighborhood of 0 and
-its domain has a finite boundary.
+the effective domain of phi, phi and its first three derivatives on the interior
+of that domain, closed forms of L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of
+its gradient and Hessian (but for the inverse-Gaussian, whose joint rate is in
+closed form) as means over the segment of (a1, a2), and an exact sampler.  All
+holding times are positive and light-tailed: phi is finite on a right
+neighborhood of 0 and its domain has a finite boundary.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class HoldingTimeModel:
     cgf_d2: Callable[[float], float]
     cgf_d3: Callable[[float], float]  # read by no code of the package; benchmark tracers replace it
     _means: Callable[[float, float, float], tuple] = field(repr=False)
-    _curvatures: Callable[[float, float, float], tuple] = field(repr=False)
+    _curvatures: Optional[Callable[[float, float, float], tuple]] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
 
@@ -115,10 +115,11 @@ class HoldingTimeModel:
         return self._means(a1, a1 + a2, a2)
 
     def curvatures(self, a1: float, a2: float) -> tuple[float, float, float]:
-        """The Hessian of L at a2 < 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2; r1 = inf on a face."""
+        """The Hessian of L at a2 < 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2."""
         # H11, H12 and H22 are the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over the segment of
         # means(); far out they fall like 1/|a|^2 out of the doubles and their ratios span 1e300, where
-        # the roots and the correlation (0 on a closed face) stay in range
+        # the roots and the correlation stay in range.  The inverse-Gaussian row has none: its joint rate
+        # is in closed form
         return self._curvatures(a1 + a2, a1, -a2)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -135,7 +136,7 @@ class HoldingTimeModel:
 # domain of phi: the means of phi (that is L), of phi' (that is d1L) and of
 # (1 - y) phi'(lo + width y) over y in (0, 1), and those of phi'' times 1, (1 - y)
 # and (1 - y)^2 (the curvatures, as the square roots of the first and last and
-# their correlation).  They are written so that nothing
+# their correlation), and beside them the inverse-Gaussian joint rate.  They are written so that nothing
 # is divided by the width after a subtraction (finite differences of L at step
 # 1e-5 must see roundoff only at the last bit), and near the boundary they use
 # the distance of hi from it, which is what the domain check has seen.
@@ -201,15 +202,25 @@ def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tu
     return limit, d1, d1 * (s0 + 2.0 * s1) / (3.0 * (s0 + s1))
 
 
-def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) -> tuple:
-    # phi'' = 1/s^3: the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)),
-    # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1));
-    # the first is infinite on the closed face
-    s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
-    s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
-    t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
-    return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
-            math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
+def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
+    """(a1, a2, I) at (z1, w), 0 < w < z1/2: the joint rate and its tilt, RootError where that is not a double."""
+    # phi is the passage law of Brownian motion with drift mu, and I = phi*(z1) + J(z1, w) with
+    # phi*(z1) = (mu z1 - 1)^2/(2 z1) and J, free of mu, the rate of a Brownian-bridge area.  On the closed
+    # face a1 = mu^2/2, L = mu - (2/3) sqrt(-2 a2) is least at a2 = -2/(9 w^2), where d1L = 3w: the optimum
+    # for 3w <= z1, with J = 2/(9w) - 1/(2 z1).  Inside, grad L = (z1, w) in s = sqrt(mu^2 - 2a), s1 at the
+    # segment's top and s0 at its foot, gives s0 + s1 = 2/z1 and s1 = (6w/z1 - 2)/z1 = (1 + 6d)/z1 with
+    # d = (w - z1/2)/z1, so the tilt ((mu^2 - s1^2)/2, (s1^2 - s0^2)/2) is ((mu^2 - s1^2)/2, 12 d/z1^2) and
+    # J = 6 d^2/z1.  No square of mu z1 - 1 or power of z1 is formed, so nothing overflows where I is a double
+    u = mu * z1 - 1.0
+    if 3.0 * w <= z1:
+        a1, a2, bridge = 0.5 * mu * mu, -2.0 / (9.0 * w) / w, 2.0 / (9.0 * w) - 0.5 / z1
+    else:
+        d = (w - 0.5 * z1) / z1
+        s1 = (1.0 + 6.0 * d) / z1
+        a1, a2, bridge = 0.5 * (mu - s1) * (mu + s1), 12.0 * d / z1 / z1, 6.0 * d * d / z1
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
+    return a1, a2, u * (u / (2.0 * z1)) + bridge
 
 
 def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
@@ -220,10 +231,6 @@ def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, wi
     u0 = 1.0 - 2.0 * lo
     return (0.5 * lam * (0.5 * P - 1.0) + 0.5 * k * mean, lam / (u0 * (1.0 - 2.0 * hi)) + 0.5 * k * P,
             0.5 * (lam * (P - Q) / u0 + k * Q))
-
-
-def _gamma_cgf(shape: float, rate: float, a: float) -> float:
-    return -shape * math.log1p(-a / rate)  # relative accuracy next to a = 0, where phi* is small
 
 
 @dataclass(frozen=True)
@@ -244,18 +251,22 @@ class ModelKind:
     cgf_d2: Callable[..., float]
     cgf_d3: Callable[..., float]  # read by no code of the package; benchmark tracers replace it
     means: Callable[..., tuple]  # (*args, lo, hi, width) -> means of phi, phi' and (1 - y) phi'
-    curvatures: Callable[..., tuple]  # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as
-                                      # the roots of the first and last and their correlation
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
+    # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as the roots of the first and
+    # last and their correlation: the Hessian of the Newton ascent, which a closed-form rate needs not
+    curvatures: Optional[Callable[..., tuple]] = None
 
 
 _GAMMA_FUNCTIONS = dict(
     boundary=lambda shape, rate: rate,
-    cgf=_gamma_cgf,
+    # log1p keeps phi's relative accuracy next to a = 0, where phi* is small
+    cgf=lambda shape, rate, a: -shape * math.log1p(-a / rate),
     cgf_d1=lambda shape, rate, a: shape / (rate - a),
-    cgf_d2=lambda shape, rate, a: shape / (rate - a) ** 2,
-    cgf_d3=lambda shape, rate, a: 2.0 * shape / (rate - a) ** 3,
+    # products, not powers: far below 0, where ** raises OverflowError, a product overflows to inf and
+    # the quotient falls to 0
+    cgf_d2=lambda shape, rate, a: shape / ((d := rate - a) * d),
+    cgf_d3=lambda shape, rate, a: 2.0 * shape / ((d := rate - a) * d * d),
     means=_gamma_means,
     curvatures=lambda shape, rate, lo, hi, width: _power_curvatures(shape, 0.0, rate, lo, hi, width),
 )
@@ -280,7 +291,6 @@ MODEL_TABLE = {
         cgf_d2=lambda mu, a: (mu**2 - 2.0 * a) ** -1.5,
         cgf_d3=lambda mu, a: 3.0 * (mu**2 - 2.0 * a) ** -2.5,
         means=_inverse_gaussian_means,
-        curvatures=_inverse_gaussian_curvatures,
         sampler=lambda mu, rng, size: rng.wald(mean=1.0 / mu, scale=1.0, size=size),
         sampler_spec="Michael-Schucany-Haas transform (numpy wald)",
     ),
@@ -290,9 +300,10 @@ MODEL_TABLE = {
         boundary=lambda lam, k: 0.5,
         case=LscCase.OPEN_NONINTEGRABLE,
         cgf=lambda lam, k, a: lam * a / (1.0 - 2.0 * a) - 0.5 * k * math.log(1.0 - 2.0 * a),
-        cgf_d1=lambda lam, k, a: lam / (1.0 - 2.0 * a) ** 2 + k / (1.0 - 2.0 * a),
-        cgf_d2=lambda lam, k, a: 4.0 * lam / (1.0 - 2.0 * a) ** 3 + 2.0 * k / (1.0 - 2.0 * a) ** 2,
-        cgf_d3=lambda lam, k, a: 24.0 * lam / (1.0 - 2.0 * a) ** 4 + 8.0 * k / (1.0 - 2.0 * a) ** 3,
+        # in u = 1 - 2a, by products as for gamma
+        cgf_d1=lambda lam, k, a: lam / ((u := 1.0 - 2.0 * a) * u) + k / u,
+        cgf_d2=lambda lam, k, a: 4.0 * lam / ((u := 1.0 - 2.0 * a) * u * u) + 2.0 * k / (u * u),
+        cgf_d3=lambda lam, k, a: 24.0 * lam / ((u := 1.0 - 2.0 * a) * u * u * u) + 8.0 * k / (u * u * u),
         means=_noncentral_chi_squared_means,
         curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5 * lam, 0.5, lo, hi, width),
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
@@ -342,7 +353,7 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         cgf_d2=partial(row.cgf_d2, *args),
         cgf_d3=partial(row.cgf_d3, *args),
         _means=partial(row.means, *args),
-        _curvatures=partial(row.curvatures, *args),
+        _curvatures=partial(row.curvatures, *args) if row.curvatures else None,
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
     )

@@ -2,11 +2,12 @@
 
 The bivariate rate is the Legendre-Fenchel transform I = L* of the limit
 function, and the marginal rates follow from it by contraction.  The joint rate
-is one projected Newton ascent on the dual; every other transform is one
-:func:`models.increasing_root`, the root of an increasing function on (-inf, top]
-or top itself, a face of the domain.  The specialized path for exponential
-holding times, where the optimal area tilt is the nonzero root of an explicit
-scalar equation, is kept independent of both as a reference.
+is in closed form for inverse-Gaussian holding times and otherwise one projected
+Newton ascent on the dual; every other transform is one :func:`models.increasing_root`,
+the root of an increasing function on (-inf, top] or top itself, a face of the
+domain.  The specialized path for exponential holding times, where the optimal
+area tilt is the nonzero root of an explicit scalar equation, is kept
+independent of both as a reference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .lambda_surface import _second_order, lambda_eval, lambda_grad
 from .models import _RTOL, INF, HoldingTimeModel, RateEvaluation, RootError, brent, increasing_root
-from .models import phi_star, reject_nan
+from .models import _inverse_gaussian_rate, phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
@@ -34,13 +35,13 @@ def in_support_cone(z1: float, z2: float) -> bool:
 
 
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
-    """Bivariate rate function sup_a {a.z - L(a)}, by one projected Newton ascent.
+    """Bivariate rate function sup_a {a.z - L(a)}, in closed form or by one projected Newton ascent.
 
     Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every
     built-in phi tends to -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area
     onto w = min(z2, z1 - z2) <= z1/2, where the optimal a2 is <= 0; on the midline a2 = 0 and
-    I = phi*(z1), elsewhere :func:`_newton_ascent` gives the optimum, and ``iterations`` counts
-    its Newton steps.  ValueError for a NaN level.
+    I = phi*(z1).  Elsewhere the inverse-Gaussian rate is in closed form, and for the other kinds
+    :func:`_newton_ascent` gives the optimum, ``iterations`` counting its steps.  ValueError for a NaN level.
     """
     reject_nan(z1, z2)
     if not in_support_cone(z1, z2) or z1 == INF:
@@ -51,6 +52,8 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     if 2.0 * w == z1:
         mid = phi_star(model, z1)
         a1, a2, value, iterations, method = mid.argmax_tilt[0], 0.0, mid.value, mid.iterations, mid.method
+    elif model.kind == "inverse_gaussian":
+        (a1, a2, value), iterations, method = _inverse_gaussian_rate(model.params["mu"], z1, w), 0, "closed_form"
     else:
         ((a1, a2, value), iterations), method = _newton_ascent(model, z1, w), "newton"
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
@@ -60,18 +63,16 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
 def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple, int]:
     """((a1, a2, g), steps): the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, for w < z1/2.
 
-    Newton steps from the moderate-deviation tilt C^-1 (z - p), halved until they land in D(L) with
-    a2 < 0 and g no lower up to its roundoff (or a decrement four times smaller), and stopped short of
-    the top of the search, or on a closed face.  On the top a2 alone moves (next to the edges the best
-    a1 lies within an ulp of the boundary); if d1L > z1 at the optimum there, the ascent resumes below
-    it.  One step past convergence ends it.  RootError where a step or L leaves the doubles: the
-    optimal tilt is then beyond them.
+    On an open boundary, where the optimum is interior: Newton steps from the moderate-deviation tilt
+    C^-1 (z - p), halved until they land in D(L) with a2 < 0 and g no lower up to its roundoff (or a
+    decrement four times smaller), and stopped short of the top of the search.  One step past
+    convergence ends it.  RootError where a step or L leaves the doubles: the optimal tilt is beyond them.
     """
-    top, closed = model.domain.search_top(finite_at_face=True), model.domain.boundary_closed
+    top = model.domain.search_top(finite_at_face=False)
 
-    def state(a1, a2, below):
-        # None off the interior and on a closed face once below it
-        if (terms := _second_order(model, a1, a2)) is None or (below and terms[3][0] == INF):
+    def state(a1, a2):
+        # None off the interior
+        if (terms := _second_order(model, a1, a2)) is None:
             return None
         a2, value, (d1, d2), hessian = terms
         if not (-INF < value < INF and (g := a1 * z1 + a2 * w - value) == g):
@@ -88,18 +89,18 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
     if a1 > 0.5 * top:
         a1, a2 = 0.5 * top, a2 * (0.5 * top / a1)
     a2 = min(-_RTOL * max(abs(a1), top), a2)
-    if (current := state(a1, a2, False)) is None:
+    if (current := state(a1, a2)) is None:
         raise RootError(f"no start of the ascent in D(L) for z = ({z1}, {w})")
-    below, resume, settled = False, current, 0
+    restarted, settled = False, 0
     for steps in range(1, MAX_NEWTON_STEPS + 1):
         a1, a2, g, roundoff, g1, g2, (r1, r2, rho) = current
         # the step in the coordinates (a1 r1, a2 r2), where the Hessian is [[1, rho], [rho, 1]]: a1 by
-        # elimination of a2, and 0 on a closed face, where r1 = inf and rho = 0; kappa = H12/r2
-        u2, kappa = g2 / r2, (rho * r1 if rho else 0.0)
+        # elimination of a2; kappa = H12/r2
+        u2, kappa = g2 / r2, rho * r1
         s1 = (g1 / r1 - rho * u2) / r1 / (1.0 - rho * rho)
-        # a1 moves t s1 or up to the stop (99% of the way to the top, or a closed face), and a2 to the
-        # best of the quadratic model given that move; a step up that overflows goes to the stop
-        stop = top if closed and not below else a1 + 0.99 * (top - a1)
+        # a1 moves t s1 or up to the stop, 99% of the way to the top, and a2 to the best of the
+        # quadratic model given that move; a step up that overflows goes to the stop
+        stop = a1 + 0.99 * (top - a1)
         s1 = stop - a1 if s1 == INF else s1
         if not (math.isfinite(s1) and math.isfinite(u2 / r2)):
             raise RootError(f"no Newton step at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
@@ -110,19 +111,19 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
         t = 1.0
         while True:
             b1 = min(a1 + t * s1, stop)
-            new = state(b1, a2 + (t * u2 - kappa * (b1 - a1)) / r2, below)
+            new = state(b1, a2 + (t * u2 - kappa * (b1 - a1)) / r2)
             if new and (new[2] + roundoff >= g or t == 1.0 and _decrement(new) < 0.25 * _decrement(current)):
                 break
             t *= 0.5
-        current, resume = new, (new if new[6][0] < INF else resume)
+        current = new
         # converged after a step that moves a by at most 4 eps |a| or whose decrement is below the
-        # roundoff of g, unless it ends on the top with d1L > z1 beyond its roundoff, where the optimum
-        # lies below the top; the second converged step in a row ends it (the first settles the last
-        # digits, which that roundoff can hide where g cancels)
+        # roundoff of g; the second converged step in a row ends it (the first settles the last
+        # digits, which that roundoff can hide where g cancels).  A step that ends on the top with
+        # d1L > z1 beyond its roundoff, where the optimum lies below, restarts that count once
         converged = decrement <= roundoff or (abs(new[0] - a1) <= _RTOL * abs(a1)
                                               and abs(new[1] - a2) <= _RTOL * abs(a2))
-        if converged and not (below or new[0] != top or new[4] >= -_RTOL * z1):
-            below, current, settled = True, resume, 0
+        if converged and not (restarted or new[0] != top or new[4] >= -_RTOL * z1):
+            restarted, settled = True, 0
         elif (settled := settled + 1 if converged else 0) == 2:
             return new[:3], steps
     raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")

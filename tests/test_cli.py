@@ -181,26 +181,33 @@ class TestLambdaCommand:
     @example(lo=-1e308, hi=1e308, count=3)          # hi - lo overflows
     @example(lo=-0.0, hi=1.0, count=1)              # one point: lo + 0*(hi - lo) is +0
     @example(lo=0.1, hi=0.7, count=1_000_001)
+    @example(lo=0.5, hi=3.0, count=0)               # refused
     def test_linspace_grid_is_numpys(self, lo, hi, count):
-        # the lo:hi:count points equal numpy.linspace's, bit for bit
+        # the lo:hi:count points equal numpy.linspace's, bit for bit; a count of 0, which numpy takes
+        # for an empty grid, is refused
         hi = lo if hi is None else hi
+        if count == 0:
+            with pytest.raises(ValueError, match="a grid needs a count of at least 1, got 0"):
+                cli._parse_grid(f"{lo!r}:{hi!r}:{count}")
+            return
         ours = np.array(cli._parse_grid(f"{lo!r}:{hi!r}:{count}"), dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             theirs = np.linspace(lo, hi, count)
         assert ours.view(np.uint64).tolist() == theirs.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("args, message", [
-        (["lambda", "--model", "exponential:1", "--a1=0:1:0", "--a2", "0"], "no results to emit"),
-        (["lambda", "--model", "exponential:1", "--a1=0:1:-2", "--a2", "0"],
-         "Number of samples, -2, must be non-negative."),
-        (["rate", "--model", "exponential:1", "--grid", "1;0:1:-1"],
-         "Number of samples, -1, must be non-negative."),
-    ])
-    def test_grid_count_below_one_exits_2(self, args, message, capsys):
+    @pytest.mark.parametrize("args, count", [
+        (["lambda", "--model", "exponential:1", "--a1=0:1:0", "--a2", "0"], 0),
+        (["rate", "--model", "exponential:1", "--grid", "0.5:3:0;0.1:1:2"], 0),
+        (["moderate", "--model", "exponential:1", "--region", "supnorm>1", "--x-grid", "1:2:0"], 0),
+        (["lambda", "--model", "exponential:1", "--a1=0:1:-2", "--a2", "0"], -2),
+        (["rate", "--model", "exponential:1", "--grid", "1;0:1:-1"], -1),
+    ], ids=["lambda-0", "rate-0", "moderate-0", "lambda--2", "rate--1"])
+    def test_grid_count_below_one_exits_2(self, args, count, capsys):
+        # one rule for every grid command: an empty grid is refused, as a negative count is
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: a grid needs a count of at least 1, got {count}\n"
 
 
 class TestRateCommand:

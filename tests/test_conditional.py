@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from renewal_ldp import (
     INF,
     chaganty_equality,
     conditional_mgf,
+    conditional_rate_J,
     kappa,
     kappa_d1,
     kappa_star,
     log_conditional_mgf,
     nested_integral,
+    rate_ld,
     sample_area_given_tau,
 )
+from renewal_ldp.models import model_of
 from renewal_ldp.simulate import block_rng
 
 
@@ -250,6 +254,23 @@ class TestChaganty:
             chaganty_equality(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             chaganty_equality(1.0, 1.0, 0.0)
+
+
+class TestInverseGaussianJ:
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0, 17.0])
+    def test_free_of_mu(self, mu):
+        # the inverse-Gaussian is the passage time of Brownian motion with drift mu, and J = I - I1 is
+        # the rate of a Brownian-bridge area, whatever mu: 2/(9w) - 1/(2 z1) on the face w <= z1/3, else
+        # 6 (w - z1/2)^2/z1^3, as kappa* is free of lam for exponential; to the roundoff of I - I1
+        model = model_of("inverse_gaussian", mu)
+        for c1 in (0.2, 1.0, 5.0, 40.0):
+            z1 = c1 * model.mean
+            for f in (1e-3, 0.1, 0.3, 1.0 / 3.0, 0.4, 0.49, 0.6, 0.9):
+                z2 = f * z1
+                w = min(z2, z1 - z2)
+                bridge = 2.0 / (9.0 * w) - 0.5 / z1 if 3.0 * w <= z1 else 6.0 * (w - 0.5 * z1) ** 2 / z1**3
+                roundoff = 8.0 * sys.float_info.epsilon * rate_ld(model, z1, z2).value
+                assert conditional_rate_J(model, z1, z2) == pytest.approx(bridge, rel=0.0, abs=roundoff)
 
 
 class TestKappaStarFarFromTheMidline:

@@ -99,6 +99,14 @@ class TestDerivatives:
         for m in builtin_models():
             assert m.variance > 0
 
+    @pytest.mark.parametrize("spec", ["exponential:1", "gamma:2,2", "noncentral_chi_squared:1,1"])
+    def test_finite_far_below_zero(self, spec):
+        # phi' falls like a power of 1/|a|, and from -1e160 on a power such as (rate - a)**2 is beyond the doubles
+        m = parse_model_spec(spec)
+        for a in (-1e160, -1e200, -1e300):
+            values = m.cgf_d1(a), m.cgf_d2(a), m.cgf_d3(a)
+            assert all(0.0 <= v < INF for v in values) and values[0] > 0.0
+
 
 class TestAntiderivative:
     # the integral of phi over [a, b] is (b - a) * L(a, b - a), from the model table's closed L
@@ -301,6 +309,19 @@ class TestPhiStar:
             res = phi_star(m, m.mean * (1.0 + offset))
             assert 0.0 <= res.value < 1e-20
             assert res.iterations < 40
+
+    @pytest.mark.parametrize("ratio", [1e-160, 1e-200, 1e-300])
+    def test_noncentral_chi_squared_far_below_the_mean(self, ratio):
+        # the tilt is about -1/(2z); phi' = lam/u^2 + k/u = z in u = 1 - 2a is a quadratic, solved at 40
+        # digits; (1 - 2a)**2 is beyond the doubles here
+        model = parse_model_spec("noncentral_chi_squared:1,1")
+        z = ratio * model.mean
+        with mpmath.workdps(40):
+            zq = mpmath.mpf(z)
+            u = (1 + mpmath.sqrt(1 + 4 * zq)) / (2 * zq)
+            a = (1 - u) / 2
+            exact = float(a * zq - (a / u - mpmath.log(u) / 2))
+        assert phi_star(model, z).value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_root_below_the_double_range_raises(self):
         # gamma:2,2 at z1 = 1e-320: the tilt 2 - 2/z1 is about -2e320

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from renewal_ldp.models import make_model, phi_star
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,6 +51,18 @@ def test_rate_ld_cost_reports_the_grid(tmp_path):
     assert report["evaluations_per_call"] > report["iterations_per_call"] > 0
     assert report["evaluations_per_call"] <= 25  # the nested roots made 87.3 gradient evaluations a call
     assert len(report["ms_per_call"]) == 1
+    # per kind, so that the closed-form inverse-Gaussian rate does not hide a change in the ascent: it
+    # evaluates no Hessian, and its only iterations are phi_star's root on the grid's five midline points
+    per_kind = report["per_kind"]
+    assert sorted(per_kind) == sorted(["exponential", "gamma", "inverse_gaussian", "noncentral_chi_squared"])
+    ig = make_model("inverse_gaussian", {"mu": 1.0})
+    midline = sum(phi_star(ig, z1 * ig.mean).iterations for z1 in (0.6, 1.2, 2.0, 3.0, 5.0))
+    assert per_kind["inverse_gaussian"]["evaluations_per_call"] == 0.0
+    assert per_kind["inverse_gaussian"]["iterations_per_call"] == midline / 50
+    for kind, row in per_kind.items():
+        if kind != "inverse_gaussian":
+            assert row["evaluations_per_call"] > row["iterations_per_call"] > 0
+        assert row["ms_per_call_median"] > 0.0
 
 
 def test_ray_search_cost_reports_each_model(tmp_path):
