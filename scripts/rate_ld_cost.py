@@ -9,8 +9,14 @@ Newton evaluation, line-search trials included), and reports evaluations and
 Newton steps per call; then the unwrapped grid runs --repeats times and each
 pass gives its wall time per call.  ``per_kind`` reports the same per model
 kind (the closed-form inverse-Gaussian rate reads 0 evaluations and 0 steps),
-so that a change in one kind is not hidden in the mean over four.  Prints one
-JSON object.
+so that a change in one kind is not hidden in the mean over four.
+
+``duals`` reports the one-dimensional duals the same way, as the steps of each
+call and the median microseconds per call over --repeats passes:
+``marginal_I2`` at z2 in {0.05, 0.3, 0.45, 0.55, 1, 1.5, 3} times the mean,
+``line_rate`` on the normals (1, 1), (1, -0.5) and (1, 0.3) at offsets of those
+multiples of n.p, both per model kind, and ``kappa_star`` at z2/z1 in
+{0.05, 0.2, 0.35, 0.45}.  Prints one JSON object.
 
 Usage: python scripts/rate_ld_cost.py [--repeats 5]
 """
@@ -20,10 +26,13 @@ import json
 import statistics
 import time
 
-from renewal_ldp import builtin_models, rates
+from renewal_ldp import builtin_models, conditional, rates
 
 Z1_LEVELS = (0.6, 1.2, 2.0, 3.0, 5.0)
 FRACTIONS = (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)
+DUAL_LEVELS = (0.05, 0.3, 0.45, 0.55, 1.0, 1.5, 3.0)
+NORMALS = ((1.0, 1.0), (1.0, -0.5), (1.0, 0.3))
+KAPPA_RATIOS = (0.05, 0.2, 0.35, 0.45)
 
 
 def grid() -> dict:
@@ -57,6 +66,36 @@ def timed_pass(points) -> float:
     return time.perf_counter() - start
 
 
+def dual_calls() -> dict:
+    """The duals' calls, as argument-free closures, by dual and model kind."""
+    def marginal(model, level):
+        return lambda: rates.marginal_I2(model, level * model.mean)
+
+    def line(model, normal, level):
+        return lambda: rates.line_rate(model, normal, level * (normal[0] + 0.5 * normal[1]) * model.mean)
+
+    models = builtin_models()
+    return {
+        "marginal_I2": {model.kind: [marginal(model, level) for level in DUAL_LEVELS] for model in models},
+        "line_rate": {model.kind: [line(model, normal, level) for normal in NORMALS for level in DUAL_LEVELS]
+                      for model in models},
+        "kappa_star": {"uniform": [lambda r=r: conditional.kappa_star(r, 1.0) for r in KAPPA_RATIOS]},
+    }
+
+
+def dual_cost(calls, repeats: int) -> dict:
+    """Steps of each call and the median over the passes of the microseconds per call."""
+    steps = [call().iterations for call in calls]
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for call in calls:
+            call()
+        seconds.append(time.perf_counter() - start)
+    return {"steps": steps, "steps_median": statistics.median(steps),
+            "us_per_call_median": round(1e6 * statistics.median(seconds) / len(calls), 2)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
@@ -82,6 +121,8 @@ def main() -> int:
         "ms_per_call": [round(v, 4) for v in ms],
         "ms_per_call_median": round(statistics.median(ms), 4),
         "per_kind": per_kind,
+        "duals": {dual: {kind: dual_cost(calls, args.repeats) for kind, calls in by_kind.items()}
+                  for dual, by_kind in dual_calls().items()},
     }))
     return 0
 

@@ -39,6 +39,8 @@ COMMANDS = {
                                     "--z2", "0.7"],
     "rate_grid_noncentral_chi_squared": ["rate", "--model", "noncentral_chi_squared:1,1", "--grid",
                                          "0.5:3:6;0.1:1.5:6"],
+    "rate_inverse_gaussian": ["rate", "--model", "inverse_gaussian:1", "--z1", "2", "--z2", "0.7"],
+    "rate_grid_inverse_gaussian": ["rate", "--model", "inverse_gaussian:1", "--grid", "0.5:3:6;0.1:1.5:6"],
     "moderate": ["moderate", "--model", "exponential:1", "--region", "supnorm>1",
                  "--x-grid", "100,1000"],
     "simulate_event": ["simulate", "--model", "exponential:1", "--x", "50", "--n", "100000",
