@@ -2,11 +2,15 @@
 
 Every supported kind is one row of :data:`MODEL_TABLE`: its parameter names,
 the effective domain of phi, phi and its first three derivatives on the interior
-of that domain, closed forms of L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of
-its gradient and Hessian (but for the inverse-Gaussian, whose joint rate is in
-closed form) as means over the segment of (a1, a2), and an exact sampler.  All
+of that domain, the Legendre transform phi* and its tilt in closed form, closed
+forms of L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of its gradient and
+Hessian as means over the segment of (a1, a2), and an exact sampler.  All
 holding times are positive and light-tailed: phi is finite on a right
 neighborhood of 0 and its domain has a finite boundary.
+
+Every other one-dimensional dual sup_t [t c - K(t)] of the package is one
+:func:`dual_newton`, a damped Newton ascent on the curvature K'' that each
+caller has in closed form.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ class HoldingTimeModel:
     cgf_d1: Callable[[float], float]
     cgf_d2: Callable[[float], float]
     cgf_d3: Callable[[float], float]  # read by no code of the package; benchmark tracers replace it
+    conjugate: Callable[[float], tuple]  # z -> (tilt, phi*(z)) at z > 0
     _means: Callable[[float, float, float], tuple] = field(repr=False)
-    _curvatures: Optional[Callable[[float, float, float], tuple]] = field(repr=False)
+    _curvatures: Callable[[float, float, float], tuple] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
 
@@ -115,11 +120,10 @@ class HoldingTimeModel:
         return self._means(a1, a1 + a2, a2)
 
     def curvatures(self, a1: float, a2: float) -> tuple[float, float, float]:
-        """The Hessian of L at a2 < 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2."""
+        """The Hessian of L at a2 <= 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2; r1 = inf on a face."""
         # H11, H12 and H22 are the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over the segment of
         # means(); far out they fall like 1/|a|^2 out of the doubles and their ratios span 1e300, where
-        # the roots and the correlation stay in range.  The inverse-Gaussian row has none: its joint rate
-        # is in closed form
+        # the roots and the correlation (0 on a closed face) stay in range
         return self._curvatures(a1 + a2, a1, -a2)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -136,7 +140,7 @@ class HoldingTimeModel:
 # domain of phi: the means of phi (that is L), of phi' (that is d1L) and of
 # (1 - y) phi'(lo + width y) over y in (0, 1), and those of phi'' times 1, (1 - y)
 # and (1 - y)^2 (the curvatures, as the square roots of the first and last and
-# their correlation), and beside them the inverse-Gaussian joint rate.  They are written so that nothing
+# their correlation), and beside them phi* and the inverse-Gaussian joint rate.  They are written so that nothing
 # is divided by the width after a subtraction (finite differences of L at step
 # 1e-5 must see roundoff only at the last bit), and near the boundary they use
 # the distance of hi from it, which is what the domain check has seen.
@@ -202,6 +206,35 @@ def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tu
     return limit, d1, d1 * (s0 + 2.0 * s1) / (3.0 * (s0 + s1))
 
 
+def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) -> tuple:
+    # phi'' = 1/s^3: the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)),
+    # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1));
+    # the first is infinite on the closed face
+    s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
+    s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
+    t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
+    return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
+            math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
+
+
+def _inverse_gaussian_conjugate(mu: float, z: float) -> tuple:
+    # phi'(a) = 1/sqrt(mu^2 - 2a) = z at a = (mu^2 - 1/z^2)/2, where phi*(z) = (mu z - 1)^2/(2 z); the
+    # square of mu z - 1 is not formed, so the value overflows only where it is not a double
+    u = mu * z - 1.0
+    return 0.5 * (mu - 1.0 / z) * (mu + 1.0 / z), u * (u / (2.0 * z))
+
+
+def _noncentral_chi_squared_conjugate(lam: float, k: float, z: float) -> tuple:
+    # phi'(a) = lam/u^2 + k/u = z in u = 1 - 2a is z u^2 - k u - lam = 0, whose positive root is v = D/z
+    # with D = k/2 + sqrt(k^2/4 + lam z); there, with w = 1/v, phi*(z) = (k/2)(w - 1 - log w) + (lam/2)(w - 1)^2,
+    # which keeps its relative accuracy next to the mean, as the gamma form does.  w underflows only where
+    # the tilt is not a double
+    d = 0.5 * k + math.hypot(0.5 * k, math.sqrt(lam) * math.sqrt(z))
+    w = z / d
+    log_w = math.log(w) if w > 0.0 else -INF
+    return 0.5 - 0.5 * (d / z), 0.5 * k * (w - 1.0 - log_w) + 0.5 * lam * (w - 1.0) * (w - 1.0)
+
+
 def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
     """(a1, a2, I) at (z1, w), 0 < w < z1/2: the joint rate and its tilt, RootError where that is not a double."""
     # phi is the passage law of Brownian motion with drift mu, and I = phi*(z1) + J(z1, w) with
@@ -211,7 +244,6 @@ def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
     # segment's top and s0 at its foot, gives s0 + s1 = 2/z1 and s1 = (6w/z1 - 2)/z1 = (1 + 6d)/z1 with
     # d = (w - z1/2)/z1, so the tilt ((mu^2 - s1^2)/2, (s1^2 - s0^2)/2) is ((mu^2 - s1^2)/2, 12 d/z1^2) and
     # J = 6 d^2/z1.  No square of mu z1 - 1 or power of z1 is formed, so nothing overflows where I is a double
-    u = mu * z1 - 1.0
     if 3.0 * w <= z1:
         a1, a2, bridge = 0.5 * mu * mu, -2.0 / (9.0 * w) / w, 2.0 / (9.0 * w) - 0.5 / z1
     else:
@@ -220,7 +252,7 @@ def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
         a1, a2, bridge = 0.5 * (mu - s1) * (mu + s1), 12.0 * d / z1 / z1, 6.0 * d * d / z1
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
-    return a1, a2, u * (u / (2.0 * z1)) + bridge
+    return a1, a2, _inverse_gaussian_conjugate(mu, z1)[1] + bridge
 
 
 def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
@@ -250,12 +282,13 @@ class ModelKind:
     cgf_d1: Callable[..., float]
     cgf_d2: Callable[..., float]
     cgf_d3: Callable[..., float]  # read by no code of the package; benchmark tracers replace it
+    conjugate: Callable[..., tuple]  # (*args, z) -> the maximiser a of a z - phi(a) and phi*(z), at z > 0
     means: Callable[..., tuple]  # (*args, lo, hi, width) -> means of phi, phi' and (1 - y) phi'
+    # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as the roots of the first and
+    # last and their correlation: the Hessian of L
+    curvatures: Callable[..., tuple]
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
-    # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as the roots of the first and
-    # last and their correlation: the Hessian of the Newton ascent, which a closed-form rate needs not
-    curvatures: Optional[Callable[..., tuple]] = None
 
 
 _GAMMA_FUNCTIONS = dict(
@@ -267,6 +300,8 @@ _GAMMA_FUNCTIONS = dict(
     # the quotient falls to 0
     cgf_d2=lambda shape, rate, a: shape / ((d := rate - a) * d),
     cgf_d3=lambda shape, rate, a: 2.0 * shape / ((d := rate - a) * d * d),
+    # phi'(a) = z at a = rate - shape/z; in this order shape 1 gives lam z - 1 - log(lam z) bit for bit
+    conjugate=lambda shape, rate, z: (rate - shape / z, rate * z - shape - shape * math.log(rate * z / shape)),
     means=_gamma_means,
     curvatures=lambda shape, rate, lo, hi, width: _power_curvatures(shape, 0.0, rate, lo, hi, width),
 )
@@ -290,7 +325,9 @@ MODEL_TABLE = {
         cgf_d1=lambda mu, a: (mu**2 - 2.0 * a) ** -0.5,
         cgf_d2=lambda mu, a: (mu**2 - 2.0 * a) ** -1.5,
         cgf_d3=lambda mu, a: 3.0 * (mu**2 - 2.0 * a) ** -2.5,
+        conjugate=_inverse_gaussian_conjugate,
         means=_inverse_gaussian_means,
+        curvatures=_inverse_gaussian_curvatures,
         sampler=lambda mu, rng, size: rng.wald(mean=1.0 / mu, scale=1.0, size=size),
         sampler_spec="Michael-Schucany-Haas transform (numpy wald)",
     ),
@@ -304,6 +341,7 @@ MODEL_TABLE = {
         cgf_d1=lambda lam, k, a: lam / ((u := 1.0 - 2.0 * a) * u) + k / u,
         cgf_d2=lambda lam, k, a: 4.0 * lam / ((u := 1.0 - 2.0 * a) * u * u) + 2.0 * k / (u * u),
         cgf_d3=lambda lam, k, a: 24.0 * lam / ((u := 1.0 - 2.0 * a) * u * u * u) + 8.0 * k / (u * u * u),
+        conjugate=_noncentral_chi_squared_conjugate,
         means=_noncentral_chi_squared_means,
         curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5 * lam, 0.5, lo, hi, width),
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
@@ -352,8 +390,9 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         cgf_d1=partial(row.cgf_d1, *args),
         cgf_d2=partial(row.cgf_d2, *args),
         cgf_d3=partial(row.cgf_d3, *args),
+        conjugate=partial(row.conjugate, *args),
         _means=partial(row.means, *args),
-        _curvatures=partial(row.curvatures, *args) if row.curvatures else None,
+        _curvatures=partial(row.curvatures, *args),
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
     )
@@ -390,99 +429,48 @@ class RateEvaluation:
     on_boundary: bool = False
 
 
-_RTOL = 4 * sys.float_info.epsilon  # brentq's least relative tolerance
+_RTOL = 4 * sys.float_info.epsilon  # the roundoff of a sum of a few doubles, relative to its terms
+# far from the optimum a Newton step about doubles |t|, so a tilt of 1e300 takes some 1000 steps
+MAX_NEWTON_STEPS = 2100
 
 
 class RootError(ArithmeticError):
-    """A bracketed root search failed: no sign change, a NaN, or maxiter steps spent."""
+    """A solve failed: the optimal tilt is not a double, or MAX_NEWTON_STEPS steps were spent."""
 
 
-def brent(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
-          xtol: float, maxiter: int = 100) -> tuple[float, int]:
-    """Root of f in the bracket [xa, xb], given fa = f(xa) and fb = f(xb), with the iterations spent.
+def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: float,
+                top: float) -> tuple[float, float, int]:
+    """(t, g, steps): the maximiser t of the concave g(t) = t c - K(t) over t <= top, with g there.
 
-    Brent (1973), the zeroin variant that SciPy's brentq runs
-    (scipy/optimize/Zeros/brentq.c) at its default rtol, step for step: it
-    stops when half the bracket is below (xtol + 4 eps |x|)/2 or f(x) == 0.
-    Where C divides by zero and its inf or NaN fails the step test, this
-    bisects.
+    terms(t) gives (K, K', sqrt K'') at t, or None off the domain of K; the root keeps K'' in the
+    doubles where it falls like 1/t^2.  Where top is finite and K'(top) <= c, t is top, a face of
+    the domain.  Otherwise damped Newton steps (c - K')/K'' run from start (Numerical Recipes 9.4;
+    Boyd and Vandenberghe 2004, 9.5), each halved until it lands in the domain with g no lower up
+    to its roundoff 4 eps (|t c| + |K|), or, for the whole step, with a decrement (c - K')^2/K''
+    four times smaller: K can carry more error than that roundoff where it cancels (the
+    inverse-Gaussian L near 0), and K' still tells the way.  The ascent stops one step after the
+    decrement falls below that roundoff.  RootError where g or a step leaves the doubles, or after
+    MAX_NEWTON_STEPS steps: the maximiser is not a double.
     """
-    xpre, xcur, fpre, fcur = xa, xb, float(fa), float(fb)
-    if fpre == 0.0:
-        return xpre, 0
-    if fcur == 0.0:
-        return xcur, 0
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise RootError(f"f is NaN at a bracket end: f({xa!r}) = {fpre}, f({xb!r}) = {fcur}")
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise RootError(f"f({xa!r}) = {fpre} and f({xb!r}) = {fcur} have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for iterations in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur holds the smaller residual
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iterations
-        stry = INF  # bisect unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise RootError(f"f({xcur!r}) is NaN")
-    raise RootError(f"no root to tolerance in {maxiter} iterations; last iterate {xcur!r}")
-
-
-def increasing_root(f: Callable[[float], float], top: float, scale: Optional[float] = None,
-                    start: Optional[float] = None) -> tuple[float, int]:
-    """Root of an increasing function f on (-inf, top], with the iterations spent.
-
-    Every transform in the package maximises a concave objective whose
-    derivative is -f; when f(top) <= 0 the maximiser is top, a face of the
-    domain.  The bracket grows from a first point by steps that double: from
-    top, with a first step of ``scale`` (|top| by default, 1 when top is 0),
-    or from a ``start`` below top, such as a nearby root, with a first step
-    of scale/10.  Where f > 0 at the first point it steps down until f < 0
-    (OverflowError if it leaves the doubles first); where f <= 0 it steps up,
-    capped at top, and returns top if f(top) <= 0.  :func:`brent` finds the
-    root from the two bracket values already computed.  It stops when the
-    bracket is narrower than 4 eps (|root| + scale): relative to the root,
-    and to the scale of the search for a root at or next to 0.
-    """
-    if scale is None:
-        scale = abs(top) or 1.0
-    x, step = (top, scale) if start is None else (min(start, top), 0.1 * scale)
-    f_x, doublings, lo = float(f(x)), 0, None
-    while f_x <= 0.0:
-        if x == top:
-            return top, doublings
-        lo, f_lo, x = x, f_x, min(x + step, top)
-        f_x, step, doublings = float(f(x)), 2.0 * step, doublings + 1
-    hi, f_hi = x, f_x
-    if lo is None:
-        while (f_lo := float(f(x - step))) > 0.0:
-            hi, f_hi, step, doublings = x - step, f_lo, 2.0 * step, doublings + 1
-            if math.isinf(x - step):
-                raise OverflowError(f"no finite bracket below {x} for an increasing root")
-        lo = x - step
-    root, iterations = brent(f, lo, hi, f_lo, f_hi, xtol=_RTOL * scale)
-    return root, doublings + iterations
+    if top < INF and (face := terms(top)) is not None and face[1] <= c:
+        return top, top * c - face[0], 0
+    t, current, settled = start, terms(start), False
+    for steps in range(MAX_NEWTON_STEPS + 1):
+        if current is None or not -INF < (g := t * c - current[0]) < INF:
+            raise RootError(f"g leaves the doubles at t = {t} for c = {c}")
+        value, slope, root = current
+        if settled or slope == c:
+            return t, g, steps
+        u = (c - slope) / root
+        roundoff, step = _RTOL * (abs(t * c) + abs(value)), u / root
+        if step != step or abs(step) == INF or t + step == -INF:
+            raise RootError(f"the Newton step {step} from t = {t} for c = {c} leaves the doubles")
+        settled, h = u * u <= roundoff, 1.0
+        while not ((trial := t + h * step) <= top and (new := terms(trial)) is not None
+                   and (trial * c - new[0] + roundoff >= g or h == 1.0 and ((c - new[1]) / new[2]) ** 2 < 0.25 * u * u)):
+            h *= 0.5
+        t, current = trial, new
+    raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for c = {c}")
 
 
 def reject_nan(*levels: float) -> None:
@@ -493,24 +481,22 @@ def reject_nan(*levels: float) -> None:
 
 
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
-    """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}.
+    """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}, in closed form for every kind.
 
     Infinite for z1 <= 0 (holding times are positive) and at z1 = inf; zero
     exactly at the mean z1 = phi'(0).  The maximiser is the root of
-    phi'(a) = z1 below the boundary, with the exponential closed form
-    short-circuited.  ValueError for a NaN z1.
+    phi'(a) = z1, from the model's conjugate and capped at the last double
+    below the boundary, where phi' is infinite.  RootError where it is not a
+    double; ValueError for a NaN z1.
     """
     reject_nan(z1)
     if z1 <= 0.0 or z1 == INF:
         return RateEvaluation(INF, method="closed_form")
-    if model.kind == "exponential":
-        lam = model.domain.boundary
-        value = lam * z1 - 1.0 - math.log(lam * z1)
-        return RateEvaluation(max(value, 0.0), argmax_tilt=(lam - 1.0 / z1,), method="closed_form")
-    top = model.domain.search_top(finite_at_face=False)
-    root, iterations = increasing_root(lambda a: model.cgf_d1(a) - z1, top)
-    return RateEvaluation(max(root * z1 - model.cgf(root), 0.0), argmax_tilt=(root,),
-                          iterations=iterations, method="monotone_root")
+    tilt, value = model.conjugate(z1)
+    if not -INF < tilt < INF:
+        raise RootError(f"the optimal tilt {tilt} for z1 = {z1} is not a double")
+    return RateEvaluation(max(value, 0.0), argmax_tilt=(min(tilt, model.domain.search_top(finite_at_face=False)),),
+                          method="closed_form")
 
 
 BUILTIN_MODELS = {kind: dict(zip(row.params, row.example)) for kind, row in MODEL_TABLE.items()}

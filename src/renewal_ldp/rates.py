@@ -3,10 +3,10 @@
 The bivariate rate is the Legendre-Fenchel transform I = L* of the limit
 function, and the marginal rates follow from it by contraction.  The joint rate
 is in closed form for inverse-Gaussian holding times and otherwise one projected
-Newton ascent on the dual; every other transform is one :func:`models.increasing_root`,
-the root of an increasing function on (-inf, top] or top itself, a face of the
-domain.  The specialized path for exponential holding times, where the optimal
-area tilt is the nonzero root of an explicit scalar equation, is kept
+Newton ascent on the dual; the first marginal is phi*, in closed form for every
+kind, and every line rate is one :func:`models.dual_newton` on the Hessian of L
+along the line.  The specialized path for exponential holding times, where the
+optimal area tilt is the nonzero root of an explicit scalar equation, is kept
 independent of both as a reference.
 """
 
@@ -15,15 +15,13 @@ from __future__ import annotations
 import math
 import sys
 
-from .lambda_surface import _second_order, lambda_eval, lambda_grad
-from .models import _RTOL, INF, HoldingTimeModel, RateEvaluation, RootError, brent, increasing_root
+from .lambda_surface import _second_order
+from .models import _RTOL, INF, MAX_NEWTON_STEPS, HoldingTimeModel, RateEvaluation, RootError, dual_newton
 from .models import _inverse_gaussian_rate, phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
 POISSON_S_FLOOR = 2.0**-30
-# far from the optimum a Newton step about doubles |a|, so a tilt of 1e300 takes some 1000 steps
-MAX_NEWTON_STEPS = 2100
 # J = I - I1 down to -this * I is roundoff: near the midline the true J lies far below an ulp of I, and
 # -J/(eps I) reached 67.1 in a sweep of six models over z1 from 1e-4 to 1e300 times the mean
 J_ROUNDOFF = 68 * sys.float_info.epsilon
@@ -71,8 +69,8 @@ def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple,
     top = model.domain.search_top(finite_at_face=False)
 
     def state(a1, a2):
-        # None off the interior
-        if (terms := _second_order(model, a1, a2)) is None:
+        # None off the interior and on a2 = 0
+        if (terms := _second_order(model, a1, a2)) is None or terms[0] == 0.0:
             return None
         a2, value, (d1, d2), hessian = terms
         if not (-INF < value < INF and (g := a1 * z1 + a2 * w - value) == g):
@@ -146,7 +144,8 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
     below the spacing of doubles at lam, so the root is solved for
     s = -log(eps), and the value lam*z1 - 1 - L takes L from the x log x form
     over the two boundary distances eps/z1 and (1 + b(z1 - w))/z1.  On the
-    midline b = 0 and the value is phi*(z1).
+    midline b = 0 and the value is phi*(z1).  The root is bisected in s down
+    to adjacent doubles, keeping the end where the residual is not negative.
     """
     if not (0.0 < z2 < z1):
         raise ValueError("rate_ld_poisson requires 0 < z2 < z1")
@@ -166,8 +165,10 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
         while (f_lo := resid(lo)) < 0.0 and lo > POISSON_S_FLOOR:
             lo, iterations = 0.5 * lo, iterations + 1
         if f_lo >= 0.0:
-            s, steps = brent(resid, lo, hi, f_lo, f_hi, xtol=1e-300)
-            iterations += steps
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if resid(mid) >= 0.0 else (lo, mid)
+                iterations += 1
+            s = lo
     b = -math.expm1(-s) / w
     log_far = math.log1p(b * (z1 - w))   # log of z1 times the far distance
     log_rho = -s - log_far               # log of the near/far distance ratio
@@ -200,12 +201,15 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     """Least joint rate on the line {n.z = c}: sup_t {t c - L(t n)}, the same for (-n, -c).
 
     By contraction and Fenchel duality, also the least I on {n.z >= c} if that
-    misses p = (mean, mean/2).  The maximiser is the root of the increasing
-    n.gradL(t n) - c, or the top of D(L) along n, where t max(n1, n1 + n2) is
-    the bound; the line is signed so that top is finite, with n.p <= c (a root
-    t >= 0, searched for up from 0) where t n is bounded below too.  INF if
-    n.z > c on the open cone, phi*(c/n1) if t n spans no double at the top
-    (vertical), 0 or INF if n = 0.  ValueError for a NaN n or c.
+    misses p = (mean, mean/2).  One :func:`models.dual_newton` from the
+    moderate-deviation tilt (c - n.p)/(n^T C n), capped at half the top of
+    D(L) along n, where t max(n1, n1 + n2) is the bound; the line is signed so
+    that top is finite, with n.p <= c where t n is bounded below too.  The
+    curvature n^T H n comes from the table's Hessian at a2 <= 0, so a point
+    with t n2 > 0 is folded by the reflection L(a1, a2) = L(a1 + a2, -a2) onto
+    the normal (n1 + n2, -n2).  INF if n.z > c on the open cone, phi*(c/n1)
+    if t n spans no double at the top (vertical), 0 or INF if n = 0.
+    ValueError for a NaN n or c.
     """
     reject_nan(*normal, offset)
     n1, n2 = normal
@@ -217,24 +221,28 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
         return RateEvaluation(INF, method="closed_form")
     bound = model.domain.search_top(finite_at_face=True)
     # t n1 + t n2 is evaluated with an error up to 2**-53 t (|n1| + |n2|); this top leaves room for it, so
-    # every t below passes lambda_grad's test even where n1 + n2 is a rounding residue (a top near 1e16)
+    # every t below passes the domain test of _second_order even where n1 + n2 is a rounding residue (a top
+    # near 1e16)
     top = bound / max(n1, n1 + n2 + 2.0**-53 * (abs(n1) + abs(n2)))
-    while max(top * n1, top * n1 + top * n2) > bound:  # lambda_grad's own test of t n
+    while max(top * n1, top * n1 + top * n2) > bound:  # the domain test of t n
         top = math.nextafter(top, -INF)
     if top * n1 + top * n2 == top * n1:
         return phi_star(model, offset / n1)
+    folded = (n1 + n2, -n2)
 
-    def slope(t):
-        d1, d2 = lambda_grad(model, t * n1, t * n2)
-        return n1 * d1 + n2 * d2 - offset
+    def terms(t):
+        m1, m2 = folded if t * n2 > 0.0 else (n1, n2)
+        if (second := _second_order(model, t * m1, t * m2)) is None:
+            return None
+        _, value, (d1, d2), (r1, r2, rho) = second
+        # n^T H n = (m1 r1 + rho m2 r2)^2 + (1 - rho^2)(m2 r2)^2, inf on a closed face
+        return value, m1 * d1 + m2 * d2, math.hypot(m1 * r1 + rho * m2 * r2, math.sqrt(1.0 - rho * rho) * m2 * r2)
 
-    # the root's scale is the t at which the larger end of the segment t (n1, n1 + n2) has the bound's size
-    # (top can be 1e16 times that); where t n is bounded below too, n.p <= c puts the root at t >= 0
-    t, iterations = increasing_root(slope, top, scale=min(top, bound / max(abs(n1), abs(n1 + n2))),
-                                    start=0.0 if min(n1, n1 + n2) < 0.0 else None)
+    curvature = model.cgf_d2(0.0) * ((n1 + 0.5 * n2) ** 2 + n2 * n2 / 12.0)  # n^T C n
+    start = min((offset - (n1 + 0.5 * n2) * model.mean) / curvature, 0.5 * top)
+    t, value, iterations = dual_newton(terms, offset, start, top)
     a1, a2 = t * n1 + 0.0, t * n2  # + 0.0: the line z2 = c has the tilt (0, t), not (-0, t)
-    return RateEvaluation(max(t * offset - lambda_eval(model, a1, a2), 0.0), argmax_tilt=(a1, a2),
-                          iterations=iterations, method="monotone_root")
+    return RateEvaluation(max(value, 0.0), argmax_tilt=(a1, a2), iterations=iterations, method="newton")
 
 
 def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:

@@ -409,20 +409,21 @@ class TestCurvatures:
     @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
     def test_meets_the_origin_hessian_as_a2_vanishes(self, model):
         # at a2 = 0 the Hessian of L is phi''(a1) [[1, 1/2], [1/2, 1/3]], hessian_origin's C at a1 = 0,
-        # and it is continuous there from below; at a2 >= 0, outside the ascent, there is none
+        # and it is continuous there from below; at a2 > 0, outside the folded half-plane, there is none
         b = model.domain.boundary
         C = hessian_origin(model).C
         for a1 in (-2.0 * b, -0.3 * b, 0.0, 0.4 * b):
             exact = model.cgf_d2(a1) * np.array([1.0, 0.5, 1.0 / 3.0])
             if a1 == 0.0:
                 assert exact == pytest.approx((C[0, 0], C[0, 1], C[1, 1]), rel=1e-15)
-            assert _second_order(model, a1, 0.0) is None and _second_order(model, a1, 1e-9 * b) is None
+            assert _second_order(model, a1, 1e-9 * b) is None
+            assert unfactored(_second_order(model, a1, 0.0)[3]) == pytest.approx(exact, rel=1e-14)
             for a2 in (-1e-9 * b, -1e-12 * b):
                 assert unfactored(_second_order(model, a1, a2)[3]) == pytest.approx(exact, rel=1e-8)
 
     def test_off_the_interior_none(self):
-        # the one domain check: None where lambda_grad raises ValueError, and at a2 >= 0
-        for a1, a2 in [(1.0, -0.3), (0.7, 0.3), (0.2, 0.3), (0.5, 0.0)]:
+        # the one domain check: None where lambda_grad raises ValueError, and at a2 > 0
+        for a1, a2 in [(1.0, -0.3), (0.7, 0.3), (0.2, 0.3), (1.0, 0.0)]:
             assert _second_order(EXP1, a1, a2) is None
         a2, value, gradient, hessian = _second_order(EXP1, 0.5, -0.3)
         assert (value, gradient) == (lambda_eval(EXP1, 0.5, -0.3), lambda_grad(EXP1, 0.5, -0.3))

@@ -86,7 +86,7 @@ class TestExtremeLevels:
             raise AssertionError("a solver ran on a NaN level")
 
         for module in ("models", "rates"):
-            monkeypatch.setattr(f"renewal_ldp.{module}.increasing_root", no_solve)
+            monkeypatch.setattr(f"renewal_ldp.{module}.dual_newton", no_solve)
         with pytest.raises(ValueError, match="NaN"):
             self.ENTRIES[entry](model, math.nan)
 
@@ -97,7 +97,7 @@ class TestExtremeLevels:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran on a NaN normal")
 
-        monkeypatch.setattr("renewal_ldp.rates.increasing_root", no_solve)
+        monkeypatch.setattr("renewal_ldp.rates.dual_newton", no_solve)
         with pytest.raises(ValueError, match="NaN"):
             line_rate(model, normal, 0.3 * model.mean)
 
@@ -717,38 +717,41 @@ class TestMarginals:
 class TestLineRate:
     """line_rate: the least joint rate on a line, sup_t {t c - L(t n)}; marginal_I2 is its z2 line."""
 
-    # (kind, z2 in multiples of the mean, value, tilt t of (0, t), iterations) of marginal_I2,
+    # (kind, z2 in multiples of the mean, value, tilt t of (0, t), Newton steps) of marginal_I2,
     # with d2L from the table's segment means, on both sides of the zero t = 0 at z2 = mean/2;
-    # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2
+    # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2.  Next to the mean
+    # (0.45 and 0.55) g is about 0.003, and the closed forms of L and d2L carry roundoff of some
+    # 1e-16 there: g moves by up to 5e-14 of itself between tilts a few ulps apart, so those rows
+    # pin the solver's roundoff, and test_marginal_I2_frozen_against_40_digits holds them to the truth
     FROZEN_I2 = [
-        ("exponential", 0.05, 1.2106692581796352, -16.535689406843098, 13),
-        ("exponential", 0.3, 0.08650424714787508, -1.061757737119452, 8),
-        ("exponential", 0.45, 0.004055386599858574, -0.16884938949242206, 11),
-        ("exponential", 0.55, 0.003489220980229288, 0.13473174103486218, 10),
-        ("exponential", 1.0, 0.21621659550187322, 0.6838026237520206, 11),
-        ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 11),
-        ("exponential", 3.0, 2.019869140883343, 0.978779993029125, 14),
-        ("inverse_gaussian", 0.05, 3.5160623391752868, -87.51773828152298, 16),
-        ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 9),
-        ("inverse_gaussian", 0.45, 0.004220272300838698, -0.17929303585267617, 8),
-        ("inverse_gaussian", 0.55, 0.003367632713317123, 0.12777545930809997, 9),
-        ("inverse_gaussian", 1.0, 0.16891768638357046, 0.47683362468102014, 11),
+        ("exponential", 0.05, 1.2106692581796352, -16.535689406843098, 8),
+        ("exponential", 0.3, 0.08650424714787508, -1.061757737119452, 5),
+        ("exponential", 0.45, 0.004055386599858657, -0.1688493894924209, 4),
+        ("exponential", 0.55, 0.0034892209802294405, 0.13473174103486407, 4),
+        ("exponential", 1.0, 0.21621659550187322, 0.6838026237520206, 6),
+        ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 6),
+        ("exponential", 3.0, 2.019869140883343, 0.978779993029125, 7),
+        ("inverse_gaussian", 0.05, 3.5160623391752868, -87.51773828152298, 9),
+        ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 5),
+        ("inverse_gaussian", 0.45, 0.004220272300838809, -0.17929303585267642, 4),
+        ("inverse_gaussian", 0.55, 0.003367632713317123, 0.12777545930809997, 4),
+        ("inverse_gaussian", 1.0, 0.16891768638357046, 0.47683362468102014, 7),
         ("inverse_gaussian", 1.5, 0.41666666666666663, 0.5, 0),
         ("inverse_gaussian", 3.0, 1.1666666666666665, 0.5, 0),
-        ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 12),
-        ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333337, 9),
-        ("noncentral_chi_squared", 0.45, 0.0026802578289130963, -0.05555555555555545, 9),
-        ("noncentral_chi_squared", 0.55, 0.00234491009783757, 0.04545454545454546, 10),
-        ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 4),
-        ("noncentral_chi_squared", 1.5, 0.4506938556659451, 0.3333333333333335, 11),
-        ("noncentral_chi_squared", 3.0, 1.6041202653859725, 0.41666666666666674, 12),
-        ("gamma", 0.05, 2.4213385163592704, -33.071378813686195, 13),
-        ("gamma", 0.3, 0.17300849429575016, -2.123515474238904, 8),
-        ("gamma", 0.45, 0.008110773199717147, -0.33769877898484413, 11),
-        ("gamma", 0.55, 0.006978441960458576, 0.26946348206972437, 10),
-        ("gamma", 1.0, 0.43243319100374644, 1.3676052475040412, 11),
-        ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 11),
-        ("gamma", 3.0, 4.039738281766686, 1.95755998605825, 14),
+        ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 8),
+        ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333337, 5),
+        ("noncentral_chi_squared", 0.45, 0.002680257828913152, -0.055555555555555365, 3),
+        ("noncentral_chi_squared", 0.55, 0.00234491009783757, 0.04545454545454546, 3),
+        ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 0),
+        ("noncentral_chi_squared", 1.5, 0.4506938556659451, 0.3333333333333335, 6),
+        ("noncentral_chi_squared", 3.0, 1.6041202653859725, 0.41666666666666674, 7),
+        ("gamma", 0.05, 2.4213385163592704, -33.071378813686195, 8),
+        ("gamma", 0.3, 0.17300849429575016, -2.123515474238904, 5),
+        ("gamma", 0.45, 0.008110773199717397, -0.3376987789848426, 4),
+        ("gamma", 0.55, 0.00697844196045902, 0.2694634820697256, 4),
+        ("gamma", 1.0, 0.43243319100374644, 1.3676052475040412, 6),
+        ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 6),
+        ("gamma", 3.0, 4.039738281766686, 1.95755998605825, 7),
     ]
 
     @pytest.mark.parametrize("kind, level, value, t, iterations", FROZEN_I2)
@@ -759,6 +762,25 @@ class TestLineRate:
         assert res.argmax_tilt[1] == pytest.approx(t, rel=1e-14, abs=0.0)
         assert math.copysign(1.0, res.argmax_tilt[0]) == 1.0 and res.argmax_tilt[0] == 0.0
         assert res.iterations == iterations
+
+    @pytest.mark.parametrize("kind, level, value, t, iterations", [row for row in FROZEN_I2 if row[4]])
+    def test_marginal_I2_frozen_against_40_digits(self, kind, level, value, t, iterations):
+        # the root of K'(t) = z2 with K(t) = L(0, t) = int_0^1 phi(t y) dy, by mpmath quadrature of the
+        # CGF; next to the mean the value is held to the roundoff of L's closed forms (see FROZEN_I2)
+        model = MODELS[[m.kind for m in MODELS].index(kind)]
+        phi, dphi = {"exponential": (lambda a: -mpmath.log1p(-a), lambda a: 1 / (1 - a)),
+                     "gamma": (lambda a: -2 * mpmath.log1p(-a / 2), lambda a: 2 / (2 - a)),
+                     "inverse_gaussian": (lambda a: 1 - mpmath.sqrt(1 - 2 * a), lambda a: 1 / mpmath.sqrt(1 - 2 * a)),
+                     "noncentral_chi_squared": (lambda a: a / (1 - 2 * a) - mpmath.log(1 - 2 * a) / 2,
+                                                lambda a: 1 / (1 - 2 * a) ** 2 + 1 / (1 - 2 * a))}[kind]
+        res = marginal_I2(model, level * model.mean)
+        with mpmath.workdps(40):
+            z2 = mpmath.mpf(level * model.mean)
+            slope = lambda s: mpmath.quad(lambda y: y * dphi(s * y), [0, 1])
+            root = mpmath.re(mpmath.findroot(lambda s: slope(s) - z2, mpmath.mpf(t)))  # real, though a step may
+            exact = root * z2 - mpmath.quad(lambda y: phi(root * y), [0, 1])  # pass the inverse-Gaussian face
+        assert res.value == pytest.approx(float(exact), rel=1e-13 if 0.4 < level < 0.6 else 1e-14, abs=0.0)
+        assert res.argmax_tilt[1] == pytest.approx(float(root), rel=3e-14 if 0.4 < level < 0.6 else 2e-15, abs=0.0)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("level", [0.02, 0.3, 0.8, 2.0])
