@@ -146,6 +146,12 @@ class HoldingTimeModel:
 # the distance of hi from it, which is what the domain check has seen.
 
 
+# series in r of D and E, the means of 1/(1 - r y) and (1 - y)/(1 - r y), whose n-th coefficients are
+# 1/(n + 1) and 1/((n + 1)(n + 2)), highest first.  E = h(r)/r loses eps/r to cancellation, so the
+# series runs up to r = 1/10, where the curvatures' series switches too
+_MEAN_SERIES = tuple((1.0 / (n + 1), 1.0 / ((n + 1) * (n + 2))) for n in reversed(range(17)))
+
+
 def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) -> tuple:
     """The means for phi(a) = -shape log(1 - a/rate), from r = width/(rate - lo).
 
@@ -153,13 +159,15 @@ def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) 
     r) log(1 - r)/r is the mean of -log(1 - r*y) over y in (0, 1), and h(1) =
     1 at the integrable open boundary.  D = -log(1 - r)/r and E = h(r)/r are
     the means of 1/(1 - r*y) and (1 - y)/(1 - r*y), so those of phi' are shape
-    D and shape E over rate - lo.  Below r = 1e-4 all three are short series.
+    D and shape E over rate - lo.  Below r = 1/10 all three are one series.
     """
     d0 = rate - lo
     r = width / d0
-    if r < 1e-4:
-        E = 0.5 + r * (1.0 / 6.0 + r * (1.0 / 12.0 + r / 20.0))
-        D, h = 1.0 + r * (0.5 + r * (1.0 / 3.0 + r / 4.0)), r * E
+    if r < 0.1:
+        D = E = 0.0
+        for b1, b2 in _MEAN_SERIES:
+            D, E = b1 + r * D, b2 + r * E
+        h = r * E
     else:
         s = 1.0 - r if r < 0.5 else (rate - hi) / d0  # from r = 1/2 on, hi's distance to the boundary
         log_s = math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from renewal_ldp import (
@@ -268,6 +268,7 @@ class TestGradient:
                 assert 0.0 < d2 < d1
 
     @given(model=st.sampled_from(builtin_models()), a1=st.floats(-4.0, 0.9), a2=st.floats(-4.0, 4.0))
+    @example(model=builtin_models()[0], a1=0.5, a2=2.0**-14)  # r = 1.2e-4: E = h(r)/r lost eps/r there
     @settings(max_examples=100, deadline=None)
     def test_against_quadrature_of_phi_prime(self, model, a1, a2):
         # independent of the table's means: d1L and d2L are the integrals of phi'(a1 + a2 y)

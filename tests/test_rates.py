@@ -740,8 +740,8 @@ class TestLineRate:
         ("inverse_gaussian", 3.0, 1.1666666666666665, 0.5, 0),
         ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 8),
         ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333337, 5),
-        ("noncentral_chi_squared", 0.45, 0.002680257828913152, -0.055555555555555365, 3),
-        ("noncentral_chi_squared", 0.55, 0.00234491009783757, 0.04545454545454546, 3),
+        ("noncentral_chi_squared", 0.45, 0.002680257828913117, -0.055555555555555504, 3),
+        ("noncentral_chi_squared", 0.55, 0.0023449100978375284, 0.045454545454545664, 3),
         ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 0),
         ("noncentral_chi_squared", 1.5, 0.4506938556659451, 0.3333333333333335, 6),
         ("noncentral_chi_squared", 3.0, 1.6041202653859725, 0.41666666666666674, 7),
