@@ -11,7 +11,7 @@ and the variational cross-check against the joint-minus-marginal rate.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
 from typing import TYPE_CHECKING
 
 from .models import INF, RateEvaluation, dual_newton, model_of, reject_nan
@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
 # kappa''(t; 1) = sum_n B_2n (2n - 1) t^(2n - 2)/(2n)!, highest first, below |t| = 1/2: the closed form
 # 1/t^2 - 1/(4 sinh^2(t/2)) loses 4 eps/t^2 of its 1/12, and 7 terms leave less than 1e-15
-KAPPA_D2_SERIES_BELOW = 0.5
 _KAPPA_D2_SERIES = tuple(b * (2 * n - 1) / math.factorial(2 * n) for n, b in
                          reversed(list(enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), 1))))
 
@@ -55,11 +54,8 @@ def kappa_d1(beta: float, z1: float) -> float:
 
 def _kappa_d2_root(t: float) -> float:
     """The square root of kappa''(t; 1) = 1/t^2 - 1/(4 sinh^2(t/2)), which falls from 1/12 at 0 like 1/t^2."""
-    if abs(t) < KAPPA_D2_SERIES_BELOW:
-        series = 0.0
-        for coefficient in _KAPPA_D2_SERIES:
-            series = coefficient + t * t * series
-        return math.sqrt(series)
+    if abs(t) < 0.5:
+        return math.sqrt(reduce(lambda series, coefficient: coefficient + t * t * series, _KAPPA_D2_SERIES, 0.0))
     q = abs(t) * math.exp(-0.5 * abs(t)) / -math.expm1(-abs(t))  # (t/2)/sinh(t/2), without overflow
     return math.sqrt((1.0 - q) * (1.0 + q)) / abs(t)
 

@@ -218,8 +218,7 @@ def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) 
     # phi'' = 1/s^3: the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)),
     # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1));
     # the first is infinite on the closed face
-    s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
-    s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
+    s0, s1 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0)), math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
     t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
     return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
             math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
@@ -237,8 +236,7 @@ def _noncentral_chi_squared_conjugate(lam: float, k: float, z: float) -> tuple:
     # with D = k/2 + sqrt(k^2/4 + lam z); there, with w = 1/v, phi*(z) = (k/2)(w - 1 - log w) + (lam/2)(w - 1)^2,
     # which keeps its relative accuracy next to the mean, as the gamma form does.  w underflows only where
     # the tilt is not a double
-    d = 0.5 * k + math.hypot(0.5 * k, math.sqrt(lam) * math.sqrt(z))
-    w = z / d
+    w = z / (d := 0.5 * k + math.hypot(0.5 * k, math.sqrt(lam) * math.sqrt(z)))
     log_w = math.log(w) if w > 0.0 else -INF
     return 0.5 - 0.5 * (d / z), 0.5 * k * (w - 1.0 - log_w) + 0.5 * lam * (w - 1.0) * (w - 1.0)
 
@@ -450,16 +448,15 @@ def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: floa
                 top: float) -> tuple[float, float, int]:
     """(t, g, steps): the maximiser t of the concave g(t) = t c - K(t) over t <= top, with g there.
 
-    terms(t) gives (K, K', sqrt K'') at t, or None off the domain of K; the root keeps K'' in the
-    doubles where it falls like 1/t^2.  Where top is finite and K'(top) <= c, t is top, a face of
-    the domain.  Otherwise damped Newton steps (c - K')/K'' run from start (Numerical Recipes 9.4;
-    Boyd and Vandenberghe 2004, 9.5), each halved until it lands in the domain with g no lower up
-    to its roundoff 4 eps (|t c| + |K|), or, for the whole step, with a decrement (c - K')^2/K''
-    four times smaller: K can carry more error than that roundoff where it cancels (the
-    inverse-Gaussian L near 0), and K' still tells the way.  The ascent stops one step after the
-    decrement falls below that roundoff.  RootError where g or a step leaves the doubles, or after
-    MAX_NEWTON_STEPS steps: the maximiser is not a double.
+    terms(t) gives (K, K', sqrt K'') at t, or None off the domain of K.  top where K'(top) <= c; else
+    damped Newton steps (c - K')/K'' from start (Numerical Recipes 9.4; Boyd and Vandenberghe 2004,
+    9.5), stopped one step after the decrement (c - K')^2/K'' falls below the roundoff of g.
+    RootError where g or a step leaves the doubles, or after MAX_NEWTON_STEPS steps.
     """
+    # the root of K'' stays in the doubles where K'' falls like 1/t^2.  A step is halved until it
+    # lands in the domain with g no lower up to its roundoff 4 eps (|t c| + |K|), or, for the whole
+    # step, with a decrement four times smaller: K can carry more error than that roundoff where it
+    # cancels (the inverse-Gaussian L near 0), and K' still tells the way
     if top < INF and (face := terms(top)) is not None and face[1] <= c:
         return top, top * c - face[0], 0
     t, current, settled = start, terms(start), False
@@ -489,13 +486,11 @@ def reject_nan(*levels: float) -> None:
 
 
 def phi_star(model: HoldingTimeModel, z1: float) -> RateEvaluation:
-    """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}, in closed form for every kind.
+    """One-dimensional Legendre transform sup_a {a*z1 - phi(a)}, from the model's closed form.
 
-    Infinite for z1 <= 0 (holding times are positive) and at z1 = inf; zero
-    exactly at the mean z1 = phi'(0).  The maximiser is the root of
-    phi'(a) = z1, from the model's conjugate and capped at the last double
-    below the boundary, where phi' is infinite.  RootError where it is not a
-    double; ValueError for a NaN z1.
+    Infinite for z1 <= 0 (holding times are positive) and at z1 = inf; zero exactly at the mean.
+    The tilt is capped at the last double below the boundary, where phi' is infinite.  RootError
+    where it is not a double; ValueError for a NaN z1.
     """
     reject_nan(z1)
     if z1 <= 0.0 or z1 == INF:

@@ -200,15 +200,11 @@ def marginal_I2(model: HoldingTimeModel, z2: float) -> RateEvaluation:
 def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     """Least joint rate on the line {n.z = c}: sup_t {t c - L(t n)}, the same for (-n, -c).
 
-    By contraction and Fenchel duality, also the least I on {n.z >= c} if that
-    misses p = (mean, mean/2).  One :func:`models.dual_newton` from the
-    moderate-deviation tilt (c - n.p)/(n^T C n), capped at half the top of
-    D(L) along n, where t max(n1, n1 + n2) is the bound; the line is signed so
-    that top is finite, with n.p <= c where t n is bounded below too.  The
-    curvature n^T H n comes from the table's Hessian at a2 <= 0, so a point
-    with t n2 > 0 is folded by the reflection L(a1, a2) = L(a1 + a2, -a2) onto
-    the normal (n1 + n2, -n2).  INF if n.z > c on the open cone, phi*(c/n1)
-    if t n spans no double at the top (vertical), 0 or INF if n = 0.
+    By contraction and Fenchel duality, also the least I on {n.z >= c} if that misses p = (mean,
+    mean/2).  One :func:`models.dual_newton` from the moderate-deviation tilt (c - n.p)/(n^T C n),
+    capped at half the top of D(L) along n, where t max(n1, n1 + n2) is the bound; the line is
+    signed so that top is finite, with n.p <= c where t n is bounded below too.  INF if n.z > c on
+    the open cone, phi*(c/n1) if t n spans no double at the top (vertical), 0 or INF if n = 0.
     ValueError for a NaN n or c.
     """
     reject_nan(*normal, offset)
@@ -228,10 +224,10 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
         top = math.nextafter(top, -INF)
     if top * n1 + top * n2 == top * n1:
         return phi_star(model, offset / n1)
-    folded = (n1 + n2, -n2)
 
     def terms(t):
-        m1, m2 = folded if t * n2 > 0.0 else (n1, n2)
+        # the table's Hessian is at a2 <= 0: t n2 > 0 folds by the reflection onto the normal (n1 + n2, -n2)
+        m1, m2 = (n1 + n2, -n2) if t * n2 > 0.0 else (n1, n2)
         if (second := _second_order(model, t * m1, t * m2)) is None:
             return None
         _, value, (d1, d2), (r1, r2, rho) = second

@@ -424,24 +424,18 @@ def empirical_clt(model: HoldingTimeModel, x: float, n_samples: int, seed: int, 
 def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upper: bool) -> float:
     """Chernoff bound on log P(A(x)/x^2 >= threshold) (or <= for upper=False).
 
-    K(b) = sum_k phi(b w_k) over the passage weights is the exact log-MGF of
-    A(x), so inf [K(b) - b threshold x^2] over b >= 0 (b <= 0 for the lower
-    face) is a rigorous bound, attained where K'(b) = threshold x^2.  It is
-    one :func:`models.dual_newton` in t = b x from t = 0, with K''(t) =
-    sum u_k^2 phi''(t u_k) over u = w/x: the tilts t u_k are at most t,
-    exactly, so the upper face runs below the domain boundary.
+    K(b) = sum_k phi(b w_k) over the passage weights is the exact log-MGF of A(x), so
+    inf [K(b) - b threshold x^2] over b >= 0 (b <= 0 for the lower face) is a rigorous bound: one
+    :func:`models.dual_newton` in t = b x from 0, with K'' = sum u_k^2 phi''(t u_k), u = w/x.  The
+    tilts t u_k are at most t, exactly, so the upper face runs below the domain boundary.
     """
     u = passage_weights(x) / x
     level = threshold * x  # threshold x^2 per unit of t
     if level <= 0.0:
         return 0.0 if upper else -INF  # A(x) > 0
     top = model.domain.search_top(finite_at_face=False) if upper else 0.0
-
-    def terms(t):
-        return (math.fsum(model.phi(t * v) for v in u), float(u @ model.cgf_d1(t * u)),
-                math.sqrt(float((u * u) @ model.cgf_d2(t * u))))
-
-    t, g, _ = dual_newton(terms, level, 0.0, top)
+    t, g, _ = dual_newton(lambda t: (math.fsum(model.phi(t * v) for v in u), float(u @ model.cgf_d1(t * u)),
+                                     math.sqrt(float((u * u) @ model.cgf_d2(t * u)))), level, 0.0, top)
     return 0.0 if upper and t < 0.0 else -g  # a threshold below the mean: the bound is 0 at b = 0
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from renewal_ldp import (
     rate_ld,
     sample_area_given_tau,
 )
+from renewal_ldp.conditional import kappa_d2
 from renewal_ldp.models import RootError, model_of
 from renewal_ldp.simulate import block_rng
 
@@ -271,6 +273,24 @@ class TestInverseGaussianJ:
                 bridge = 2.0 / (9.0 * w) - 0.5 / z1 if 3.0 * w <= z1 else 6.0 * (w - 0.5 * z1) ** 2 / z1**3
                 roundoff = 8.0 * sys.float_info.epsilon * rate_ld(model, z1, z2).value
                 assert conditional_rate_J(model, z1, z2) == pytest.approx(bridge, rel=0.0, abs=roundoff)
+
+
+class TestKappaD2:
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.1, 0.3, 0.4999, 0.5, 0.5001, 0.7, 2.0, 30.0, 800.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_against_40_digits_on_both_sides_of_the_series(self, t, sign):
+        # 1/t^2 - 1/(4 sinh^2(t/2)), the variance of the uniform law on (0, 1) tilted by t; 1/12 at 0
+        with mpmath.workdps(40):
+            x = mpmath.mpf(sign * t)
+            exact = 1 / x**2 - 1 / (4 * mpmath.sinh(x / 2) ** 2) if t else mpmath.mpf(1) / 12
+        for z1 in (1.0, 3.0, 1e-5):
+            assert kappa_d2(sign * t / z1, z1) == pytest.approx(z1 * z1 * float(exact), rel=1e-13, abs=0.0)
+
+    def test_is_the_slope_of_kappa_d1(self):
+        for beta in (-40.0, -3.0, -0.2, 0.05, 0.6, 7.0):
+            h = 1e-6 * max(1.0, abs(beta))
+            slope = (kappa_d1(beta + h, 2.0) - kappa_d1(beta - h, 2.0)) / (2 * h)
+            assert kappa_d2(beta, 2.0) == pytest.approx(slope, rel=1e-7)
 
 
 class TestKappaStarFarFromTheMidline:

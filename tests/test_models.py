@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import signal
+import sys
 from functools import partial
 
 import mpmath
@@ -20,7 +21,7 @@ from renewal_ldp import (
     parse_model_spec,
     phi_star,
 )
-from renewal_ldp.models import RootError
+from renewal_ldp.models import MAX_NEWTON_STEPS, RootError, dual_newton
 
 
 def finite_diff(f, a, h=1e-6):
@@ -144,6 +145,101 @@ class TestDomainTaxonomy:
         assert not m.domain.contains(2.0 + 1e-15)
         e = make_model("exponential", {"lam": 1.0})
         assert not e.domain.contains(1.0)   # open boundary
+
+
+class TestDualNewton:
+    """models.dual_newton: the maximiser of t c - K(t) over t <= top from (K, K', sqrt K'')."""
+
+    @staticmethod
+    def barrier(t):
+        # K(t) = -log(1 - t) on (-inf, 1), the exponential CGF: the maximiser is 1 - 1/c
+        return (-math.log1p(-t), 1.0 / (1.0 - t), 1.0 / (1.0 - t)) if t < 1.0 else None
+
+    def test_face_when_the_slope_at_top_is_below_c(self):
+        assert dual_newton(lambda t: (0.5 * t * t, t, 1.0), 2.0, -3.0, 1.0) == (1.0, 1.5, 0)
+        assert dual_newton(lambda t: (0.5 * t * t, t, 1.0), 1.0, -3.0, 1.0) == (1.0, 0.5, 0)
+
+    def test_quadratic_in_a_step_and_its_roundoff(self):
+        t, g, steps = dual_newton(lambda t: (0.5 * t * t, t, 1.0), 0.3, -5.0, INF)
+        assert (t, g) == pytest.approx((0.3, 0.045), rel=1e-15) and steps <= 2
+
+    @pytest.mark.parametrize("c", [1e-3, 0.2, 0.99, 1.01, 3.0, 1e3, 1e10])
+    def test_log_barrier(self, c):
+        top = math.nextafter(1.0, -INF)
+        t, g, steps = dual_newton(self.barrier, c, 0.5 * (c - 1.0) if c < 1.0 else 0.5, top)
+        assert t == pytest.approx(1.0 - 1.0 / c, rel=1e-15, abs=1e-15)  # K' carries eps (1 - t)
+        assert g == pytest.approx(c - 1.0 - math.log(c), rel=1e-12, abs=1e-16)
+        assert 0 < steps < 60
+
+    def test_a_maximiser_beyond_the_doubles_raises(self):
+        # 1 - 1/c is about -2e323 at c = 5e-324
+        with within(1.0), pytest.raises(RootError):
+            dual_newton(self.barrier, 5e-324, -1.0, math.nextafter(1.0, -INF))
+
+    def test_no_start_in_the_domain_raises(self):
+        with pytest.raises(RootError):
+            dual_newton(self.barrier, 0.5, 2.0, INF)
+
+    def test_step_budget(self):
+        # K(t) = -t: the slope never meets c = 0, and each step adds 1 to t until the budget ends it
+        with within(5.0), pytest.raises(RootError, match=str(MAX_NEWTON_STEPS)):
+            dual_newton(lambda t: (-t, -1.0, 1.0), 0.0, 0.0, INF)
+
+
+class TestPhiStarContract:
+    """phi_star in closed form: 40 digits where the tilt is a double, RootError where it is not."""
+
+    LEVELS = [5e-324, 1e-320, 1e-300, 1e-200, 1e-160, 1e-100, 1e-20, 1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0,
+              1e3, 1e20, 1e100, 1e200, 1e300]
+
+    @staticmethod
+    def exact(model, z):
+        """(tilt, phi*(z)) at 40 digits: the root of phi'(a) = z, and a z - phi(a) through the CGF."""
+        p = {name: mpmath.mpf(v) for name, v in model.params.items()}
+        z = mpmath.mpf(z)
+        if model.kind in ("exponential", "gamma"):
+            shape, rate = (1, p["lam"]) if model.kind == "exponential" else (p["shape"], p["rate"])
+            gap = shape / z  # rate - a, which 40 digits of a cannot resolve at z = 1e300
+            return rate - gap, (rate - gap) * z + shape * mpmath.log(gap / rate)
+        if model.kind == "inverse_gaussian":
+            a = (p["mu"] ** 2 - 1 / z**2) / 2
+            return a, a * z - (p["mu"] - mpmath.sqrt(p["mu"] ** 2 - 2 * a))
+        lam, k = p["lam"], p["k"]
+        u = (k + mpmath.sqrt(k * k + 4 * lam * z)) / (2 * z)  # z u^2 - k u - lam = 0, u = 1 - 2a
+        a = (1 - u) / 2
+        return a, a * z - (lam * a / u - k * mpmath.log(u) / 2)
+
+    @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.kind)
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_against_40_digits(self, model, level):
+        z = level * model.mean
+        with mpmath.workdps(40):
+            tilt, value = self.exact(model, z)
+        if abs(tilt) > sys.float_info.max:
+            with pytest.raises(RootError):
+                phi_star(model, z)
+            return
+        res = phi_star(model, z)
+        assert res.iterations == 0 and res.method == "closed_form"
+        assert res.value == pytest.approx(float(value), rel=1e-12, abs=0.0)
+        top = model.domain.search_top(finite_at_face=False)
+        assert res.argmax_tilt[0] == pytest.approx(min(float(tilt), top), rel=1e-12, abs=1e-300)
+
+    def test_inverse_gaussian_far_below_the_mean_raises(self):
+        # the tilt (mu^2 - 1/z^2)/2 is -5e319 here; a root search returned phi* = inf after 1077 steps
+        model = make_model("inverse_gaussian", {"mu": 1.0})
+        with pytest.raises(RootError):
+            phi_star(model, 1e-160 * model.mean)
+
+    def test_exponential_as_its_own_closed_form(self):
+        # lam z - 1 - log(lam z) at the tilt lam - 1/z, bit for bit, from the gamma row at shape 1
+        rng = random.Random(34)
+        for _ in range(1000):
+            lam, z = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            res = phi_star(make_model("exponential", {"lam": lam}), z / lam)
+            lz = lam * (z / lam)
+            assert res.value == max(lz - 1.0 - math.log(lz), 0.0)
+            assert res.argmax_tilt == (lam - 1.0 / (z / lam),)
 
 
 class TestPhiStar:

@@ -63,6 +63,14 @@ def test_rate_ld_cost_reports_the_grid(tmp_path):
         if kind != "inverse_gaussian":
             assert row["evaluations_per_call"] > row["iterations_per_call"] > 0
         assert row["ms_per_call_median"] > 0.0
+    # the one-dimensional duals: the steps of each call and the median microseconds per call
+    duals = report["duals"]
+    assert sorted(duals) == ["kappa_star", "line_rate", "marginal_I2"]
+    assert sorted(duals["marginal_I2"]) == sorted(duals["line_rate"]) == sorted(per_kind)
+    for dual, counts in [("marginal_I2", 7), ("line_rate", 21), ("kappa_star", 4)]:
+        for row in duals[dual].values():
+            assert len(row["steps"]) == counts and row["steps_median"] > 0
+            assert row["us_per_call_median"] > 0.0
 
 
 def test_ray_search_cost_reports_each_model(tmp_path):
