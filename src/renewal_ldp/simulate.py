@@ -426,16 +426,18 @@ def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upp
 
     K(b) = sum_k phi(b w_k) over the passage weights is the exact log-MGF of A(x), so
     inf [K(b) - b threshold x^2] over b >= 0 (b <= 0 for the lower face) is a rigorous bound: one
-    :func:`models.dual_newton` in t = b x from 0, with K'' = sum u_k^2 phi''(t u_k), u = w/x.  The
-    tilts t u_k are at most t, exactly, so the upper face runs below the domain boundary.
+    :func:`models.dual_newton` in t = b x from the moderate-deviation tilt, with u = w/x and
+    K'' = sum u_k^2 phi''(t u_k).  The tilts t u_k are at most t, so the upper face stays in D(phi).
     """
     u = passage_weights(x) / x
     level = threshold * x  # threshold x^2 per unit of t
     if level <= 0.0:
         return 0.0 if upper else -INF  # A(x) > 0
     top = model.domain.search_top(finite_at_face=False) if upper else 0.0
-    t, g, _ = dual_newton(lambda t: (math.fsum(model.phi(t * v) for v in u), float(u @ model.cgf_d1(t * u)),
-                                     math.sqrt(float((u * u) @ model.cgf_d2(t * u)))), level, 0.0, top)
+    start = min((level - model.mean * float(u.sum())) / (model.variance * float(u @ u)), 0.5 * top)
+    # every t u_k is at most t <= top, inside the domain, where phi is the CGF
+    t, g, _ = dual_newton(lambda t: (math.fsum(map(model.cgf, (t * u).tolist())), float(u @ model.cgf_d1(t * u)),
+                                     math.sqrt(float((u * u) @ model.cgf_d2(t * u)))), level, start, top)
     return 0.0 if upper and t < 0.0 else -g  # a threshold below the mean: the bound is 0 at b = 0
 
 

@@ -3,7 +3,6 @@ import math
 import random
 import signal
 import sys
-from functools import partial
 
 import mpmath
 import numpy as np
