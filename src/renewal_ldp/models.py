@@ -461,8 +461,8 @@ def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: floa
         return top, top * c - face[0], 0
     t, current, settled = start, terms(start), False
     for steps in range(MAX_NEWTON_STEPS + 1):
-        if current is None or not -INF < (g := t * c - current[0]) < INF:
-            raise RootError(f"g leaves the doubles at t = {t} for c = {c}")
+        if current is None or not -INF < (g := t * c - current[0]) < INF or not current[2] > 0.0:
+            raise RootError(f"g or K'' leaves the doubles at t = {t} for c = {c}")
         value, slope, root = current
         if settled or slope == c:
             return t, g, steps
@@ -472,7 +472,7 @@ def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: floa
             raise RootError(f"the Newton step {step} from t = {t} for c = {c} leaves the doubles")
         settled, h = u * u <= roundoff, 1.0
         while not ((trial := t + h * step) <= top and (new := terms(trial)) is not None
-                   and (trial * c - new[0] + roundoff >= g or h == 1.0 and ((c - new[1]) / new[2]) ** 2 < 0.25 * u * u)):
+                   and (trial * c - new[0] + roundoff >= g or h == 1.0 and (c - new[1]) ** 2 < 0.25 * (u * new[2]) ** 2)):
             h *= 0.5
         t, current = trial, new
     raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for c = {c}")

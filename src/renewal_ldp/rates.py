@@ -217,8 +217,7 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
         return RateEvaluation(INF, method="closed_form")
     bound = model.domain.search_top(finite_at_face=True)
     # t n1 + t n2 is evaluated with an error up to 2**-53 t (|n1| + |n2|); this top leaves room for it, so
-    # every t below passes the domain test of _second_order even where n1 + n2 is a rounding residue (a top
-    # near 1e16)
+    # every t below passes _second_order's domain test even where n1 + n2 is a rounding residue (top ~ 1e16)
     top = bound / max(n1, n1 + n2 + 2.0**-53 * (abs(n1) + abs(n2)))
     while max(top * n1, top * n1 + top * n2) > bound:  # the domain test of t n
         top = math.nextafter(top, -INF)

@@ -178,6 +178,8 @@ class TestDualNewton:
     def test_no_start_in_the_domain_raises(self):
         with pytest.raises(RootError):
             dual_newton(self.barrier, 0.5, 2.0, INF)
+        with pytest.raises(RootError):  # K'' = 0: no Newton step
+            dual_newton(lambda t: (0.5 * t * t, t, 0.0), 0.3, -1.0, INF)
 
     def test_step_budget(self):
         # K(t) = -t: the slope never meets c = 0, and each step adds 1 to t until the budget ends it
