@@ -183,7 +183,7 @@ def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) 
 _CURVATURE_SERIES = tuple((1.0 / (n + 2), 2.0 / ((n + 2) * (n + 3)), 1.0 / (n + 3)) for n in reversed(range(17)))
 
 
-def _power_curvatures(c2: float, c3: float, rate: float, lo: float, hi: float, width: float) -> tuple:
+def _power_curvatures(c2: float, rate: float, lo: float, hi: float, width: float, c3: float = 0.0) -> tuple:
     # phi'' = c2/d^2 + c3/d^3 with d = rate - a = d0 (1 - r y), from d0 down to gap = rate - hi = d0 s.
     # With D = -log(s)/r, the mean of 1/(1 - r y), the means of (1 - y)/(1 - r y)^2, (1 - y)^2/(1 - r y)^2
     # and (1 - y)^2/(1 - r y)^3 are m1 = (D - 1)/r, m2 = (1 + s - 2 s D)/r^2 and n2 = (D - 2 + (1 + s)/2)/r^2,
@@ -222,6 +222,13 @@ def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) 
     t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
     return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
             math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
+
+
+def _gamma_conjugate(shape: float, rate: float, z: float) -> tuple:
+    # phi'(a) = z at a = rate - shape/z; in this order shape 1 gives lam z - 1 - log(lam z) bit for bit.
+    # phi* is INF where rate z overflows, and where rate z/shape leaves the doubles its log is a sum of logs
+    log_q = math.log(q) if 0.0 < (q := rate * z / shape) < INF else math.log(rate) + math.log(z) - math.log(shape)
+    return rate - shape / z, (rate * z - shape - shape * log_q if rate * z < INF else INF)
 
 
 def _inverse_gaussian_conjugate(mu: float, z: float) -> tuple:
@@ -306,10 +313,9 @@ _GAMMA_FUNCTIONS = dict(
     # the quotient falls to 0
     cgf_d2=lambda shape, rate, a: shape / ((d := rate - a) * d),
     cgf_d3=lambda shape, rate, a: 2.0 * shape / ((d := rate - a) * d * d),
-    # phi'(a) = z at a = rate - shape/z; in this order shape 1 gives lam z - 1 - log(lam z) bit for bit
-    conjugate=lambda shape, rate, z: (rate - shape / z, rate * z - shape - shape * math.log(rate * z / shape)),
+    conjugate=_gamma_conjugate,
     means=_gamma_means,
-    curvatures=lambda shape, rate, lo, hi, width: _power_curvatures(shape, 0.0, rate, lo, hi, width),
+    curvatures=_power_curvatures,  # c2 = shape, c3 = 0
 )
 
 MODEL_TABLE = {
@@ -349,7 +355,7 @@ MODEL_TABLE = {
         cgf_d3=lambda lam, k, a: 24.0 * lam / ((u := 1.0 - 2.0 * a) * u * u * u) + 8.0 * k / (u * u * u),
         conjugate=_noncentral_chi_squared_conjugate,
         means=_noncentral_chi_squared_means,
-        curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5 * lam, 0.5, lo, hi, width),
+        curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5, lo, hi, width, 0.5 * lam),
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
         sampler_spec="Poisson-mixed chi-squared (numpy noncentral_chisquare)",
     ),
@@ -448,31 +454,35 @@ def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: floa
                 top: float) -> tuple[float, float, int]:
     """(t, g, steps): the maximiser t of the concave g(t) = t c - K(t) over t <= top, with g there.
 
-    terms(t) gives (K, K', sqrt K'') at t, or None off the domain of K.  top where K'(top) <= c; else
-    damped Newton steps (c - K')/K'' from start (Numerical Recipes 9.4; Boyd and Vandenberghe 2004,
-    9.5), stopped one step after the decrement (c - K')^2/K'' falls below the roundoff of g.
-    RootError where g or a step leaves the doubles, or after MAX_NEWTON_STEPS steps.
+    terms(t) gives (K, K', sqrt K'') at t, or None off the domain of K.  Damped Newton steps (c - K')/K''
+    from start (Numerical Recipes 9.4; Boyd and Vandenberghe 2004, 9.5), stopped one step after the
+    decrement (c - K')^2/K'' falls below the roundoff of g; a step that reaches top ends there where
+    K'(top) <= c.  RootError where g or a step leaves the doubles, or after MAX_NEWTON_STEPS steps.
     """
-    # the root of K'' stays in the doubles where K'' falls like 1/t^2.  A step is halved until it
-    # lands in the domain with g no lower up to its roundoff 4 eps (|t c| + |K|), or, for the whole
-    # step, with a decrement four times smaller: K can carry more error than that roundoff where it
-    # cancels (the inverse-Gaussian L near 0), and K' still tells the way
-    if top < INF and (face := terms(top)) is not None and face[1] <= c:
-        return top, top * c - face[0], 0
-    t, current, settled = start, terms(start), False
+    # the root of K'' stays in the doubles where K'' falls like 1/t^2.  top is tried once, by the first
+    # step that reaches it.  A step is halved until it lands in the domain with g no lower up to its
+    # roundoff 4 eps (|t c| + |K|), or, for the whole step, with a decrement four times smaller: K can
+    # carry more error than that roundoff where it cancels (the inverse-Gaussian L near 0), and K'
+    # still tells the way.  The settling step, whose gain is below that roundoff, is taken whole
+    t, current, settled, tried = start, terms(start), False, top == INF
     for steps in range(MAX_NEWTON_STEPS + 1):
-        if current is None or not -INF < (g := t * c - current[0]) < INF or not current[2] > 0.0:
-            raise RootError(f"g or K'' leaves the doubles at t = {t} for c = {c}")
+        if current is None or not current[2] > 0.0:
+            raise RootError(f"K'' leaves the doubles at t = {t} for c = {c}")
         value, slope, root = current
+        step = (u := (c - slope) / root) / root
+        if not tried and (tried := t + step >= top) and (face := terms(top)) is not None and face[1] <= c:
+            return top, top * c - face[0], steps  # c = inf too, where g is inf at top
+        if not -INF < (g := t * c - value) < INF:
+            raise RootError(f"g leaves the doubles at t = {t} for c = {c}")
         if settled or slope == c:
             return t, g, steps
-        u = (c - slope) / root
-        roundoff, step = _RTOL * (abs(t * c) + abs(value)), u / root
+        roundoff = _RTOL * (abs(t * c) + abs(value))
         if step != step or abs(step) == INF or t + step == -INF:
             raise RootError(f"the Newton step {step} from t = {t} for c = {c} leaves the doubles")
         settled, h = u * u <= roundoff, 1.0
         while not ((trial := t + h * step) <= top and (new := terms(trial)) is not None
-                   and (trial * c - new[0] + roundoff >= g or h == 1.0 and (c - new[1]) ** 2 < 0.25 * (u * new[2]) ** 2)):
+                   and (trial * c - new[0] + roundoff >= g
+                        or h == 1.0 and (settled or (c - new[1]) ** 2 < 0.25 * (u * new[2]) ** 2))):
             h *= 0.5
         t, current = trial, new
     raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for c = {c}")

@@ -435,9 +435,17 @@ def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upp
         return 0.0 if upper else -INF  # A(x) > 0
     top = model.domain.search_top(finite_at_face=False) if upper else 0.0
     start = min((level - model.mean * float(u.sum())) / (model.variance * float(u @ u)), 0.5 * top)
-    # every t u_k is at most t <= top, inside the domain, where phi is the CGF
-    t, g, _ = dual_newton(lambda t: (math.fsum(map(model.cgf, (t * u).tolist())), float(u @ model.cgf_d1(t * u)),
-                                     math.sqrt(float((u * u) @ model.cgf_d2(t * u)))), level, start, top)
+    shape, gamma = model.params.get("shape", 1.0), model.kind in ("exponential", "gamma")
+
+    def terms(t):
+        # every t u_k is at most t <= top, inside the domain, where phi is the CGF: for the gamma family
+        # (the oracle's exponential) -shape log1p(-t u_k/rate) on the whole array; K is summed exactly
+        tu = t * u
+        return (-shape * math.fsum(np.log1p(tu / -model.domain.boundary).tolist()) if gamma
+                else math.fsum(map(model.cgf, tu.tolist())),
+                float(u @ model.cgf_d1(tu)), math.sqrt(float((u * u) @ model.cgf_d2(tu))))
+
+    t, g, _ = dual_newton(terms, level, start, top)
     return 0.0 if upper and t < 0.0 else -g  # a threshold below the mean: the bound is 0 at b = 0
 
 

@@ -226,6 +226,27 @@ class TestPhiStarContract:
         top = model.domain.search_top(finite_at_face=False)
         assert res.argmax_tilt[0] == pytest.approx(min(float(tilt), top), rel=1e-12, abs=1e-300)
 
+    def test_gamma_where_rate_z_overflows(self):
+        # phi*(z) = rate z - shape - shape log(rate z/shape) is about 2e308 here: INF, not inf - inf
+        model = make_model("gamma", {"shape": 2.0, "rate": 2.0})
+        assert phi_star(model, 1e308).value == INF
+        assert phi_star(model, 0.5 * sys.float_info.max).value < INF
+
+    @pytest.mark.parametrize("shape, rate, z", [(0.5, 1.0, 1e308), (2.0, 1e-300, 1e-30), (3.0, 1e-20, 1e-305)])
+    def test_gamma_where_rate_z_over_shape_leaves_the_doubles(self, shape, rate, z):
+        # rate z/shape overflows (shape < 1) or underflows where the tilt and phi* are still doubles
+        model = make_model("gamma", {"shape": shape, "rate": rate})
+        with mpmath.workdps(40):
+            tilt, value = self.exact(model, z)
+        res = phi_star(model, z)
+        assert res.value == pytest.approx(float(value), rel=1e-12, abs=0.0)
+        assert res.argmax_tilt[0] == pytest.approx(float(tilt), rel=1e-12)
+
+    def test_gamma_tilt_below_the_doubles_raises(self):
+        # rate z/shape underflows to 0 at rate < 1, where the tilt rate - shape/z is -inf
+        with pytest.raises(RootError):
+            phi_star(make_model("gamma", {"shape": 2.0, "rate": 0.5}), 5e-324)
+
     def test_inverse_gaussian_far_below_the_mean_raises(self):
         # the tilt (mu^2 - 1/z^2)/2 is -5e319 here; a root search returned phi* = inf after 1077 steps
         model = make_model("inverse_gaussian", {"mu": 1.0})
