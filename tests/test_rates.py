@@ -719,36 +719,45 @@ class TestLineRate:
 
     # (kind, z2 in multiples of the mean, value, tilt t of (0, t), Newton steps) of marginal_I2,
     # with d2L from the table's segment means, on both sides of the zero t = 0 at z2 = mean/2;
-    # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2.  Next to the mean
-    # (0.45 and 0.55) g is about 0.003, and the closed forms of L and d2L carry roundoff of some
-    # 1e-16 there: g moves by up to 5e-14 of itself between tilts a few ulps apart, so those rows
-    # pin the solver's roundoff, and test_marginal_I2_frozen_against_40_digits holds them to the truth
+    # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2.  The values and tilts
+    # are those of the Brent root search that dual_newton replaced, but in the rows marked: next
+    # to the mean (0.45 and 0.55) g is about 0.003, and the closed forms of L and d2L carry roundoff
+    # of some 1e-16 there, so over the doubles within 60 ulps of the optimal tilt g spreads over
+    # 5e-14 of itself and d2L - z2 over +-1e-15.  Which double a solver stops at is then roundoff:
+    # over 40 levels from 0.4 to 0.6 the two solvers agree to 1e-14 at 10-14 per kind, and both are
+    # as close to the 40-digit truth (test_marginal_I2_frozen_against_40_digits)
     FROZEN_I2 = [
         ("exponential", 0.05, 1.2106692581796352, -16.535689406843098, 8),
         ("exponential", 0.3, 0.08650424714787508, -1.061757737119452, 5),
-        ("exponential", 0.45, 0.004055386599858657, -0.1688493894924209, 4),
+        # Brent: value 0.004055386599858574
+        ("exponential", 0.45, 0.004055386599858657, -0.16884938949242206, 4),
+        # Brent: value 0.003489220980229288, tilt 0.13473174103486218
         ("exponential", 0.55, 0.0034892209802294405, 0.13473174103486407, 4),
         ("exponential", 1.0, 0.21621659550187322, 0.6838026237520206, 6),
         ("exponential", 1.5, 0.6100669239693541, 0.8609169222603422, 6),
         ("exponential", 3.0, 2.019869140883343, 0.978779993029125, 7),
         ("inverse_gaussian", 0.05, 3.5160623391752868, -87.51773828152298, 9),
         ("inverse_gaussian", 0.3, 0.10566524021882334, -1.4411506238355751, 5),
-        ("inverse_gaussian", 0.45, 0.004220272300838809, -0.17929303585267642, 4),
+        # Brent: value 0.004220272300838698
+        ("inverse_gaussian", 0.45, 0.004220272300838809, -0.17929303585267617, 4),
         ("inverse_gaussian", 0.55, 0.003367632713317123, 0.12777545930809997, 4),
         ("inverse_gaussian", 1.0, 0.16891768638357046, 0.47683362468102014, 7),
         ("inverse_gaussian", 1.5, 0.41666666666666663, 0.5, 0),
         ("inverse_gaussian", 3.0, 1.1666666666666665, 0.5, 0),
         ("noncentral_chi_squared", 0.05, 0.7012925464970228, -4.500000000000001, 8),
         ("noncentral_chi_squared", 0.3, 0.05541281188299532, -0.3333333333333337, 5),
-        ("noncentral_chi_squared", 0.45, 0.002680257828913117, -0.055555555555555504, 3),
-        ("noncentral_chi_squared", 0.55, 0.0023449100978375284, 0.045454545454545664, 3),
+        ("noncentral_chi_squared", 0.45, 0.0026802578289130963, -0.05555555555555545, 3),
+        # Brent: value 0.00234491009783757
+        ("noncentral_chi_squared", 0.55, 0.0023449100978375284, 0.04545454545454546, 3),
         ("noncentral_chi_squared", 1.0, 0.15342640972002736, 0.25000000000000006, 0),
         ("noncentral_chi_squared", 1.5, 0.4506938556659451, 0.3333333333333335, 6),
         ("noncentral_chi_squared", 3.0, 1.6041202653859725, 0.41666666666666674, 7),
         ("gamma", 0.05, 2.4213385163592704, -33.071378813686195, 8),
         ("gamma", 0.3, 0.17300849429575016, -2.123515474238904, 5),
-        ("gamma", 0.45, 0.008110773199717397, -0.3376987789848426, 4),
-        ("gamma", 0.55, 0.00697844196045902, 0.2694634820697256, 4),
+        # Brent: value 0.008110773199717147
+        ("gamma", 0.45, 0.008110773199717397, -0.33769877898484413, 4),
+        # Brent: value 0.006978441960458576, tilt 0.26946348206972437
+        ("gamma", 0.55, 0.006978441960458465, 0.2694634820697201, 4),
         ("gamma", 1.0, 0.43243319100374644, 1.3676052475040412, 6),
         ("gamma", 1.5, 1.2201338479387083, 1.7218338445206844, 6),
         ("gamma", 3.0, 4.039738281766686, 1.95755998605825, 7),
@@ -766,7 +775,8 @@ class TestLineRate:
     @pytest.mark.parametrize("kind, level, value, t, iterations", [row for row in FROZEN_I2 if row[4]])
     def test_marginal_I2_frozen_against_40_digits(self, kind, level, value, t, iterations):
         # the root of K'(t) = z2 with K(t) = L(0, t) = int_0^1 phi(t y) dy, by mpmath quadrature of the
-        # CGF; next to the mean the value is held to the roundoff of L's closed forms (see FROZEN_I2)
+        # CGF.  Next to the mean both are held to the roundoff of L's closed forms (see FROZEN_I2): over
+        # 40 levels from 0.4 to 0.6 of the mean Brent's tilts were up to 1.1e-12 off, the Newton ones 2.1e-14
         model = MODELS[[m.kind for m in MODELS].index(kind)]
         phi, dphi = {"exponential": (lambda a: -mpmath.log1p(-a), lambda a: 1 / (1 - a)),
                      "gamma": (lambda a: -2 * mpmath.log1p(-a / 2), lambda a: 2 / (2 - a)),
