@@ -722,8 +722,8 @@ class TestLineRate:
     # the inverse-Gaussian rows from 1.5 on sit on the closed face t = mu^2/2.  The values and tilts
     # are those of the Brent root search that dual_newton replaced, but in the rows marked: next
     # to the mean (0.45 and 0.55) g is about 0.003, and the closed forms of L and d2L carry roundoff
-    # of some 1e-16 there, so over the doubles within 60 ulps of the optimal tilt g spreads over
-    # 5e-14 of itself and d2L - z2 over +-1e-15.  Which double a solver stops at is then roundoff:
+    # of some 1e-16 there, so over the doubles within 60 ulps of the optimal tilt g moves by up to
+    # 1e-13 of itself and d2L - z2 by up to 3.5e-15.  Which double a solver stops at is then roundoff:
     # over 40 levels from 0.4 to 0.6 the two solvers agree to 1e-14 at 10-14 per kind, and both are
     # as close to the 40-digit truth (test_marginal_I2_frozen_against_40_digits)
     FROZEN_I2 = [
