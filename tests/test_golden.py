@@ -48,6 +48,7 @@ COMMANDS = {
     "conditional": ["conditional", "--x", "4", "--y", "2", "--beta", "0.5"],
     "conditional_bf": ["conditional", "--x", "4", "--y", "2", "--beta", "0.5",
                        "--mode", "brute_force"],
+    "validate": ["validate", "--quick"],
 }
 # the sample dump; its --out path is appended
 CSV_COMMAND = ["simulate", "--model", "gamma:2,2", "--x", "10.5", "--n", "100000", "--seed", "11",
