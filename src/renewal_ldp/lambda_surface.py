@@ -4,10 +4,10 @@ For a holding-time CGF phi, the limit function is
 
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
-on its effective domain, +inf outside.  This module evaluates L from the
-closed form in the model table, its gradient and Hessian (the means of phi'
-and y phi', and of phi'', y phi'' and y^2 phi'', over the same segment, from
-the same table row) and the Hessian at the origin, decides membership of D(L)
+on its effective domain, +inf outside.  This module evaluates L, its gradient
+and its Hessian from the model table's one segment kernel (the means of phi,
+of phi' and (1 - y) phi', and of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over
+the segment, in one pass) and the Hessian at the origin, decides membership of D(L)
 and of its interior, and reports the regularity facts (lower semicontinuity and
 steepness) that follow from the model's domain case and decide which form of
 the large-deviation principle is certified.  The defining integral itself is
@@ -69,7 +69,7 @@ def lambda_eval(model: HoldingTimeModel, a1: float, a2: float) -> float:
         return INF
     if a2 == 0.0:
         return model.phi(a1)
-    return model.means(a1, a2)[0]
+    return model.segment(a1, a2)[0]
 
 
 def _interior_width(model: HoldingTimeModel, a1: float, a2: float) -> float | None:
@@ -90,18 +90,18 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
     """
     if (width := _interior_width(model, a1, a2)) is None:
         raise ValueError(f"tilt ({a1}, {a2}) is not interior to the domain")
-    _, d1, tail = model.means(a1, width)
+    _, d1, tail, _ = model.segment(a1, width)
     return d1, (tail if width < 0.0 else d1 - tail)
 
 
 def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None:
     """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1 <= 0, else None; a2 = 0 is the caller's to refuse."""
     # a2 = 0 is a segment of no width: line duals take it, rate_ld's ascent (a2 < 0 off the midline) does not;
-    # the Hessian is as model.curvatures gives it
+    # the Hessian is as model.segment gives it
     if (a2 := _interior_width(model, a1, a2)) is None or a2 > 0.0:
         return None
-    value, d1, tail = model.means(a1, a2)
-    return a2, value, (d1, tail), model.curvatures(a1, a2)
+    value, d1, tail, hessian = model.segment(a1, a2)
+    return a2, value, (d1, tail), hessian
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

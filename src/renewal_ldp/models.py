@@ -89,8 +89,7 @@ class HoldingTimeModel:
     cgf_d2: Callable[[float], float]
     cgf_d3: Callable[[float], float]  # read by no code of the package; benchmark tracers replace it
     conjugate: Callable[[float], tuple]  # z -> (tilt, phi*(z)) at z > 0
-    _means: Callable[[float, float, float], tuple] = field(repr=False)
-    _curvatures: Callable[[float, float, float], tuple] = field(repr=False)
+    _segment: Callable[[float, float, float], tuple] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
 
@@ -108,23 +107,20 @@ class HoldingTimeModel:
             return INF
         return self.cgf(alpha)
 
-    def means(self, a1: float, a2: float) -> tuple[float, float, float]:
-        """Closed forms at a tilt of D(L): L(a1, a2), d1L and the (1 - y) mean of phi'.
+    def segment(self, a1: float, a2: float) -> tuple[float, float, float, tuple]:
+        """Closed forms at a tilt of D(L): L(a1, a2), d1L, the (1 - y) mean of phi' and the Hessian (r1, r2, rho).
 
-        The table holds the means of phi, phi' and (1 - y) phi'(lo + |a2| y)
-        over the segment [lo, hi] of length |a2|; a2 < 0 runs it backwards,
-        which is the reflection L(a1, a2) = L(a1 + a2, -a2) (y -> 1 - y).
+        The table's kernel gives, in one pass over the segment [lo, hi] of length |a2|, the means of phi,
+        phi' and (1 - y) phi'(lo + |a2| y), and those of phi'', (1 - y) phi'' and (1 - y)^2 phi'' as
+        H11 = r1^2, H22 = r2^2 and H12 = rho r1 r2, with r1 = inf and rho = 0 where phi'' is not integrable
+        at the top.  a2 < 0 runs it backwards, which is the reflection L(a1, a2) = L(a1 + a2, -a2)
+        (y -> 1 - y), so at a2 <= 0 the (1 - y) means are the y means: d2L and the Hessian of L.
         """
-        if a2 < 0.0:
-            return self._means(a1 + a2, a1, -a2)
-        return self._means(a1, a1 + a2, a2)
-
-    def curvatures(self, a1: float, a2: float) -> tuple[float, float, float]:
-        """The Hessian of L at a2 <= 0 as (r1, r2, rho): H11 = r1^2, H22 = r2^2, H12 = rho r1 r2; r1 = inf on a face."""
-        # H11, H12 and H22 are the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over the segment of
-        # means(); far out they fall like 1/|a|^2 out of the doubles and their ratios span 1e300, where
+        # far out H11, H12 and H22 fall like 1/|a|^2 out of the doubles and their ratios span 1e300, where
         # the roots and the correlation (0 on a closed face) stay in range
-        return self._curvatures(a1 + a2, a1, -a2)
+        if a2 < 0.0:
+            return self._segment(a1 + a2, a1, -a2)
+        return self._segment(a1, a1 + a2, a2)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Exact variates of the holding-time law."""
@@ -136,92 +132,89 @@ class HoldingTimeModel:
 
 
 # ---------------------------------------------------------------------------
-# closed forms over a segment [lo, hi] of length width >= 0, with hi in the
-# domain of phi: the means of phi (that is L), of phi' (that is d1L) and of
+# the segment kernels: over a segment [lo, hi] of length width >= 0, with hi in
+# the domain of phi, the means of phi (that is L), of phi' (that is d1L) and of
 # (1 - y) phi'(lo + width y) over y in (0, 1), and those of phi'' times 1, (1 - y)
-# and (1 - y)^2 (the curvatures, as the square roots of the first and last and
-# their correlation), and beside them phi* and the inverse-Gaussian joint rate.  They are written so that nothing
-# is divided by the width after a subtraction (finite differences of L at step
-# 1e-5 must see roundoff only at the last bit), and near the boundary they use
-# the distance of hi from it, which is what the domain check has seen.
+# and (1 - y)^2 (the Hessian, as the square roots of the first and last and
+# their correlation), all from one pass; beside them phi* and the
+# inverse-Gaussian joint rate.  They are written so that nothing is divided by
+# the width after a subtraction (finite differences of L at step 1e-5 must see
+# roundoff only at the last bit), and near the boundary they use the distance
+# of hi from it, which is what the domain check has seen.
 
 
-# series in r of D and E, the means of 1/(1 - r y) and (1 - y)/(1 - r y), whose n-th coefficients are
-# 1/(n + 1) and 1/((n + 1)(n + 2)), highest first.  E = h(r)/r loses eps/r to cancellation, so the
-# series runs up to r = 1/10, where the curvatures' series switches too
-_MEAN_SERIES = tuple((1.0 / (n + 1), 1.0 / ((n + 1) * (n + 2))) for n in reversed(range(17)))
+# series in r of the means of 1/(1 - r y) and (1 - y)/(1 - r y) (D and E), of (1 - y)/(1 - r y)^2 and
+# (1 - y)^2/(1 - r y)^2 (m1 and m2) and of (1 - y)^2/(1 - r y)^3 (n2), whose n-th coefficients are 1/(n + 1),
+# 1/((n + 1)(n + 2)), 1/(n + 2), 2/((n + 2)(n + 3)) and 1/(n + 3), highest first.  The closed forms lose eps/r
+# (E) and eps/r^2 (m1, m2, n2) to cancellation, so the series runs up to r = 1/10, where 17 terms leave less
+# than 1e-17
+_POWER_SERIES = tuple((1.0 / (n + 1), 1.0 / ((n + 1) * (n + 2)), 1.0 / (n + 2), 2.0 / ((n + 2) * (n + 3)),
+                       1.0 / (n + 3)) for n in reversed(range(17)))
 
 
-def _gamma_means(shape: float, rate: float, lo: float, hi: float, width: float) -> tuple:
-    """The means for phi(a) = -shape log(1 - a/rate), from r = width/(rate - lo).
+def _power_segment(c1: float, rate: float, lo: float, hi: float, width: float, c2: float = 0.0) -> tuple:
+    """(L, d1L, the (1 - y) mean of phi', (r1, r2, rho)) for phi'' = c1/d^2 + c2/d^3 with d = rate - a.
 
-    The mean of phi is shape (-log1p(-lo/rate) + h(r)), where h(r) = 1 + (1 -
-    r) log(1 - r)/r is the mean of -log(1 - r*y) over y in (0, 1), and h(1) =
-    1 at the integrable open boundary.  D = -log(1 - r)/r and E = h(r)/r are
-    the means of 1/(1 - r*y) and (1 - y)/(1 - r*y), so those of phi' are shape
-    D and shape E over rate - lo.  Below r = 1/10 all three are one series.
+    Gamma is c2 = 0, phi = -c1 log(1 - a/rate); noncentral chi-squared is rate 1/2, c1 = k/2 and
+    c2 = lam/2.  With r = width/(rate - lo) and s = 1 - r, D = -log(s)/r and E = h(r)/r are the means of
+    1/(1 - r y) and (1 - y)/(1 - r y), where h(r) = 1 + s log(s)/r is that of -log(1 - r y), with
+    h(1) = 1 at the integrable open boundary, where H11 and H12 are infinite: r1 = inf and rho = 0.
+    Below r = 1/10 every mean is one series.
     """
-    d0 = rate - lo
-    r = width / d0
-    if r < 0.1:
-        D = E = 0.0
-        for b1, b2 in _MEAN_SERIES:
-            D, E = b1 + r * D, b2 + r * E
-        h = r * E
-    else:
-        s = 1.0 - r if r < 0.5 else (rate - hi) / d0  # from r = 1/2 on, hi's distance to the boundary
-        log_s = math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF
-        h = 1.0 + s * log_s / r if s > 0.0 else 1.0
-        D, E = -log_s / r, h / r
-    return shape * (-math.log1p(-lo / rate) + h), shape * D / d0, shape * E / d0
-
-
-# series in r of the (1 - y) and (1 - y)^2 means of 1/(1 - r y)^2 and of the (1 - y)^2 mean of
-# 1/(1 - r y)^3, whose n-th coefficients are 1/(n + 2), 2/((n + 2)(n + 3)) and 1/(n + 3), highest
-# first.  The closed forms lose eps/r^2 to cancellation, so the series runs up to r = 1/10, where
-# 17 terms leave less than 1e-17.
-_CURVATURE_SERIES = tuple((1.0 / (n + 2), 2.0 / ((n + 2) * (n + 3)), 1.0 / (n + 3)) for n in reversed(range(17)))
-
-
-def _power_curvatures(c2: float, rate: float, lo: float, hi: float, width: float, c3: float = 0.0) -> tuple:
-    # phi'' = c2/d^2 + c3/d^3 with d = rate - a = d0 (1 - r y), from d0 down to gap = rate - hi = d0 s.
-    # With D = -log(s)/r, the mean of 1/(1 - r y), the means of (1 - y)/(1 - r y)^2, (1 - y)^2/(1 - r y)^2
+    # d = d0 (1 - r y) falls from d0 to gap = d0 s.  The means of (1 - y)/(1 - r y)^2, (1 - y)^2/(1 - r y)^2
     # and (1 - y)^2/(1 - r y)^3 are m1 = (D - 1)/r, m2 = (1 + s - 2 s D)/r^2 and n2 = (D - 2 + (1 + s)/2)/r^2,
-    # and those of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are (c2 + c3 (1 + s)/(2 gap))/(d0 gap),
-    # (c2 m1 + c3/(2 gap))/d0^2 and (c2 m2 + c3 n2/d0)/d0^2.  The square roots and the correlation take
+    # and those of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are (c1 + c2 (1 + s)/(2 gap))/(d0 gap),
+    # (c1 m1 + c2/(2 gap))/d0^2 and (c1 m2 + c2 n2/d0)/d0^2.  The square roots and the correlation take
     # d0 and gap apart, which can be 1e300 and 1e-16
     d0, gap = rate - lo, rate - hi
     r = width / d0
-    s = 1.0 - r if r < 0.5 else gap / d0
+    s = 1.0 - r if r < 0.5 else gap / d0  # from r = 1/2 on, hi's distance to the boundary
     if r < 0.1:
-        m1 = m2 = n2 = 0.0
-        for b1, b2, b3 in _CURVATURE_SERIES:
-            m1, m2, n2 = b1 + r * m1, b2 + r * m2, b3 + r * n2
+        D = E = m1 = m2 = n2 = 0.0
+        for b1, b2, b3, b4, b5 in _POWER_SERIES:
+            D, E, m1, m2, n2 = b1 + r * D, b2 + r * E, b3 + r * m1, b4 + r * m2, b5 + r * n2
+        h = r * E
     else:
-        D = -(math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF) / r
-        m1, m2, n2 = (D - 1.0) / r, (1.0 + s - 2.0 * s * D) / r / r, (D - 2.0 + 0.5 * (1.0 + s)) / r / r
+        log_s = math.log1p(-r) if r < 0.5 else math.log(s) if s > 0.0 else -INF
+        h = 1.0 + s * log_s / r if s > 0.0 else 1.0
+        D, E = -log_s / r, h / r
+        twice_s_D = 2.0 * s * D if s > 0.0 else 0.0  # s D -> 0 as the top reaches an integrable boundary
+        m1, m2, n2 = (D - 1.0) / r, (1.0 + s - twice_s_D) / r / r, (D - 2.0 + 0.5 * (1.0 + s)) / r / r
+    log_mean = -math.log1p(-lo / rate) + h  # the mean of -log(1 - a/rate)
+    if c2 == 0.0:
+        value, d1, tail = c1 * log_mean, c1 * D / d0, c1 * E / d0
+    else:
+        # lam a/(1 - 2a) = (lam/2)(1/u - 1) with u = 1 - 2a: the means P and Q of 1/d and (1 - y)/d are
+        # twice those of 1/u, and 1/u^2 averages to 1/(u0 u1) and (1 - y)/u^2 to (P - Q)/(2 u0)
+        P, Q = D / d0, E / d0
+        u0 = 1.0 - 2.0 * lo
+        value = c2 * (0.5 * P - 1.0) + c1 * log_mean
+        d1 = 2.0 * c2 / (u0 * (1.0 - 2.0 * hi)) + c1 * P
+        tail = 0.5 * (2.0 * c2 * (P - Q) / u0 + 2.0 * c1 * Q)
+    if gap == 0.0:  # the top on the open integrable boundary, c2 = 0: H22 is c1/width^2
+        return value, d1, tail, (INF, math.sqrt(c1) / width, 0.0)
     root_d0, root_gap = math.sqrt(d0), math.sqrt(gap)
-    k1, k2 = math.sqrt(c2 + c3 * (1.0 + s) / (2.0 * gap)), math.sqrt(c2 * m2 + c3 * n2 / d0)
-    return k1 / root_d0 / root_gap, k2 / d0, (c2 * m1 + 0.5 * c3 / gap) * root_gap / root_d0 / k1 / k2
+    # H22 d0^2 > 0 where width is hi - lo; lambda_eval's own a2 a few ulps from the boundary, with hi rounded,
+    # can take the closed form below 0, and there the Hessian, which it does not read, is NaN
+    k1, k22 = math.sqrt(c1 + c2 * (1.0 + s) / (2.0 * gap)), c1 * m2 + c2 * n2 / d0
+    k2 = math.sqrt(k22) if k22 > 0.0 else math.nan
+    return value, d1, tail, (k1 / root_d0 / root_gap, k2 / d0,
+                             (c1 * m1 + 0.5 * c2 / gap) * root_gap / root_d0 / k1 / k2)
 
 
-def _inverse_gaussian_means(mu: float, lo: float, hi: float, width: float) -> tuple:
-    # s = sqrt(mu^2 - 2a) at both ends, 2 width = s0^2 - s1^2 and phi' = 1/s: the mean of
-    # phi is (s0^3 - s1^3)/(3 width), of phi' 2/(s0 + s1), of (1 - y) phi' 2(s0 + 2 s1)/(3(s0 + s1)^2)
+def _inverse_gaussian_segment(mu: float, lo: float, hi: float, width: float) -> tuple:
+    # s = sqrt(mu^2 - 2a) at both ends, 2 width = s0^2 - s1^2, phi' = 1/s and phi'' = 1/s^3: the means of
+    # phi, phi' and (1 - y) phi' are (s0^3 - s1^3)/(3 width), 2/(s0 + s1) and 2(s0 + 2 s1)/(3(s0 + s1)^2), and
+    # those of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)), 2/(s0 (s0 + s1)^2) and
+    # 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1)); the first is infinite
+    # on the closed face
     s0 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0))
     s1 = math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
-    limit, d1 = mu - 2.0 * (s0 * s0 + s0 * s1 + s1 * s1) / (3.0 * (s0 + s1)), 2.0 / (s0 + s1)
-    return limit, d1, d1 * (s0 + 2.0 * s1) / (3.0 * (s0 + s1))
-
-
-def _inverse_gaussian_curvatures(mu: float, lo: float, hi: float, width: float) -> tuple:
-    # phi'' = 1/s^3: the means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' are 2/(s0 s1 (s0 + s1)),
-    # 2/(s0 (s0 + s1)^2) and 2(s0 + 3 s1)/(3 s0 (s0 + s1)^3), so their correlation is sqrt(3 s1/(s0 + 3 s1));
-    # the first is infinite on the closed face
-    s0, s1 = math.sqrt(max(mu**2 - 2.0 * lo, 0.0)), math.sqrt(max(mu**2 - 2.0 * hi, 0.0))
-    t, root = s0 + s1, math.sqrt(s0) * math.sqrt(s0 + s1)
-    return ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
-            math.sqrt(3.0 * s1 / (s0 + 3.0 * s1)))
+    t = s0 + s1
+    d1, root = 2.0 / t, math.sqrt(s0) * math.sqrt(t)
+    return (mu - 2.0 * (s0 * s0 + s0 * s1 + s1 * s1) / (3.0 * t), d1, d1 * (s0 + 2.0 * s1) / (3.0 * t),
+            ((math.sqrt(2.0 / s1) / root if s1 > 0.0 else INF), math.sqrt((2.0 * s0 + 6.0 * s1) / 3.0) / root / t,
+             math.sqrt(3.0 * s1 / (s0 + 3.0 * s1))))
 
 
 def _gamma_conjugate(shape: float, rate: float, z: float) -> tuple:
@@ -268,16 +261,6 @@ def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
     return a1, a2, _inverse_gaussian_conjugate(mu, z1)[1] + bridge
 
 
-def _noncentral_chi_squared_means(lam: float, k: float, lo: float, hi: float, width: float) -> tuple:
-    # lam*a/(1-2a) = (lam/2)(1/u - 1) with u = 1 - 2a, and -(k/2) log(u) is k/2 times the gamma
-    # form at shape 1, rate 1/2, whose means P and Q of phi' and (1 - y) phi' are twice those
-    # of 1/u; 1/u^2 averages to 1/(u0 u1) and (1 - y)/u^2 to (P - Q)/(2 u0)
-    mean, P, Q = _gamma_means(1.0, 0.5, lo, hi, width)
-    u0 = 1.0 - 2.0 * lo
-    return (0.5 * lam * (0.5 * P - 1.0) + 0.5 * k * mean, lam / (u0 * (1.0 - 2.0 * hi)) + 0.5 * k * P,
-            0.5 * (lam * (P - Q) / u0 + k * Q))
-
-
 @dataclass(frozen=True)
 class ModelKind:
     """One row of the model table.
@@ -296,10 +279,9 @@ class ModelKind:
     cgf_d2: Callable[..., float]
     cgf_d3: Callable[..., float]  # read by no code of the package; benchmark tracers replace it
     conjugate: Callable[..., tuple]  # (*args, z) -> the maximiser a of a z - phi(a) and phi*(z), at z > 0
-    means: Callable[..., tuple]  # (*args, lo, hi, width) -> means of phi, phi' and (1 - y) phi'
-    # (*args, lo, hi, width) -> the means of (1 - y)^k phi'', k = 0, 1, 2, as the roots of the first and
-    # last and their correlation: the Hessian of L
-    curvatures: Callable[..., tuple]
+    # (*args, lo, hi, width) -> the means of phi, phi' and (1 - y) phi' and, as the roots of the first and
+    # last and their correlation, those of (1 - y)^k phi'', k = 0, 1, 2: L, its gradient and its Hessian
+    segment: Callable[..., tuple]
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
 
@@ -314,8 +296,7 @@ _GAMMA_FUNCTIONS = dict(
     cgf_d2=lambda shape, rate, a: shape / ((d := rate - a) * d),
     cgf_d3=lambda shape, rate, a: 2.0 * shape / ((d := rate - a) * d * d),
     conjugate=_gamma_conjugate,
-    means=_gamma_means,
-    curvatures=_power_curvatures,  # c2 = shape, c3 = 0
+    segment=_power_segment,  # c1 = shape, c2 = 0
 )
 
 MODEL_TABLE = {
@@ -338,8 +319,7 @@ MODEL_TABLE = {
         cgf_d2=lambda mu, a: (mu**2 - 2.0 * a) ** -1.5,
         cgf_d3=lambda mu, a: 3.0 * (mu**2 - 2.0 * a) ** -2.5,
         conjugate=_inverse_gaussian_conjugate,
-        means=_inverse_gaussian_means,
-        curvatures=_inverse_gaussian_curvatures,
+        segment=_inverse_gaussian_segment,
         sampler=lambda mu, rng, size: rng.wald(mean=1.0 / mu, scale=1.0, size=size),
         sampler_spec="Michael-Schucany-Haas transform (numpy wald)",
     ),
@@ -354,8 +334,7 @@ MODEL_TABLE = {
         cgf_d2=lambda lam, k, a: 4.0 * lam / ((u := 1.0 - 2.0 * a) * u * u) + 2.0 * k / (u * u),
         cgf_d3=lambda lam, k, a: 24.0 * lam / ((u := 1.0 - 2.0 * a) * u * u * u) + 8.0 * k / (u * u * u),
         conjugate=_noncentral_chi_squared_conjugate,
-        means=_noncentral_chi_squared_means,
-        curvatures=lambda lam, k, lo, hi, width: _power_curvatures(0.5 * k, 0.5, lo, hi, width, 0.5 * lam),
+        segment=lambda lam, k, lo, hi, width: _power_segment(0.5 * k, 0.5, lo, hi, width, 0.5 * lam),
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
         sampler_spec="Poisson-mixed chi-squared (numpy noncentral_chisquare)",
     ),
@@ -403,8 +382,7 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         cgf_d2=partial(row.cgf_d2, *args),
         cgf_d3=partial(row.cgf_d3, *args),
         conjugate=partial(row.conjugate, *args),
-        _means=partial(row.means, *args),
-        _curvatures=partial(row.curvatures, *args),
+        _segment=partial(row.segment, *args),
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
     )

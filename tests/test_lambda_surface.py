@@ -330,7 +330,7 @@ ASCENT_MODELS = [m for m in builtin_models() if m.kind in MP_PHI_PRIME]
 
 
 def mp_curvatures(model, lo, hi):
-    """The table's curvatures over [lo, hi] from phi', phi and its antiderivative at 100 digits.
+    """The segment kernel's Hessian over [lo, hi] from phi', phi and its antiderivative at 100 digits.
 
     With W = hi - lo the means of (1 - y)^k phi''(lo + W y), k = 0, 1, 2, are (phi'(hi) - phi'(lo))/W,
     -phi'(lo)/W + (phi(hi) - phi(lo))/W^2 and -phi'(lo)/W + 2(-phi(lo)/W + (Phi(hi) - Phi(lo))/W^2)/W, by
@@ -374,7 +374,7 @@ class TestCurvatures:
         for gap, size in zip(10.0 ** rng.uniform(-12.0, math.log10(20.0), 300),
                              10.0 ** rng.uniform(-14.0, math.log10(30.0), 300)):
             (a1, a2), segment = folded_tilt(b - float(gap) * b, -float(size) * b)
-            assert model.curvatures(a1, a2) == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
+            assert model.segment(a1, a2)[3] == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
     def test_few_ulp_segments_next_to_the_boundary(self, model):
@@ -388,7 +388,7 @@ class TestCurvatures:
                 tilts += [(top - width * ulp, width * ulp), (top, -width * ulp), (top, -(width + 0.5) * ulp)]
         for tilt in tilts:
             (a1, a2), segment = folded_tilt(*tilt)
-            got = model.curvatures(a1, a2)
+            got = model.segment(a1, a2)[3]
             assert all(0.0 < v < INF for v in got)
             assert got == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
 
@@ -402,9 +402,9 @@ class TestCurvatures:
         for size in (1e100, 1e200, 1e280):
             for a1 in (top, 0.5 * b, -1e-3 * size * b, -size * b):
                 (a1, a2), segment = folded_tilt(a1, -size * b)
-                assert model.curvatures(a1, a2) == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
+                assert model.segment(a1, a2)[3] == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
         for a1 in (top, 0.5 * b, -1e297 * b):
-            r1, r2, rho = model.curvatures(a1, -1e300 * b)
+            r1, r2, rho = model.segment(a1, -1e300 * b)[3]
             assert 0.0 < r2 < r1 < INF and 0.0 < rho < 0.5 * math.sqrt(3.0)
 
     @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
@@ -421,6 +421,27 @@ class TestCurvatures:
             assert unfactored(_second_order(model, a1, 0.0)[3]) == pytest.approx(exact, rel=1e-14)
             for a2 in (-1e-9 * b, -1e-12 * b):
                 assert unfactored(_second_order(model, a1, a2)[3]) == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("model, a1, a2, value, r2", [
+        (EXP1, 1.0, -1.0, 1.0, 1.0),
+        (EXP1, 1.0, -0.5, 1.0 + math.log(2.0), 2.0),
+        (make_model("gamma", {"shape": 2.0, "rate": 2.0}), 2.0, -0.5, 2.0 + 4.0 * math.log(2.0), math.sqrt(8.0)),
+    ], ids=["exponential_whole", "exponential_half", "gamma"])
+    def test_top_on_the_open_integrable_boundary(self, model, a1, a2, value, r2):
+        # phi'' = shape/d^2 is not integrable at the segment's top: H11 and H12 are infinite, so r1 = inf and
+        # rho = 0, as on the inverse-Gaussian face, and H22 = shape/a2^2; L is finite and nothing raises
+        L, d1, _, (got_r1, got_r2, rho) = model.segment(a1, a2)
+        assert lambda_eval(model, a1, a2) == L == pytest.approx(value, rel=1e-15)
+        assert (d1, got_r1, rho) == (INF, INF, 0.0)
+        assert got_r2 == pytest.approx(r2, rel=1e-15)
+
+    def test_raw_width_a_few_ulps_from_the_boundary(self):
+        # lambda_eval's a2 is not fl(a1 + a2) - a1: here 1.25 ulp, past the boundary's distance, over a segment
+        # whose top rounds below it; the Hessian's closed form is meaningless there and must not raise
+        ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
+        for a1, a2 in [(float.fromhex("0x1.ffffffffffffcp-2"), float.fromhex("0x1.4p-53")),
+                       (float.fromhex("0x1.ffffffffffff8p-2"), float.fromhex("0x1.2p-52"))]:
+            assert math.isfinite(lambda_eval(ncx, a1, a2)) and lambda_eval(ncx, a1, a2) == ncx.segment(a1, a2)[0]
 
     def test_off_the_interior_none(self):
         # the one domain check: None where lambda_grad raises ValueError, and at a2 > 0

@@ -115,15 +115,15 @@ class TestAntiderivative:
         from renewal_ldp import adaptive_gauss_legendre
 
         m = make_model("exponential", {"lam": 1.0})
-        exact = (b - a) * m.means(a, b - a)[0]
+        exact = (b - a) * m.segment(a, b - a)[0]
         quad = adaptive_gauss_legendre(m.cgf, a, b, tol=1e-12)
         assert exact == pytest.approx(quad, abs=1e-10)
 
     def test_antiderivative_continuous_at_boundary(self):
         # the integral of phi over [0, b] stays finite as b reaches the open boundary lam
         m = make_model("exponential", {"lam": 1.0})
-        at_boundary = 1.0 * m.means(0.0, 1.0)[0]
-        near = (1.0 - 1e-9) * m.means(0.0, 1.0 - 1e-9)[0]
+        at_boundary = 1.0 * m.segment(0.0, 1.0)[0]
+        near = (1.0 - 1e-9) * m.segment(0.0, 1.0 - 1e-9)[0]
         assert abs(at_boundary - near) < 1e-7
 
 
