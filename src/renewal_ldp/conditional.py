@@ -20,11 +20,18 @@ from .rates import conditional_rate_J
 if TYPE_CHECKING:
     import numpy as np
 
-SMALL_BETA_Z = 1e-8  # below |beta*z1| the closed form cancels; use the series
-# kappa''(t; 1) = sum_n B_2n (2n - 1) t^(2n - 2)/(2n)!, highest first, below |t| = 1/2: the closed form
-# 1/t^2 - 1/(4 sinh^2(t/2)) loses 4 eps/t^2 of its 1/12, and 7 terms leave less than 1e-15
-_KAPPA_D2_SERIES = tuple(b * (2 * n - 1) / math.factorial(2 * n) for n, b in
-                         reversed(list(enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), 1))))
+# kappa(t; 1) = t/2 + sum_n B_2n t^(2n)/(2n (2n)!) below |t| = 1/2, with kappa' and kappa'' term by term, from
+# the Bernoulli numbers B_2, ..., B_14: the closed forms lose eps absolutely where kappa ~ t/2 and kappa'' ~ 1/12
+# (4 eps/t^2 of it), and 7 terms leave less than 1e-15.  The columns are in t^2, highest first: the
+# coefficients of (kappa - t/2)/t^2, (kappa' - 1/2)/t and kappa''
+_KAPPA_SERIES = tuple((b / (2 * n) / math.factorial(2 * n), b / math.factorial(2 * n),
+                       b * (2 * n - 1) / math.factorial(2 * n))
+                      for n, b in reversed(list(enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+                                                           7 / 6), 1))))
+
+
+def _kappa_series(t: float, column: int) -> float:
+    return reduce(lambda series, coefficients: coefficients[column] + t * t * series, _KAPPA_SERIES, 0.0)
 
 
 def kappa(beta: float, z1: float) -> float:
@@ -32,8 +39,8 @@ def kappa(beta: float, z1: float) -> float:
     if z1 < 0:
         raise ValueError("z1 must be nonnegative")
     t = beta * z1
-    if abs(t) < SMALL_BETA_Z:
-        return 0.5 * t + t * t / 24.0
+    if abs(t) < 0.5:
+        return 0.5 * t + t * t * _kappa_series(t, 0)
     if t > 0:
         # log((e^t - 1)/t) = t + log((1 - e^{-t})/t); expm1 keeps the ratio
         # accurate to machine precision for every t > 0
@@ -44,8 +51,8 @@ def kappa(beta: float, z1: float) -> float:
 def kappa_d1(beta: float, z1: float) -> float:
     """Derivative in beta: z1/(1 - e^{-beta z1}) - 1/beta, increasing from 0 to z1."""
     t = beta * z1
-    if abs(t) < SMALL_BETA_Z:
-        return 0.5 * z1 + beta * z1 * z1 / 12.0
+    if abs(t) < 0.5:
+        return z1 * (0.5 + t * _kappa_series(t, 1))
     if t > 0:
         return z1 / -math.expm1(-t) - 1.0 / beta
     # z1/(1 - e^{-t}) = z1 e^t/(e^t - 1); e^{-t} would overflow for t < -709
@@ -55,7 +62,7 @@ def kappa_d1(beta: float, z1: float) -> float:
 def _kappa_d2_root(t: float) -> float:
     """The square root of kappa''(t; 1) = 1/t^2 - 1/(4 sinh^2(t/2)), which falls from 1/12 at 0 like 1/t^2."""
     if abs(t) < 0.5:
-        return math.sqrt(reduce(lambda series, coefficient: coefficient + t * t * series, _KAPPA_D2_SERIES, 0.0))
+        return math.sqrt(_kappa_series(t, 2))
     q = abs(t) * math.exp(-0.5 * abs(t)) / -math.expm1(-abs(t))  # (t/2)/sinh(t/2), without overflow
     return math.sqrt((1.0 - q) * (1.0 + q)) / abs(t)
 

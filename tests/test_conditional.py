@@ -50,13 +50,16 @@ class TestKappa:
         assert kappa(0.0, 2.0) == 0.0
 
     def test_series_branch_accuracy(self):
-        # both sides of the series/closed-form switch match the exact value
+        # both sides of the Bernoulli series' switch at |beta z1| = 1/2, and far inside it, against 40 digits:
+        # kappa to its relative accuracy where it is t/2, kappa' to that of its value about z1/2
         z1 = 1.5
-        b = 1e-8 / z1
-        for beta in (0.9 * b, 1.1 * b, -0.9 * b, -1.1 * b):
-            t = beta * z1
-            exact = math.log(math.expm1(t) / t)
-            assert kappa(beta, z1) == pytest.approx(exact, abs=1e-16)
+        for t in (1e-9, 1e-3, 0.3, 0.4999, 0.5, 0.5001, 0.7):
+            for sign in (1.0, -1.0):
+                with mpmath.workdps(40):
+                    x = mpmath.mpf(sign * t)
+                    exact, slope = mpmath.log(mpmath.expm1(x) / x), 1 / (1 - mpmath.exp(-x)) - 1 / x
+                assert kappa(sign * t / z1, z1) == pytest.approx(float(exact), rel=2e-15, abs=0.0)
+                assert kappa_d1(sign * t / z1, z1) == pytest.approx(z1 * float(slope), rel=2e-15, abs=0.0)
 
     def test_negative_beta(self):
         beta, z1 = -1.3, 0.8
@@ -110,6 +113,17 @@ class TestKappaStar:
         monkeypatch.setattr("renewal_ldp.conditional.dual_newton", no_solve)
         with pytest.raises(ValueError, match="NaN"):
             kappa_star(z2, z1)
+
+    @pytest.mark.parametrize("r, rel", [(0.4999, 1e-13), (0.5001, 1e-13), (0.49999, 1e-10)])
+    def test_next_to_the_midline_against_40_digits(self, r, rel):
+        # kappa* ~ 6 (r - 1/2)^2 is small there, and kappa = t/2 + O(t^2) loses nothing to it below |t| = 1/2;
+        # the log of expm1(t)/t lost eps absolutely, 1.2e-9 of the value at 0.4999.  The bound at 0.49999
+        # is the rounding of t r alone, relative to a value of 6e-10
+        with mpmath.workdps(40):
+            level = mpmath.mpf(r)
+            t = mpmath.findroot(lambda t: 1 / (1 - mpmath.exp(-t)) - 1 / t - level, 12 * (level - mpmath.mpf(0.5)))
+            exact = float(t * level - mpmath.log(mpmath.expm1(t) / t))
+        assert kappa_star(r, 1.0).value == pytest.approx(exact, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("f", [1e-3, 1.0 - 1e-3])
     def test_next_to_the_endpoints(self, f):
