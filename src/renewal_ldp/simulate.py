@@ -428,21 +428,23 @@ def _area_face_chernoff(model: HoldingTimeModel, x: float, threshold: float, upp
     inf [K(b) - b threshold x^2] over b >= 0 (b <= 0 for the lower face) is a rigorous bound: one
     :func:`models.dual_newton` in t = b x from the moderate-deviation tilt, with u = w/x and
     K'' = sum u_k^2 phi''(t u_k).  The tilts t u_k are at most t, so the upper face stays in D(phi).
+    Gamma family only (the oracle's exponential); ValueError for another kind.
     """
+    if model.kind not in ("exponential", "gamma"):
+        raise ValueError(f"the area-face Chernoff bound is written for the gamma family, not {model.kind!r}")
     u = passage_weights(x) / x
     level = threshold * x  # threshold x^2 per unit of t
     if level <= 0.0:
         return 0.0 if upper else -INF  # A(x) > 0
     top = model.domain.search_top(finite_at_face=False) if upper else 0.0
     start = min((level - model.mean * float(u.sum())) / (model.variance * float(u @ u)), 0.5 * top)
-    shape, gamma = model.params.get("shape", 1.0), model.kind in ("exponential", "gamma")
+    shape = model.params.get("shape", 1.0)
 
     def terms(t):
-        # every t u_k is at most t <= top, inside the domain, where phi is the CGF: for the gamma family
-        # (the oracle's exponential) -shape log1p(-t u_k/rate) on the whole array; K is summed exactly
+        # every t u_k is at most t <= top, inside the domain, where phi = -shape log1p(-t u_k/rate) is taken
+        # on the whole array; K is summed exactly
         tu = t * u
-        return (-shape * math.fsum(np.log1p(tu / -model.domain.boundary).tolist()) if gamma
-                else math.fsum(map(model.cgf, tu.tolist())),
+        return (-shape * math.fsum(np.log1p(tu / -model.domain.boundary).tolist()),
                 float(u @ model.cgf_d1(tu)), math.sqrt(float((u * u) @ model.cgf_d2(tu))))
 
     t, g, _ = dual_newton(terms, level, start, top)

@@ -890,6 +890,15 @@ class TestAreaFaceChernoff:
         assert bound == pytest.approx(_area_face_chernoff(unit, x, ratio * unit.mean, upper=False),
                                       rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("kind, params", [("inverse_gaussian", {"mu": 1.0}),
+                                              ("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})])
+    def test_other_kinds_raise(self, kind, params):
+        from renewal_ldp.simulate import _area_face_chernoff
+
+        # K is written as the gamma family's sum of logs; another kind gets no bound rather than a wrong one
+        with pytest.raises(ValueError, match="gamma family"):
+            _area_face_chernoff(make_model(kind, params), 100, 0.6, upper=True)
+
     def test_face_beyond_the_support(self):
         from renewal_ldp.simulate import _area_face_chernoff
 
