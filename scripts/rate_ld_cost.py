@@ -11,6 +11,11 @@ pass gives its wall time per call.  ``per_kind`` reports the same per model
 kind (the closed-form inverse-Gaussian rate reads 0 evaluations and 0 steps),
 so that a change in one kind is not hidden in the mean over four.
 
+``kernel`` reports, per model kind, the median over --repeats passes of the
+microseconds of one rates._second_order call (the model table's segment kernel
+behind the domain check) at the arguments that the counting pass recorded; the
+inverse-Gaussian rate records none, and reads null.
+
 ``duals`` reports the one-dimensional duals the same way, as the steps of each
 call and the median microseconds per call over --repeats passes:
 ``marginal_I2`` at z2 in {0.05, 0.3, 0.45, 0.55, 1, 1.5, 3} times the mean,
@@ -41,13 +46,13 @@ def grid() -> dict:
             for model in builtin_models()}
 
 
-def count_pass(points) -> tuple[int, int]:
-    """Evaluations of L with its derivatives, and Newton steps, summed over the points."""
-    calls = {"n": 0}
+def count_pass(points) -> tuple[list, int]:
+    """The arguments of every evaluation of L with its derivatives, and the Newton steps summed over the points."""
+    recorded = []
     evaluate = rates._second_order
 
     def counted(*args):
-        calls["n"] += 1
+        recorded.append(args)
         return evaluate(*args)
 
     rates._second_order = counted
@@ -55,7 +60,19 @@ def count_pass(points) -> tuple[int, int]:
         iterations = sum(rates.rate_ld(model, z1, z2).iterations for model, z1, z2 in points)
     finally:
         rates._second_order = evaluate
-    return calls["n"], iterations
+    return recorded, iterations
+
+
+def kernel_cost(recorded, repeats: int) -> dict:
+    """The median over the passes of the microseconds per _second_order call at the recorded arguments."""
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for args in recorded:
+            rates._second_order(*args)
+        seconds.append(time.perf_counter() - start)
+    return {"evaluations": len(recorded),
+            "us_per_call_median": round(1e6 * statistics.median(seconds) / len(recorded), 3) if recorded else None}
 
 
 def timed_pass(points) -> float:
@@ -110,17 +127,18 @@ def main() -> int:
     calls = sum(len(points) for points in by_kind.values())
     ms = [1e3 * sum(run) / calls for run in zip(*seconds.values())]
     per_kind = {kind: {
-        "evaluations_per_call": counts[kind][0] / len(points),
+        "evaluations_per_call": len(counts[kind][0]) / len(points),
         "iterations_per_call": counts[kind][1] / len(points),
         "ms_per_call_median": round(1e3 * statistics.median(seconds[kind]) / len(points), 4),
     } for kind, points in by_kind.items()}
     print(json.dumps({
         "calls": calls,
-        "evaluations_per_call": sum(c[0] for c in counts.values()) / calls,
+        "evaluations_per_call": sum(len(c[0]) for c in counts.values()) / calls,
         "iterations_per_call": sum(c[1] for c in counts.values()) / calls,
         "ms_per_call": [round(v, 4) for v in ms],
         "ms_per_call_median": round(statistics.median(ms), 4),
         "per_kind": per_kind,
+        "kernel": {kind: kernel_cost(recorded, args.repeats) for kind, (recorded, _) in counts.items()},
         "duals": {dual: {kind: dual_cost(calls, args.repeats) for kind, calls in by_kind.items()}
                   for dual, by_kind in dual_calls().items()},
     }))

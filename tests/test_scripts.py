@@ -63,6 +63,13 @@ def test_rate_ld_cost_reports_the_grid(tmp_path):
         if kind != "inverse_gaussian":
             assert row["evaluations_per_call"] > row["iterations_per_call"] > 0
         assert row["ms_per_call_median"] > 0.0
+    # the segment kernel at the tilts of the counting pass, of which the closed-form inverse-Gaussian rate has none
+    kernel = report["kernel"]
+    assert sorted(kernel) == sorted(per_kind)
+    for kind, row in kernel.items():
+        assert row["evaluations"] == round(per_kind[kind]["evaluations_per_call"] * 50)
+        assert (row["us_per_call_median"] is None) == (kind == "inverse_gaussian")
+        assert kind == "inverse_gaussian" or row["us_per_call_median"] > 0.0
     # the one-dimensional duals: the steps of each call and the median microseconds per call
     duals = report["duals"]
     assert sorted(duals) == ["kappa_star", "line_rate", "marginal_I2"]
