@@ -5,12 +5,12 @@ For a holding-time CGF phi, the limit function is
     L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy
 
 on its effective domain, +inf outside.  This module evaluates L, its gradient
-and its Hessian from the model table's one segment kernel (the means of phi,
-of phi' and (1 - y) phi', and of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over
-the segment, in one pass) and the Hessian at the origin, decides membership of D(L)
-and of its interior, and reports the regularity facts (lower semicontinuity and
-steepness) that follow from the model's domain case and decide which form of
-the large-deviation principle is certified.  The defining integral itself is
+and its Hessian from the model table's segment kernel (the means of phi, of
+phi' and (1 - y) phi', and of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over the
+segment, in one pass) and the Hessian at the origin, decides membership of
+D(L) and of its interior, and reports the regularity facts (lower
+semicontinuity and steepness) that follow from the model's domain case and
+decide which form of the large-deviation principle is certified.  The defining integral itself is
 left to the oracles: :func:`quadrature.adaptive_gauss_legendre` of
 phi(a1 + a2*y) over y in (0, 1).
 """

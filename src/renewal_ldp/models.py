@@ -184,8 +184,9 @@ def _power_segment(c1: float, rate: float, lo: float, hi: float, width: float, c
     if c2 == 0.0:
         value, d1, tail = c1 * log_mean, c1 * D / d0, c1 * E / d0
     else:
-        # lam a/(1 - 2a) = (lam/2)(1/u - 1) with u = 1 - 2a: the means P and Q of 1/d and (1 - y)/d are
-        # twice those of 1/u, and 1/u^2 averages to 1/(u0 u1) and (1 - y)/u^2 to (P - Q)/(2 u0)
+        # lam = 2 c2 and k = 2 c1.  lam a/(1 - 2a) = (lam/2)(1/u - 1) with u = 1 - 2a: the means P and Q of
+        # 1/d and (1 - y)/d are twice those of 1/u and (1 - y)/u, and 1/u^2 averages to 1/(u0 u1) and
+        # (1 - y)/u^2 to (P - Q)/(2 u0)
         P, Q = D / d0, E / d0
         u0 = 1.0 - 2.0 * lo
         value = c2 * (0.5 * P - 1.0) + c1 * log_mean
