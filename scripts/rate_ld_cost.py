@@ -4,17 +4,19 @@
 The grid is z1 in {0.6, 1.2, 2, 3, 5} times the model mean and z2/z1 in
 {1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1 - 1e-6}: the edges, the
 interior and the midline.  One counting pass wraps rates._second_order, through
-which rates.rate_ld evaluates L with its gradient and Hessian (one call per
-Newton evaluation, line-search trials included), and reports evaluations and
-Newton steps per call; then the unwrapped grid runs --repeats times and each
-pass gives its wall time per call.  ``per_kind`` reports the same per model
-kind (the closed-form inverse-Gaussian rate reads 0 evaluations and 0 steps),
-so that a change in one kind is not hidden in the mean over four.
+which rates.rate_ld's Newton ascent evaluates L with its gradient and Hessian
+(one call per Newton evaluation, line-search trials included), and reports
+evaluations and steps per call; then the unwrapped grid runs --repeats times and
+each pass gives its wall time per call.  ``per_kind`` reports the same per model
+kind, so that a change in one kind is not hidden in the mean over four.  Only
+noncentral chi-squared runs the ascent: the closed-form inverse-Gaussian rate
+reads 0 evaluations and 0 steps, and the exponential and gamma rates, phi* +
+shape kappa*, read 0 evaluations and the steps of kappa*.
 
 ``kernel`` reports, per model kind, the median over --repeats passes of the
 microseconds of one rates._second_order call (the model table's segment kernel
-behind the domain check) at the arguments that the counting pass recorded; the
-inverse-Gaussian rate records none, and reads null.
+behind the domain check) at the arguments that the counting pass recorded; a
+kind that records none reads null.
 
 ``duals`` reports the one-dimensional duals the same way, as the steps of each
 call and the median microseconds per call over --repeats passes:

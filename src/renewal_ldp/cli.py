@@ -73,8 +73,19 @@ def emit_json(payload: dict, out: str | None) -> None:
     _write(json.dumps(_jsonable(body), indent=2, sort_keys=True), out)
 
 
+def _csv_lines(row: dict) -> str:
+    """The CSV line of a row; or of a block of rows, whose columns given as lists of floats hold one value a row
+    and the others one for every row, formatted by one % call (%.17g is _fmt's form of a float)."""
+    varying = [v for v in row.values() if isinstance(v, list)]
+    if not varying:
+        return ",".join(_fmt(v) for v in row.values()) + "\n"
+    line = ",".join("%.17g" if isinstance(v, list) else _fmt(v).replace("%", "%%") for v in row.values()) + "\n"
+    return (line * len(varying[0])) % tuple(itertools.chain.from_iterable(zip(*varying)))
+
+
 def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
-    """Write sweep results, one row or more, as CSV (fixed column order, one row at a time) or JSON rows."""
+    """Write sweep results, one row or more, as CSV (fixed column order, each row or block of rows written as it
+    is made; see :func:`_csv_lines`) or JSON rows."""
     rows = iter(results)
     first = next(rows)  # a grid has a point, and a sample dump a sample, at least
     columns = list(first)
@@ -82,7 +93,7 @@ def emit_plot_data(results: Iterable[dict], fmt: str, out: str | None) -> None:
         with _output(out) as fh:
             fh.write(",".join(columns) + "\n")
             for row in itertools.chain([first], rows):
-                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+                fh.write(_csv_lines(row))
     elif fmt == "json":
         emit_json({"columns": columns, "rows": [first, *rows]}, out)
     else:
@@ -231,11 +242,10 @@ def cmd_simulate(args) -> int:
         emit_json(asdict(est), args.out)
         return 0
     n_terms = sim.n_terms_for(args.x)
-    # the blocks stay arrays, and each row is formatted and written as it is made
-    rows = ({"x": args.x, "tau": tau, "area": area, "n_terms": n_terms}
-            for taus, areas in sim.map_blocks(config, lambda t, a: (t, a))
-            for tau, area in zip(taus.tolist(), areas.tolist()))
-    emit_plot_data(rows, "csv", args.out)
+    # one row per sample block, its passage times and areas as lists: each block is one format call
+    blocks = ({"x": args.x, "tau": taus.tolist(), "area": areas.tolist(), "n_terms": n_terms}
+              for taus, areas in sim.map_blocks(config, lambda t, a: (t, a)))
+    emit_plot_data(blocks, "csv", args.out)
     return 0
 
 

@@ -10,61 +10,18 @@ and the variational cross-check against the joint-minus-marginal rate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from functools import cache, reduce
+from functools import cache
 from typing import TYPE_CHECKING
 
-from .models import INF, RateEvaluation, dual_newton, model_of, reject_nan
+# kappa and kappa' live in the model table's module, below rates, whose gamma-family joint rate reads kappa*;
+# they stay public names of this module
+from .models import INF, RateEvaluation, _kappa_d2_root, kappa, kappa_conjugate, kappa_d1, model_of, reject_nan
 from .rates import conditional_rate_J
 
 if TYPE_CHECKING:
     import numpy as np
-
-# kappa(t; 1) = t/2 + sum_n B_2n t^(2n)/(2n (2n)!) below |t| = 1/2, with kappa' and kappa'' term by term, from
-# the Bernoulli numbers B_2, ..., B_14: the closed forms lose eps absolutely where kappa ~ t/2 and kappa'' ~ 1/12
-# (4 eps/t^2 of it), and 7 terms leave less than 1e-15.  The columns are in t^2, highest first: the
-# coefficients of (kappa - t/2)/t^2, (kappa' - 1/2)/t and kappa''
-_KAPPA_SERIES = tuple((b / (2 * n) / math.factorial(2 * n), b / math.factorial(2 * n),
-                       b * (2 * n - 1) / math.factorial(2 * n))
-                      for n, b in reversed(list(enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
-                                                           7 / 6), 1))))
-
-
-def _kappa_series(t: float, column: int) -> float:
-    return reduce(lambda series, coefficients: coefficients[column] + t * t * series, _KAPPA_SERIES, 0.0)
-
-
-def kappa(beta: float, z1: float) -> float:
-    """CGF of the uniform law on (0, z1): log((e^{beta z1} - 1)/(beta z1))."""
-    if z1 < 0:
-        raise ValueError("z1 must be nonnegative")
-    t = beta * z1
-    if abs(t) < 0.5:
-        return 0.5 * t + t * t * _kappa_series(t, 0)
-    if t > 0:
-        # log((e^t - 1)/t) = t + log((1 - e^{-t})/t); expm1 keeps the ratio
-        # accurate to machine precision for every t > 0
-        return t + math.log(-math.expm1(-t) / t)
-    return math.log(math.expm1(t) / t)
-
-
-def kappa_d1(beta: float, z1: float) -> float:
-    """Derivative in beta: z1/(1 - e^{-beta z1}) - 1/beta, increasing from 0 to z1."""
-    t = beta * z1
-    if abs(t) < 0.5:
-        return z1 * (0.5 + t * _kappa_series(t, 1))
-    if t > 0:
-        return z1 / -math.expm1(-t) - 1.0 / beta
-    # z1/(1 - e^{-t}) = z1 e^t/(e^t - 1); e^{-t} would overflow for t < -709
-    return z1 * math.exp(t) / math.expm1(t) - 1.0 / beta
-
-
-def _kappa_d2_root(t: float) -> float:
-    """The square root of kappa''(t; 1) = 1/t^2 - 1/(4 sinh^2(t/2)), which falls from 1/12 at 0 like 1/t^2."""
-    if abs(t) < 0.5:
-        return math.sqrt(_kappa_series(t, 2))
-    q = abs(t) * math.exp(-0.5 * abs(t)) / -math.expm1(-abs(t))  # (t/2)/sinh(t/2), without overflow
-    return math.sqrt((1.0 - q) * (1.0 + q)) / abs(t)
 
 
 def kappa_d2(beta: float, z1: float) -> float:
@@ -93,12 +50,9 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
     # with the tilt negated.  Folding onto w <= z1/2 (z1 - z2 is exact for
     # z2 >= z1/2) puts the tilt at or below 0, where kappa' = z1 e^t/(e^t - 1) - 1/beta
     # has no cancellation; the midline w = z1/2 is the top 0, with value 0.  As
-    # kappa(beta; z1) = kappa(beta z1; 1), the dual is solved for t = beta z1 at level
-    # r = w/z1, from the moderate-deviation tilt (r - 1/2)/kappa''(0; 1).
+    # kappa(beta; z1) = kappa(beta z1; 1), the dual is solved for t = beta z1 at level r = w/z1
     w = min(z2, z1 - z2)
-    r = w / z1
-    t, value, iterations = dual_newton(lambda t: (kappa(t, 1.0), kappa_d1(t, 1.0), _kappa_d2_root(t)), r,
-                                       12.0 * (r - 0.5), 0.0)
+    t, value, iterations = kappa_conjugate(w / z1)
     tilt = t / z1 if w == z2 else -t / z1
     return RateEvaluation(max(value, 0.0), argmax_tilt=(tilt,), iterations=iterations, method="newton")
 
@@ -190,11 +144,13 @@ def chaganty_equality(lambda_param: float, z1: float, z2: float) -> dict:
     """Two independent routes to the conditional rate: conjugate CGF vs J.
 
     kappa* does not depend on lambda; the joint-minus-marginal route is
-    computed at the given lambda.  Agreement is the variational identity.
+    computed at the given lambda, with the joint rate from the Newton ascent
+    on the model table's L (rate_ld's own exponential rate is phi* + kappa*).
+    Agreement is the variational identity.
     """
     if not (z1 > 0 and 0.0 < z2 < z1):
         raise ValueError("requires z1 > 0 and z2 in (0, z1)")
     ks = kappa_star(z2, z1).value
-    model = model_of("exponential", lambda_param)
+    model = dataclasses.replace(model_of("exponential", lambda_param), joint_rate=None)
     j = conditional_rate_J(model, z1, z2)
     return {"kappa_star_value": ks, "J_value": j, "abs_diff": abs(ks - j)}

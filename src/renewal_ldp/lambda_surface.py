@@ -64,12 +64,16 @@ def in_lambda_domain_interior(model: HoldingTimeModel, a1: float, a2: float) -> 
 
 
 def lambda_eval(model: HoldingTimeModel, a1: float, a2: float) -> float:
-    """Extended-real value of the limit function at the tilt (a1, a2), from the model's closed form."""
+    """Extended-real value of the limit function at the tilt (a1, a2 = fl(a1 + a2) - a1), from the model's closed form.
+
+    The segment's top is the double fl(a1 + a2) that the domain test sees, so its width is the one that
+    top leaves, as in :func:`lambda_grad`; phi(a1) where that width is 0.
+    """
     if not in_lambda_domain(model, a1, a2):
         return INF
-    if a2 == 0.0:
+    if (width := (a1 + a2) - a1) == 0.0:
         return model.phi(a1)
-    return model.segment(a1, a2)[0]
+    return model.segment(a1, width)[0]
 
 
 def _interior_width(model: HoldingTimeModel, a1: float, a2: float) -> float | None:

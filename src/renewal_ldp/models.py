@@ -4,9 +4,12 @@ Every supported kind is one row of :data:`MODEL_TABLE`: its parameter names,
 the effective domain of phi, phi and its first three derivatives on the interior
 of that domain, the Legendre transform phi* and its tilt in closed form, closed
 forms of L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of its gradient and
-Hessian as means over the segment of (a1, a2), and an exact sampler.  All
-holding times are positive and light-tailed: phi is finite on a right
-neighborhood of 0 and its domain has a finite boundary.
+Hessian as means over the segment of (a1, a2), an exact sampler and, where
+the kind has one, its joint rate off the midline (inverse-Gaussian in closed
+form, the gamma family as phi* + shape kappa*, with kappa the CGF of the
+uniform law that this module also holds).  All holding times are positive and
+light-tailed: phi is finite on a right neighborhood of 0 and its domain has a
+finite boundary.
 
 Every other one-dimensional dual sup_t [t c - K(t)] of the package is one
 :func:`dual_newton`, a damped Newton ascent on the curvature K'' that each
@@ -92,6 +95,8 @@ class HoldingTimeModel:
     _segment: Callable[[float, float, float], tuple] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
+    # (z1, w) -> ((a1, a2, I), steps, method) off the midline, 0 < w < z1/2, where the kind has it
+    joint_rate: Optional[Callable[[float, float], tuple]] = field(default=None, repr=False)
 
     @property
     def mean(self) -> float:
@@ -195,8 +200,8 @@ def _power_segment(c1: float, rate: float, lo: float, hi: float, width: float, c
     if gap == 0.0:  # the top on the open integrable boundary, c2 = 0: H22 is c1/width^2
         return value, d1, tail, (INF, math.sqrt(c1) / width, 0.0)
     root_d0, root_gap = math.sqrt(d0), math.sqrt(gap)
-    # H22 d0^2 > 0 where width is hi - lo; lambda_eval's own a2 a few ulps from the boundary, with hi rounded,
-    # can take the closed form below 0, and there the Hessian, which it does not read, is NaN
+    # H22 d0^2 > 0 where width is hi - lo; a raw a2 a few ulps from the boundary, with hi rounded, can take
+    # the closed form below 0, and there the Hessian is NaN (the package's callers pass fl(a1 + a2) - a1)
     k1, k22 = math.sqrt(c1 + c2 * (1.0 + s) / (2.0 * gap)), c1 * m2 + c2 * n2 / d0
     k2 = math.sqrt(k22) if k22 > 0.0 else math.nan
     return value, d1, tail, (k1 / root_d0 / root_gap, k2 / d0,
@@ -243,7 +248,10 @@ def _noncentral_chi_squared_conjugate(lam: float, k: float, z: float) -> tuple:
 
 
 def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
-    """(a1, a2, I) at (z1, w), 0 < w < z1/2: the joint rate and its tilt, RootError where that is not a double."""
+    """((a1, a2, I), 0, "closed_form") at (z1, w), 0 < w < z1/2: the joint rate and its tilt.
+
+    RootError where that is not a double.
+    """
     # phi is the passage law of Brownian motion with drift mu, and I = phi*(z1) + J(z1, w) with
     # phi*(z1) = (mu z1 - 1)^2/(2 z1) and J, free of mu, the rate of a Brownian-bridge area.  On the closed
     # face a1 = mu^2/2, L = mu - (2/3) sqrt(-2 a2) is least at a2 = -2/(9 w^2), where d1L = 3w: the optimum
@@ -259,7 +267,26 @@ def _inverse_gaussian_rate(mu: float, z1: float, w: float) -> tuple:
         a1, a2, bridge = 0.5 * (mu - s1) * (mu + s1), 12.0 * d / z1 / z1, 6.0 * d * d / z1
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
-    return a1, a2, _inverse_gaussian_conjugate(mu, z1)[1] + bridge
+    return (a1, a2, _inverse_gaussian_conjugate(mu, z1)[1] + bridge), 0, "closed_form"
+
+
+def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
+    """((a1, a2, I), steps, "kappa_star") at (z1, w), 0 < w < z1/2: I = phi*(z1) + shape kappa*(w/z1).
+
+    steps are those of :func:`kappa_conjugate`; RootError where the tilt is not a double.
+    """
+    # for exponential holding times the area given the passage time z1 is z1 times a uniform law, so that
+    # I = phi*(z1) + kappa*(w/z1) with kappa the CGF of the uniform law on (0, 1); phi of gamma(shape, rate)
+    # is shape times that of exponential(rate), so I(z) = shape I_exp(z/shape), and kappa* depends on
+    # w/z1 alone.  The tilt is the gradient of I: a2 = shape t/z1, t <= 0 the tilt of kappa*, and by
+    # kappa'(t) = r, a1 = rate - (shape/z1)(1 + t r) = rate - (shape/z1) q with q = t e^t/expm1(t), which
+    # forms no e^-t to overflow; a1 stops at the last double below the open boundary, as phi*'s tilt does
+    t, value, steps = kappa_conjugate(w / z1)
+    q = t * math.exp(t) / math.expm1(t) if t else 1.0
+    a1, a2 = min(rate - shape * (q / z1), math.nextafter(rate, -INF)), shape * (t / z1)
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
+    return (a1, a2, _gamma_conjugate(shape, rate, z1)[1] + shape * max(value, 0.0)), steps, "kappa_star"
 
 
 @dataclass(frozen=True)
@@ -285,6 +312,9 @@ class ModelKind:
     segment: Callable[..., tuple]
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
+    # (*args, z1, w) -> ((a1, a2, I), steps, method): the joint rate off the midline, w < z1/2, and its tilt;
+    # rates.rate_ld runs its Newton ascent for a kind without one
+    joint_rate: Optional[Callable[..., tuple]] = None
 
 
 _GAMMA_FUNCTIONS = dict(
@@ -298,6 +328,7 @@ _GAMMA_FUNCTIONS = dict(
     cgf_d3=lambda shape, rate, a: 2.0 * shape / ((d := rate - a) * d * d),
     conjugate=_gamma_conjugate,
     segment=_power_segment,  # c1 = shape, c2 = 0
+    joint_rate=_gamma_rate,
 )
 
 MODEL_TABLE = {
@@ -321,6 +352,7 @@ MODEL_TABLE = {
         cgf_d3=lambda mu, a: 3.0 * (mu**2 - 2.0 * a) ** -2.5,
         conjugate=_inverse_gaussian_conjugate,
         segment=_inverse_gaussian_segment,
+        joint_rate=_inverse_gaussian_rate,
         sampler=lambda mu, rng, size: rng.wald(mean=1.0 / mu, scale=1.0, size=size),
         sampler_spec="Michael-Schucany-Haas transform (numpy wald)",
     ),
@@ -386,6 +418,7 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         _segment=partial(row.segment, *args),
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
+        joint_rate=partial(row.joint_rate, *args) if row.joint_rate else None,
     )
 
 
@@ -465,6 +498,76 @@ def dual_newton(terms: Callable[[float], Optional[tuple]], c: float, start: floa
             h *= 0.5
         t, current = trial, new
     raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for c = {c}")
+
+
+# ---------------------------------------------------------------------------
+# the CGF of the uniform law on (0, z1), the limiting law of the scaled area given the passage time for
+# exponential holding times, and its conjugate, which the gamma family's joint rate reads
+
+
+# kappa(t; 1) = t/2 + sum_n B_2n t^(2n)/(2n (2n)!) below |t| = 1/2, with kappa' and kappa'' term by term, from
+# the Bernoulli numbers B_2, ..., B_14: the closed forms lose eps absolutely where kappa ~ t/2 and kappa'' ~ 1/12
+# (4 eps/t^2 of it), and 7 terms leave less than 1e-15.  The columns are in t^2, highest first: the
+# coefficients of (kappa - t/2)/t^2, (kappa' - 1/2)/t and kappa''
+_KAPPA_SERIES = tuple((b / (2 * n) / math.factorial(2 * n), b / math.factorial(2 * n),
+                       b * (2 * n - 1) / math.factorial(2 * n))
+                      for n, b in reversed(list(enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+                                                           7 / 6), 1))))
+
+
+def _kappa_series(t: float, column: int) -> float:
+    series = 0.0
+    for coefficients in _KAPPA_SERIES:
+        series = coefficients[column] + t * t * series
+    return series
+
+
+def kappa(beta: float, z1: float) -> float:
+    """CGF of the uniform law on (0, z1): log((e^{beta z1} - 1)/(beta z1))."""
+    if z1 < 0:
+        raise ValueError("z1 must be nonnegative")
+    t = beta * z1
+    if abs(t) < 0.5:
+        return 0.5 * t + t * t * _kappa_series(t, 0)
+    if t > 0:
+        # log((e^t - 1)/t) = t + log((1 - e^{-t})/t); expm1 keeps the ratio
+        # accurate to machine precision for every t > 0
+        return t + math.log(-math.expm1(-t) / t)
+    return math.log(math.expm1(t) / t)
+
+
+def kappa_d1(beta: float, z1: float) -> float:
+    """Derivative in beta: z1/(1 - e^{-beta z1}) - 1/beta, increasing from 0 to z1."""
+    t = beta * z1
+    if abs(t) < 0.5:
+        return z1 * (0.5 + t * _kappa_series(t, 1))
+    if t > 0:
+        return z1 / -math.expm1(-t) - 1.0 / beta
+    # z1/(1 - e^{-t}) = z1 e^t/(e^t - 1); e^{-t} would overflow for t < -709
+    return z1 * math.exp(t) / math.expm1(t) - 1.0 / beta
+
+
+def _kappa_d2_root(t: float) -> float:
+    """The square root of kappa''(t; 1) = 1/t^2 - 1/(4 sinh^2(t/2)), which falls from 1/12 at 0 like 1/t^2."""
+    if abs(t) < 0.5:
+        return math.sqrt(_kappa_series(t, 2))
+    q = abs(t) * math.exp(-0.5 * abs(t)) / -math.expm1(-abs(t))  # (t/2)/sinh(t/2), without overflow
+    return math.sqrt((1.0 - q) * (1.0 + q)) / abs(t)
+
+
+def _kappa_terms(t: float) -> tuple:
+    return kappa(t, 1.0), kappa_d1(t, 1.0), _kappa_d2_root(t)
+
+
+def kappa_conjugate(r: float) -> tuple[float, float, int]:
+    """(t, g, steps): the tilt t <= 0 of sup_t {t r - kappa(t; 1)} at 0 < r <= 1/2, its value g and the Newton steps.
+
+    One :func:`dual_newton` with the top 0, from the moderate-deviation tilt 12 (r - 1/2), or below r = 1/10
+    from the asymptote t = -1/r, where kappa'(-1/r) = r - O(e^{-1/r}) (a start from the moderate-deviation
+    tilt took one step per binade of r).  RootError where the tilt is not a double (r below about 5e-309).
+    """
+    start = max(-1.0 / r, -sys.float_info.max) if r < 0.1 else 12.0 * (r - 0.5)
+    return dual_newton(_kappa_terms, r, start, 0.0)
 
 
 def reject_nan(*levels: float) -> None:

@@ -2,8 +2,9 @@
 
 The bivariate rate is the Legendre-Fenchel transform I = L* of the limit
 function, and the marginal rates follow from it by contraction.  The joint rate
-is in closed form for inverse-Gaussian holding times and otherwise one projected
-Newton ascent on the dual; the first marginal is phi*, in closed form for every
+is the model table's where a kind has one (inverse-Gaussian in closed form, the
+gamma family as phi* + shape kappa*) and otherwise, for noncentral chi-squared,
+one projected Newton ascent on the dual; the first marginal is phi*, in closed form for every
 kind, and every line rate is one :func:`models.dual_newton` on the Hessian of L
 along the line.  The specialized path for exponential holding times, where the
 optimal area tilt is the nonzero root of an explicit scalar equation, is kept
@@ -17,7 +18,7 @@ import sys
 
 from .lambda_surface import _second_order
 from .models import _RTOL, INF, MAX_NEWTON_STEPS, HoldingTimeModel, RateEvaluation, RootError, dual_newton
-from .models import _inverse_gaussian_rate, phi_star, reject_nan
+from .models import phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
@@ -33,13 +34,15 @@ def in_support_cone(z1: float, z2: float) -> bool:
 
 
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
-    """Bivariate rate function sup_a {a.z - L(a)}, in closed form or by one projected Newton ascent.
+    """Bivariate rate function sup_a {a.z - L(a)}, from the model table's joint rate or by one projected Newton ascent.
 
     Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every
     built-in phi tends to -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area
     onto w = min(z2, z1 - z2) <= z1/2, where the optimal a2 is <= 0; on the midline a2 = 0 and
-    I = phi*(z1).  Elsewhere the inverse-Gaussian rate is in closed form, and for the other kinds
-    :func:`_newton_ascent` gives the optimum, ``iterations`` counting its steps.  ValueError for a NaN level.
+    I = phi*(z1).  Elsewhere a kind's ``joint_rate`` gives it (the inverse-Gaussian closed form,
+    ``closed_form``; the gamma family's phi*(z1) + shape kappa*(w/z1), ``kappa_star``, ``iterations``
+    counting the steps of kappa*), and for the other kinds :func:`_newton_ascent` gives the optimum,
+    ``iterations`` counting its steps.  ValueError for a NaN level.
     """
     reject_nan(z1, z2)
     if not in_support_cone(z1, z2) or z1 == INF:
@@ -50,8 +53,8 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     if 2.0 * w == z1:
         mid = phi_star(model, z1)
         a1, a2, value, iterations, method = mid.argmax_tilt[0], 0.0, mid.value, mid.iterations, mid.method
-    elif model.kind == "inverse_gaussian":
-        (a1, a2, value), iterations, method = _inverse_gaussian_rate(model.params["mu"], z1, w), 0, "closed_form"
+    elif model.joint_rate is not None:
+        (a1, a2, value), iterations, method = model.joint_rate(z1, w)
     else:
         ((a1, a2, value), iterations), method = _newton_ascent(model, z1, w), "newton"
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
@@ -61,10 +64,12 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
 def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple, int]:
     """((a1, a2, g), steps): the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, for w < z1/2.
 
-    On an open boundary, where the optimum is interior: Newton steps from the moderate-deviation tilt
-    C^-1 (z - p), halved until they land in D(L) with a2 < 0 and g no lower up to its roundoff (or a
-    decrement four times smaller), and stopped short of the top of the search.  One step past
-    convergence ends it.  RootError where a step or L leaves the doubles: the optimal tilt is beyond them.
+    rate_ld runs it for the kinds without a joint rate in the model table (noncentral chi-squared); it
+    solves every kind with an open boundary.  On an open boundary, where the optimum is interior: Newton
+    steps from the moderate-deviation tilt C^-1 (z - p), halved until they land in D(L) with a2 < 0 and
+    g no lower up to its roundoff (or a decrement four times smaller), and stopped short of the top of
+    the search.  One step past convergence ends it.  RootError where a step or L leaves the doubles: the
+    optimal tilt is beyond them.
     """
     top = model.domain.search_top(finite_at_face=False)
 
@@ -144,8 +149,10 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
     below the spacing of doubles at lam, so the root is solved for
     s = -log(eps), and the value lam*z1 - 1 - L takes L from the x log x form
     over the two boundary distances eps/z1 and (1 + b(z1 - w))/z1.  On the
-    midline b = 0 and the value is phi*(z1).  The root is bisected in s down
-    to adjacent doubles, keeping the end where the residual is not negative.
+    midline b = 0 and the value is phi*(z1).  The root is bracketed by doubling
+    and halving s, then narrowed by Anderson-Bjorck steps of regula falsi,
+    each at least an ulp inside the bracket, down to adjacent doubles, keeping
+    the end where the residual is not negative.
     """
     if not (0.0 < z2 < z1):
         raise ValueError("rate_ld_poisson requires 0 < z2 < z1")
@@ -163,11 +170,29 @@ def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation
             hi, iterations = 2.0 * hi, iterations + 1
         lo = 0.5 * hi
         while (f_lo := resid(lo)) < 0.0 and lo > POISSON_S_FLOOR:
-            lo, iterations = 0.5 * lo, iterations + 1
+            hi, f_hi, lo, iterations = lo, f_lo, 0.5 * lo, iterations + 1
         if f_lo >= 0.0:
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                lo, hi = (mid, hi) if resid(mid) >= 0.0 else (lo, mid)
-                iterations += 1
+            # regula falsi inside the bracket [lo, 2 lo], at least an ulp from either end.  Where a step keeps
+            # the end the last step kept, that end's residual f is scaled by 1 - f_new/f_old of the end that
+            # moved (by 1/2 where that is not positive), so that it moves next (Anderson and Bjorck 1973).
+            # Next to the root, and next to the midline everywhere, the residual is a small difference that
+            # roundoff spreads, even to 0 over many doubles: where three steps did not halve the bracket, or
+            # a step left lo on a residual of 0, the next one bisects it
+            kept, widths = 0, (INF, INF, INF)  # kept: -1 lo, 1 hi; widths: the bracket's last three
+            while (inside := math.nextafter(lo, INF)) < hi:
+                if hi - lo > 0.5 * widths[0] or (f_lo == 0.0 and kept == 1):
+                    trial = lo + 0.5 * (hi - lo)
+                else:
+                    trial = min(max(lo + f_lo / (f_lo - f_hi) * (hi - lo), inside), math.nextafter(hi, -INF))
+                widths, iterations = (*widths[1:], hi - lo), iterations + 1
+                if (f := resid(trial)) >= 0.0:
+                    if kept == 1:
+                        f_hi *= m if f_lo and (m := 1.0 - f / f_lo) > 0.0 else 0.5
+                    lo, f_lo, kept = trial, f, 1
+                else:
+                    if kept == -1:
+                        f_lo *= m if f_hi and (m := 1.0 - f / f_hi) > 0.0 else 0.5
+                    hi, f_hi, kept = trial, f, -1
             s = lo
     b = -math.expm1(-s) / w
     log_far = math.log1p(b * (z1 - w))   # log of z1 times the far distance

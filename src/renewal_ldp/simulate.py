@@ -5,8 +5,13 @@ sum of ceil(x) holding times and the area is the same draws weighted by
 x, x-1, ...  Randomness comes from counter-based Philox streams keyed by
 (master seed, block index) over fixed-size sample blocks, so the j-th sample
 is identical no matter how blocks are distributed over workers, and merged
-statistics are reproducible bit for bit.  A block is drawn in chunks but
-reduced once, whole: the chunk size bounds memory and changes no result.
+statistics are reproducible bit for bit.  A block is drawn and reduced in
+chunks of a power of two rows, at least 8, to bound memory.  The chunk size
+(CHUNK_DRAWS) changes no passage time, and no area of a block whose sample
+count is a multiple of 8, as every full block's is; in a last block of another
+count the areas can move by a few ulps with it (OpenBLAS dgemv takes another
+kernel for the rows past a multiple of 8, and the chunks split them
+differently).  For a given chunk size nothing depends on the worker count.
 """
 
 from __future__ import annotations
@@ -123,6 +128,7 @@ def _sample_chunked(model, x, rng, count):
     weights = passage_weights(x)
     # a power of two, at least 8: OpenBLAS dgemv takes another kernel for the last rows mod 8
     # of a call, so chunk boundaries at multiples of 8 give the areas of one whole-block dgemv
+    # where the count is a multiple of 8; past it the areas can differ by a few ulps
     rows = 1 << max(3, (CHUNK_DRAWS // weights.size).bit_length() - 1)
     tau, area = np.empty(count), np.empty(count)
     for lo in range(0, count, rows):
@@ -141,8 +147,10 @@ def map_blocks(config: SimulationConfig, func: Callable) -> list:
     """``func(tau, area)`` of each sample block, once per block, in block order.
 
     Each block gets its own counter-based stream and ``func`` sees all of its
-    samples at once, so the output is identical for any worker count and any
-    CHUNK_DRAWS; workers only affect scheduling, the chunk size only memory.
+    samples at once, so the output is identical for any worker count: workers
+    only affect scheduling.  CHUNK_DRAWS bounds memory; it can move the areas
+    of a block whose sample count is not a multiple of 8 by a few ulps (see the
+    module docstring).
     """
     n = config.n_samples
 

@@ -110,7 +110,7 @@ class TestKappaStar:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran on a NaN level")
 
-        monkeypatch.setattr("renewal_ldp.conditional.dual_newton", no_solve)
+        monkeypatch.setattr("renewal_ldp.models.dual_newton", no_solve)
         with pytest.raises(ValueError, match="NaN"):
             kappa_star(z2, z1)
 
@@ -334,6 +334,14 @@ class TestKappaStarFarFromTheMidline:
                 t = mpmath.findroot(lambda t: dk(t) - w, (-1 / w, mpmath.mpf(-1e-30)), solver="anderson")
                 exact = t * w - mpmath.log(mpmath.expm1(t) / t)
                 assert abs(kappa_star(z2, z1).value - float(exact)) <= 2e-15
+
+    @pytest.mark.parametrize("f, steps", [(0.01, 0), (1e-100, 0), (1e-300, 0), (0.05, 1)])
+    def test_start_on_the_asymptote(self, f, steps):
+        # below r = 1/10 the start t = -1/r is exact to e^(-1/r); from the moderate-deviation tilt the
+        # ascent took one step per binade of r (10 at 0.01, 999 at 1e-300)
+        res = kappa_star(f, 1.0)
+        assert res.iterations == steps
+        assert res.value == pytest.approx(-1.0 - math.log(f), rel=1e-15 + math.exp(-1.0 / f))
 
     def test_unbracketable_level_raises(self):
         # the tilt would be about -1/z2, beyond the double range

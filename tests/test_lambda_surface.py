@@ -436,12 +436,24 @@ class TestCurvatures:
         assert got_r2 == pytest.approx(r2, rel=1e-15)
 
     def test_raw_width_a_few_ulps_from_the_boundary(self):
-        # lambda_eval's a2 is not fl(a1 + a2) - a1: here 1.25 ulp, past the boundary's distance, over a segment
-        # whose top rounds below it; the Hessian's closed form is meaningless there and must not raise
+        # a2 is not fl(a1 + a2) - a1 here: 1.25 ulp, past the boundary's distance, over a segment whose top
+        # rounds below it.  The kernel at that raw width must not raise (its Hessian's closed form is
+        # meaningless there); lambda_eval takes the width fl(a1 + a2) - a1, as lambda_grad does, and meets
+        # 50-digit quadrature over [a1, fl(a1 + a2)], where the raw width left L 29% and 16% low
         ncx = make_model("noncentral_chi_squared", {"lam": 1.0, "k": 1.0})
         for a1, a2 in [(float.fromhex("0x1.ffffffffffffcp-2"), float.fromhex("0x1.4p-53")),
                        (float.fromhex("0x1.ffffffffffff8p-2"), float.fromhex("0x1.2p-52"))]:
-            assert math.isfinite(lambda_eval(ncx, a1, a2)) and lambda_eval(ncx, a1, a2) == ncx.segment(a1, a2)[0]
+            assert math.isfinite(ncx.segment(a1, a2)[0])
+            width = (a1 + a2) - a1
+            with mpmath.workdps(50):
+                exact = mpmath.quad(lambda y: MP_PHI["noncentral_chi_squared"](a1 + width * y), [0, 1])
+            assert lambda_eval(ncx, a1, a2) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    def test_no_width_on_the_closed_face(self):
+        # a1 on the inverse-Gaussian face and fl(a1 + a2) = a1: the segment has no width, and L = phi(a1) = 1
+        # (the kernel divided by s0 + s1 = 0)
+        ig = make_model("inverse_gaussian", {"mu": 1.0})
+        assert lambda_eval(ig, 0.5, 1e-20) == lambda_eval(ig, 0.5, -1e-20) == 1.0
 
     def test_off_the_interior_none(self):
         # the one domain check: None where lambda_grad raises ValueError, and at a2 > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -51,6 +52,12 @@ def grid_search_rate(model, z1, z2, a1_range, a2_range, n=251):
             v = a1 * z1 + a2 * z2 - lambda_eval(model, float(a1), float(a2))
             best = max(best, v)
     return best
+
+
+def ascent_rate(model, z1, z2):
+    """rate_ld with the Newton ascent in place of the model table's joint rate; inverse-Gaussian keeps its
+    closed form, as the ascent has no step on the closed face."""
+    return rate_ld(model if model.kind == "inverse_gaussian" else dataclasses.replace(model, joint_rate=None), z1, z2)
 
 
 class TestSupportCone:
@@ -346,13 +353,13 @@ class TestEdgesAndMidline:
                                           rel=1e-12, abs=1e-14)
 
     def test_fewer_iterations_on_a_fixed_grid(self):
-        # the 200-point grid of scripts/rate_ld_cost.py; the bound is a quarter below 132.8
-        # iterations a call
+        # the 200-point grid of scripts/rate_ld_cost.py, with the Newton ascent for every kind but the
+        # inverse-Gaussian; the bound is a quarter below 132.8 iterations a call
         cold_mean = 132.795
         grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
                 for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
                 for f in (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)]
-        mean = sum(rate_ld(m, z1, z2).iterations for m, z1, z2 in grid) / len(grid)
+        mean = sum(ascent_rate(m, z1, z2).iterations for m, z1, z2 in grid) / len(grid)
         assert mean <= 0.75 * cold_mean
 
 
@@ -432,39 +439,47 @@ class TestNewtonStepsFreeOfTheScale:
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e3, 1e6])
     def test_within_one_step_of_scale_one(self, kind, r):
         # Newton's method is affine-invariant: the scaled problem takes the same steps, so the
-        # counts move by at most the last step's roundoff
+        # counts move by at most the last step's roundoff.  The ascent, which rate_ld runs for
+        # noncentral chi-squared, here on the gamma family; its own rate takes kappa*'s steps at
+        # w/z1, which the scale moves by at most an ulp
         unit, scaled = gamma_like(kind, 1.0), gamma_like(kind, r)
         for c1, c2 in [(3.0, 1.0), (0.7, 0.21), (1.5, 0.1), (5.0, 1.5), (1.0, 0.2), (2.0, 1.2)]:
             z1, z2 = c1 * unit.mean, c2 * unit.mean
-            one, other = rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)
+            one, other = ascent_rate(unit, z1, z2), ascent_rate(scaled, z1 / r, z2 / r)
             assert one.method == other.method == "newton"
+            assert abs(other.iterations - one.iterations) <= 1
+            one, other = rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)
+            assert one.method == other.method == "kappa_star"
             assert abs(other.iterations - one.iterations) <= 1
 
 
-def folded_optimum(model, z1, w):
-    """The tilt of rate_ld at (z1, w), w < z1/2, with d1L and d2L there."""
-    res = rate_ld(model, z1, w)
+def folded_optimum(model, z1, w, solve=rate_ld):
+    """The tilt of rate_ld (or of ``solve``) at (z1, w), w < z1/2, with d1L and d2L there."""
+    res = solve(model, z1, w)
     return res.argmax_tilt, lambda_grad(model, *res.argmax_tilt)
 
 
 class TestNewtonAscent:
-    """rate_ld by one projected Newton ascent on g(a) = a1 z1 + a2 w - L(a) over a2 < 0."""
+    """rate_ld by one projected Newton ascent on g(a) = a1 z1 + a2 w - L(a) over a2 < 0: noncentral chi-squared,
+    and here the gamma family too, whose rate_ld reads phi* + shape kappa* instead."""
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_stationary_at_interior_optima(self, model):
         # grad L(a*) = (z1, w) where a1* lies a thousandth of the boundary below the top of the
-        # search; closer to it d1L changes by 1e13 per unit of a1, and a1 is a double
+        # search; closer to it d1L changes by 1e13 per unit of a1, and a1 is a double.  By rate_ld
+        # and by the Newton ascent
         top = model.domain.search_top(finite_at_face=True)
-        interior = 0
-        for c1 in (0.3, 0.6, 1.2, 2.0, 3.0, 5.0):
-            for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
-                z1 = c1 * model.mean
-                (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1)
-                assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
-                if top - a1 > 1e-3 * top:
-                    interior += 1
-                    assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
-        assert interior >= (8 if model.domain.boundary_closed else 30)
+        for solve in (rate_ld, ascent_rate):
+            interior = 0
+            for c1 in (0.3, 0.6, 1.2, 2.0, 3.0, 5.0):
+                for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+                    z1 = c1 * model.mean
+                    (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1, solve)
+                    assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
+                    if top - a1 > 1e-3 * top:
+                        interior += 1
+                        assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+            assert interior >= (8 if model.domain.boundary_closed else 30)
 
     @pytest.mark.parametrize("c1", [0.3, 1.2, 5.0])
     @pytest.mark.parametrize("f", [1e-6, 0.02, 0.2, 0.3])
@@ -488,7 +503,7 @@ class TestNewtonAscent:
 
         second_order.inner = rates._second_order
         monkeypatch.setattr(rates, "_second_order", second_order)
-        (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1)
+        (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1, ascent_rate)
         assert any(tops) and a1 < top
         assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
 
@@ -525,7 +540,9 @@ class TestNewtonAscent:
         # 3,600 points: z1 from 0.02 to 50 times the mean, area fractions from 1e-12 to 1 - 1e-12,
         # scales 1e-12 to 1e6 on six models (about 1 s).  No call raises; each value is finite,
         # the exponential ones within 1e-13 of the independent rate_ld_poisson, and d2L = w at
-        # the tilt of every folded point.  The inverse-Gaussian rate is in closed form
+        # the tilt of every folded point.  The inverse-Gaussian rate is in closed form; the gamma
+        # family's, phi* + shape kappa*, is within 1e-13 of the Newton ascent, whose steps are
+        # counted with noncentral chi-squared's
         rng = np.random.default_rng(3600)
         kinds = [("exponential", 1.0), ("gamma", 2.0), ("inverse_gaussian", None),
                  ("noncentral_chi_squared", (1.0, 1.0)), ("gamma", 0.5), ("noncentral_chi_squared", (3.0, 0.5))]
@@ -546,9 +563,14 @@ class TestNewtonAscent:
             assert 0.0 < res.value < INF
             if kind == "inverse_gaussian":
                 assert (res.method, res.iterations) == ("closed_form", 0)
-            else:
+            elif kind == "noncentral_chi_squared":
                 assert res.method == "newton"
                 steps.append(res.iterations)
+            elif 2.0 * min(z2, z1 - z2) != z1:
+                assert res.method == "kappa_star"
+                ascent = ascent_rate(model, z1, z2)
+                assert res.value == pytest.approx(ascent.value, rel=1e-13, abs=0.0)
+                steps.append(ascent.iterations)
             if kind == "exponential":
                 assert res.value == pytest.approx(rate_ld_poisson(model.domain.boundary, z1, z2).value, rel=1e-13)
             if z2 <= 0.5 * z1:
@@ -635,6 +657,116 @@ class TestInverseGaussianClosedForm:
         assert rate_ld(IG1, 1e200, f * 1e200).value == pytest.approx(5e199, rel=1e-13, abs=0.0)
 
 
+def mp_gamma_rate(shape, rate, z1, w):
+    """phi*(z1) + shape kappa*(w/z1) at 40 digits, w < z1/2, with w/z1 exact: the gamma family's joint rate."""
+    with mpmath.workdps(40):
+        shape, rate, z1 = mpmath.mpf(shape), mpmath.mpf(rate), mpmath.mpf(z1)
+        r = mpmath.mpf(w) / z1
+        # kappa'(t) = r; below r = 1e-3 the root is -1/r up to e^(-1/r)
+        t = -1 / r if r < 1e-3 else mpmath.findroot(lambda t: 1 / -mpmath.expm1(-t) - 1 / t - r,
+                                                    -1 / r if r < 0.1 else 12 * (r - mpmath.mpf(0.5)))
+        phi_star = rate * z1 - shape - shape * mpmath.log(rate * z1 / shape)
+        return phi_star + shape * (t * r - mpmath.log(mpmath.expm1(t) / t))
+
+
+def seeded_gamma_family(seed, count):
+    """(model, shape, z1, z2): test_seeded_sweep's levels on exponential:scale, gamma:2,2scale and gamma:0.5,2scale."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = (1.0, 2.0, 0.5)[i % 3]
+        scale = 10.0 ** rng.uniform(-12.0, 6.0)
+        model = model_of("exponential", scale) if shape == 1.0 else model_of("gamma", shape, 2.0 * scale)
+        z1 = model.mean * 10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0))
+        f = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        yield model, shape, z1, (z1 - f * z1 if rng.random() < 0.5 else f * z1)
+
+
+class TestGammaFamilyRate:
+    """The exponential and gamma joint rate phi*(z1) + shape kappa*(w/z1), with the tilt from kappa*'s."""
+
+    def test_against_40_digits(self):
+        # within 1e-14 of the 40-digit rate at every point with I >= 1e-6, and on the mean at least as
+        # close as the Newton ascent (both are a few ulps off: 6e-17 and 8e-17 in the mean here)
+        errors = []
+        for model, shape, z1, z2 in seeded_gamma_family(37, 300):
+            exact = mp_gamma_rate(shape, model.domain.boundary, z1, min(z2, z1 - z2))
+            if exact < 1e-6:
+                continue
+            errors.append([float(abs(solve(model, z1, z2).value - exact) / exact) for solve in (rate_ld, ascent_rate)])
+        errors = np.array(errors)
+        assert len(errors) >= 200
+        assert errors[:, 0].max() <= 1e-14
+        assert errors[:, 0].mean() <= errors[:, 1].mean()
+
+    def test_scaling_identity(self):
+        # phi of gamma(k, lam) is k times that of exponential(lam): I_{k,lam}(z) = k I_{1,lam}(z/k).  On the
+        # folded area w, which z2/k - z1/k would lose next to the upper edge
+        for model, shape, z1, z2 in seeded_gamma_family(38, 300):
+            w, lam = min(z2, z1 - z2), model.domain.boundary
+            for k in (shape, 3.0):
+                gamma, unit = model_of("gamma", k, lam), model_of("exponential", lam)
+                assert rate_ld(gamma, z1, w).value == pytest.approx(k * rate_ld(unit, z1 / k, w / k).value,
+                                                                    rel=1e-14, abs=0.0)
+
+    def test_stationary_at_the_tilt(self):
+        # d2L = w at the folded tilt, and d1L = z1 where a1 is not within a thousandth of the boundary
+        # (most of these areas are small, and their a1 is; TestNewtonAscent checks d1L on a grid)
+        interior = 0
+        for model, shape, z1, z2 in seeded_gamma_family(39, 300):
+            w = min(z2, z1 - z2)
+            res = rate_ld(model, z1, w)
+            d1, d2 = lambda_grad(model, *res.argmax_tilt)
+            assert d2 == pytest.approx(w, rel=1e-12, abs=0.0)
+            if model.domain.boundary - res.argmax_tilt[0] > 1e-3 * model.domain.boundary:
+                interior += 1
+                assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+        assert interior >= 15
+
+    @pytest.mark.parametrize("kind, slope", [("exponential", -1.1), ("gamma", -0.55)])
+    def test_moderate_deviation_limit(self, kind, slope):
+        # I(p + d v)/(d^2 psi*(v)) - 1 = slope d + O(d^2) at v = (1, 0.3), from d = 1e-2 down to 1e-7, where
+        # I is about 4e-15 and the roundoff of phi* and of w/z1 is a few percent of the O(d) term; the ratio
+        # of the Newton ascent is as far off there
+        model = gamma_like(kind, 1.0)
+        scale = psi_star(model, 1.0, 0.3)
+        for k in range(2, 8):
+            d = 10.0**-k
+            z1, z2 = model.mean + d, 0.5 * model.mean + 0.3 * d
+            ratio, ascent = (solve(model, z1, z2).value / (d * d * scale) - 1.0 for solve in (rate_ld, ascent_rate))
+            assert abs(ratio - slope * d) <= 0.1 * d
+            assert abs(ratio - ascent) <= 0.1 * d
+
+    def test_exactly_reflection_symmetric(self):
+        for model, shape, z1, z2 in seeded_gamma_family(40, 300):
+            z2, c = exact_pair(z1, z2 / z1)
+            low, high = rate_ld(model, z1, z2), rate_ld(model, z1, c)
+            assert low.value == high.value
+            (a1, a2), (b1, b2) = low.argmax_tilt, high.argmax_tilt
+            assert (b1, b2) == (a1 + a2, -a2) or (a1, a2) == (b1 + b2, -b2)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gamma"])
+    def test_tiny_area_in_few_steps(self, kind):
+        # (1, 1e-300) times the mean took 1,002 Newton steps of the ascent; kappa*'s start at t = -1/r is
+        # exact to e^(-1/r) there.  The rate is shape (-log(1e-300) - 1) + phi*(z1), phi* = 0 at the mean
+        model, shape = gamma_like(kind, 1.0), (2.0 if kind == "gamma" else 1.0)
+        for z in (1e-100, 1e-200, 1e-300):
+            res = rate_ld(model, model.mean, z * model.mean)
+            assert res.iterations <= 5
+            assert res.value == pytest.approx(shape * (-math.log(z) - 1.0), rel=1e-14, abs=0.0)
+
+    def test_tilt_beyond_the_doubles_raises(self):
+        # the area tilt about -1/z2 at z2 = 5e-324 is not a double: the documented RootError, no OverflowError
+        with pytest.raises(RootError):
+            rate_ld(EXP1, 1.0, 5e-324)
+        for z1 in (1e-300, 1e-100, 1e100, 1e300):
+            for f in (1e-300, 1e-10, 0.25, 0.4999):
+                if f * z1 > 0.0:
+                    try:
+                        assert math.isfinite(rate_ld(EXP1, z1, f * z1).value)
+                    except RootError:  # where -1/z2 or 1/z1 overflows
+                        assert f * z1 < 1e-290 or z1 < 1e-290
+
+
 class TestPoissonPath:
     def test_equivalence_with_newton(self):
         for z1 in np.linspace(0.3, 3.0, 8):
@@ -643,6 +775,19 @@ class TestPoissonPath:
                 a = rate_ld(EXP1, float(z1), z2).value
                 b = rate_ld_poisson(1.0, float(z1), z2).value
                 assert a == pytest.approx(b, abs=1e-8)
+
+    def test_root_in_few_steps(self):
+        # regula falsi inside the bracket: at most 15 steps at the benchmark's levels, where bisection down
+        # to adjacent doubles took 53-59; next to the midline, where roundoff spreads the residual's sign over
+        # many doubles, at most 110, about the bisection's 67-93 there.  The value stays phi* + kappa*, an
+        # independent route
+        for z1 in (0.6, 1.2, 2.0, 3.0):
+            for f in (0.01, 0.03, 0.2, 0.35, 0.65, 0.8, 0.97, 0.99):
+                res = rate_ld_poisson(1.0, z1, f * z1)
+                assert res.iterations <= 15
+                assert res.value == pytest.approx(rate_ld(EXP1, z1, f * z1).value, rel=1e-14, abs=0.0)
+            for d in (1e-3, 1e-5, 1e-7):
+                assert rate_ld_poisson(1.0, z1, (0.5 - d) * z1).iterations <= 110
 
     def test_root_sign_matches_gamma(self):
         # area tilt sign: negative below the midline, positive above, zero on it
@@ -880,16 +1025,23 @@ class TestConditionalRate:
         assert conditional_rate_J(EXP1, 1.0, 1.5) == INF
 
     @pytest.mark.parametrize("spec, z1, fractions", [
-        # I - I1 computes to -2 or -4 there, 1-2 ulps of I, where 1e-8 used to raise
+        # I - I1 computed to -2 or -4 there, 1-2 ulps of I, when the Newton ascent gave I, and 1e-8 used to raise
         ("exponential:1", 1e16, [round(0.1 + 0.01 * k, 2) for k in range(40)]),
         ("gamma:2,2", 1e16, [0.49]),
         # the largest -J/(eps I) of the sweep that set J_ROUNDOFF: 67.1
         ("noncentral_chi_squared:1,1", 4.67548469024955e+36, [0.5001]),
     ])
     def test_roundoff_at_large_levels_clamps_to_zero(self, spec, z1, fractions):
+        # the gamma family's I = phi*(z1) + shape kappa*(w/z1) is at least I1 = phi*(z1): J is shape kappa* up to
+        # the rounding of that sum, and no clamp is reached
         model = parse_model_spec(spec)
         for f in fractions:
-            assert conditional_rate_J(model, z1, f * z1) == 0.0
+            if model.kind == "noncentral_chi_squared":
+                assert conditional_rate_J(model, z1, f * z1) == 0.0
+            else:
+                shape, joint = model.params.get("shape", 1.0), rate_ld(model, z1, f * z1).value
+                conditional = conditional_rate_J(model, z1, f * z1)
+                assert abs(conditional - shape * kappa_star(f * z1, z1).value) <= math.ulp(joint)
 
     @pytest.mark.parametrize("z1, z2", [(1e16, 0.3e16), (1.0, 0.3)])
     def test_difference_beyond_roundoff_raises(self, monkeypatch, z1, z2):

@@ -138,7 +138,8 @@ class TestReproducibility:
 
 
 class TestChunking:
-    """The chunk size bounds memory and nothing else: ``func`` runs once per whole block."""
+    """The chunk size bounds memory: ``func`` runs once per whole block, and the chunk size moves no result of
+    a block whose sample count is a multiple of 8."""
 
     N_SAMPLES = BLOCK_SIZE + BLOCK_SIZE // 2  # a full block and a half block
 
@@ -159,6 +160,30 @@ class TestChunking:
             draws = EXP1.sample(block_rng(5, b), size=(tau.size, weights.size))
             assert np.array_equal(tau, draws.sum(axis=1))
             assert np.array_equal(area, draws @ weights)
+
+    def test_a_last_block_of_other_counts(self, monkeypatch):
+        # a last block of 1697 samples: dgemv treats the rows past a multiple of 8 with another kernel, and
+        # the chunks end elsewhere, so its areas can move by a few ulps with the chunk size and from one
+        # whole-block dgemv (up to 7.9e-16 relative seen).  The passage times, the full block and the
+        # worker invariance at each chunk size stay exact
+        x, n = 1000.0, BLOCK_SIZE + 1697
+        weights, runs = passage_weights(x), []
+        for chunk_draws in (1 << 16, 1 << 13, 1 << 10):
+            monkeypatch.setattr(simulate, "CHUNK_DRAWS", chunk_draws)
+            by_workers = [map_blocks(SimulationConfig(model=EXP1, x=x, n_samples=n, seed=5, workers=workers),
+                                     lambda tau, area: (tau, area)) for workers in (1, 2)]
+            assert [tau.size for tau, _ in by_workers[0]] == [BLOCK_SIZE, 1697]
+            assert all(np.array_equal(a, b) for one, two in zip(*by_workers) for a, b in zip(one, two))
+            runs.append(by_workers[0])
+        for b, (tau, area) in enumerate(runs[0]):
+            draws = EXP1.sample(block_rng(5, b), size=(tau.size, weights.size))
+            whole = draws @ weights
+            for run in runs:
+                assert np.array_equal(run[b][0], draws.sum(axis=1))
+                if b == 0:
+                    assert np.array_equal(run[b][1], whole)
+                else:
+                    assert np.allclose(run[b][1], whole, rtol=2e-15, atol=0.0)
 
 
 class TestEvents:
