@@ -52,7 +52,7 @@ def kappa_star(z2: float, z1: float) -> RateEvaluation:
     # has no cancellation; the midline w = z1/2 is the top 0, with value 0.  As
     # kappa(beta; z1) = kappa(beta z1; 1), the dual is solved for t = beta z1 at level r = w/z1
     w = min(z2, z1 - z2)
-    t, value, iterations = kappa_conjugate(w / z1)
+    t, value, iterations = kappa_conjugate(w, z1)
     tilt = t / z1 if w == z2 else -t / z1
     return RateEvaluation(max(value, 0.0), argmax_tilt=(tilt,), iterations=iterations, method="newton")
 

@@ -281,7 +281,7 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
     # w/z1 alone.  The tilt is the gradient of I: a2 = shape t/z1, t <= 0 the tilt of kappa*, and by
     # kappa'(t) = r, a1 = rate - (shape/z1)(1 + t r) = rate - (shape/z1) q with q = t e^t/expm1(t), which
     # forms no e^-t to overflow; a1 stops at the last double below the open boundary, as phi*'s tilt does
-    t, value, steps = kappa_conjugate(w / z1)
+    t, value, steps = kappa_conjugate(w, z1)
     q = t * math.exp(t) / math.expm1(t) if t else 1.0
     a1, a2 = min(rate - shape * (q / z1), math.nextafter(rate, -INF)), shape * (t / z1)
     if not (math.isfinite(a1) and math.isfinite(a2)):
@@ -559,13 +559,26 @@ def _kappa_terms(t: float) -> tuple:
     return kappa(t, 1.0), kappa_d1(t, 1.0), _kappa_d2_root(t)
 
 
-def kappa_conjugate(r: float) -> tuple[float, float, int]:
-    """(t, g, steps): the tilt t <= 0 of sup_t {t r - kappa(t; 1)} at 0 < r <= 1/2, its value g and the Newton steps.
+def _kappa_centred_terms(t: float) -> tuple:
+    # kappa(t; 1) - t/2 and kappa'(t; 1) - 1/2, the uniform law about its mean, to their relative accuracy
+    # by the series below |t| = 1/2
+    if abs(t) < 0.5:
+        return t * t * _kappa_series(t, 0), t * _kappa_series(t, 1), math.sqrt(_kappa_series(t, 2))
+    return kappa(t, 1.0) - 0.5 * t, kappa_d1(t, 1.0) - 0.5, _kappa_d2_root(t)
+
+
+def kappa_conjugate(w: float, z1: float) -> tuple[float, float, int]:
+    """(t, g, steps): the tilt t <= 0 of sup_t {t r - kappa(t; 1)} at r = w/z1 in (0, 1/2], its value g and the steps.
 
     One :func:`dual_newton` with the top 0, from the moderate-deviation tilt 12 (r - 1/2), or below r = 1/10
     from the asymptote t = -1/r, where kappa'(-1/r) = r - O(e^{-1/r}) (a start from the moderate-deviation
-    tilt took one step per binade of r).  RootError where the tilt is not a double (r below about 5e-309).
+    tilt took one step per binade of r).  Above r = 15/32 the dual is taken about the mean, at the level
+    (w - z1/2)/z1, whose difference is exact: the rounding of w/z1 would cost eps r/|r - 1/2| of a value
+    of about 6 (r - 1/2)^2.  RootError where the tilt is not a double (r below about 5e-309).
     """
+    r = w / z1
+    if r > 15.0 / 32.0:
+        return dual_newton(_kappa_centred_terms, (d := (w - 0.5 * z1) / z1), 12.0 * d, 0.0)
     start = max(-1.0 / r, -sys.float_info.max) if r < 0.1 else 12.0 * (r - 0.5)
     return dual_newton(_kappa_terms, r, start, 0.0)
 

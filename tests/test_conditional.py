@@ -125,6 +125,19 @@ class TestKappaStar:
             exact = float(t * level - mpmath.log(mpmath.expm1(t) / t))
         assert kappa_star(r, 1.0).value == pytest.approx(exact, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("z2, z1", [(0.4999, 1.0), (0.49999, 1.0), (0.4999999, 1.0), (0.5001, 1.0), (0.47, 1.0),
+                                        (3.0, 6.000001), (0.4999e-5, 1e-5)])
+    def test_about_the_mean_to_a_few_ulps(self, z2, z1):
+        # above w/z1 = 15/32 the dual runs about the mean, at the level (w - z1/2)/z1 whose difference is exact,
+        # so the value keeps its relative accuracy where it is 6 (r - 1/2)^2; the rounding of w/z1 cost up to
+        # eps r/|r - 1/2| of it (1e-10 was the bound at 0.49999 above)
+        with mpmath.workdps(40):
+            z1_, z2_ = mpmath.mpf(z1), mpmath.mpf(z2)
+            r = min(z2_, z1_ - z2_) / z1_
+            t = mpmath.findroot(lambda t: 1 / (1 - mpmath.exp(-t)) - 1 / t - r, 12 * (r - mpmath.mpf(0.5)))
+            exact = float(t * r - mpmath.log(mpmath.expm1(t) / t))
+        assert kappa_star(z2, z1).value == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("f", [1e-3, 1.0 - 1e-3])
     def test_next_to_the_endpoints(self, f):
         # beta -> -z1/z2: kappa*(z2) = -1 - log(z2/z1) up to e^{-1/f}, symmetric about z1/2

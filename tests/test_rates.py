@@ -725,8 +725,8 @@ class TestGammaFamilyRate:
     @pytest.mark.parametrize("kind, slope", [("exponential", -1.1), ("gamma", -0.55)])
     def test_moderate_deviation_limit(self, kind, slope):
         # I(p + d v)/(d^2 psi*(v)) - 1 = slope d + O(d^2) at v = (1, 0.3), from d = 1e-2 down to 1e-7, where
-        # I is about 4e-15 and the roundoff of phi* and of w/z1 is a few percent of the O(d) term; the ratio
-        # of the Newton ascent is as far off there
+        # I is about 4e-15 and the roundoff of phi* is a few percent of the O(d) term; the Newton ascent's
+        # ratio carries a few times more there
         model = gamma_like(kind, 1.0)
         scale = psi_star(model, 1.0, 0.3)
         for k in range(2, 8):
