@@ -275,12 +275,13 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
 
     steps are those of :func:`kappa_conjugate`; RootError where the tilt is not a double.
     """
-    # for exponential holding times the area given the passage time z1 is z1 times a uniform law, so that
-    # I = phi*(z1) + kappa*(w/z1) with kappa the CGF of the uniform law on (0, 1); phi of gamma(shape, rate)
-    # is shape times that of exponential(rate), so I(z) = shape I_exp(z/shape), and kappa* depends on
-    # w/z1 alone.  The tilt is the gradient of I: a2 = shape t/z1, t <= 0 the tilt of kappa*, and by
-    # kappa'(t) = r, a1 = rate - (shape/z1)(1 + t r) = rate - (shape/z1) q with q = t e^t/expm1(t), which
-    # forms no e^-t to overflow; a1 stops at the last double below the open boundary, as phi*'s tilt does
+    # for exponential holding times the limiting CGF of the scaled area given the scaled passage time z1 is
+    # that of the uniform law on (0, z1), so that I = phi*(z1) + kappa*(w/z1), with kappa the CGF of the
+    # uniform law on (0, 1); phi of gamma(shape, rate) is shape times that of exponential(rate), so
+    # I(z) = shape I_exp(z/shape), and kappa* depends on w/z1 alone.  The tilt is the gradient of I:
+    # a2 = shape t/z1, t <= 0 the tilt of kappa*, and by kappa'(t) = r, a1 = rate - (shape/z1)(1 + t r)
+    # = rate - (shape/z1) q with q = t e^t/expm1(t), which forms no e^-t to overflow; a1 stops at the last
+    # double below the open boundary, as phi*'s tilt does
     t, value, steps = kappa_conjugate(w, z1)
     q = t * math.exp(t) / math.expm1(t) if t else 1.0
     a1, a2 = min(rate - shape * (q / z1), math.nextafter(rate, -INF)), shape * (t / z1)
