@@ -1,8 +1,8 @@
 """Golden corpus: the CLI's outputs, byte for byte, as recorded in tests/golden/.
 
-Each command of the benchmark's CLI session runs in-process and its standard
-output must equal the recorded file; the CSV sample dump is compared by its
-sha256 and size.  The corpus records the Python and numpy versions that wrote
+Each command of the benchmark's CLI session, and the same commands on the other
+models where they apply, runs in-process and its standard output must equal the
+recorded file; the CSV sample dump is compared by its sha256 and size.  The corpus records the Python and numpy versions that wrote
 it: the Monte Carlo outputs depend on numpy's generators, and float formatting
 on the interpreter, so a different version fails here by name instead of
 reporting a changed output.
@@ -25,6 +25,9 @@ import pytest
 from renewal_ldp.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the models besides the session's exponential:1, at the example parameters of their table rows
+OTHER_MODELS = {"gamma": "gamma:2,2", "inverse_gaussian": "inverse_gaussian:1",
+                "noncentral_chi_squared": "noncentral_chi_squared:1,1"}
 
 COMMANDS = {
     "model": ["model", "--model", "inverse_gaussian:1"],
@@ -49,6 +52,17 @@ COMMANDS = {
     "conditional_bf": ["conditional", "--x", "4", "--y", "2", "--beta", "0.5",
                        "--mode", "brute_force"],
     "validate": ["validate", "--quick"],
+    # the commands above on the other models: every kind's descriptor, L on a 10 x 10 grid, the
+    # moderate-deviation report and a small Monte Carlo event at 1.5 times the mean
+    **{f"model_{kind}": ["model", "--model", spec]
+       for kind, spec in {"exponential": "exponential:1", **OTHER_MODELS}.items() if kind != "inverse_gaussian"},
+    **{f"lambda_{kind}": ["lambda", "--model", spec, "--a1=-2:0.5:10", "--a2=-1:0.3:10"]
+       for kind, spec in OTHER_MODELS.items()},
+    **{f"moderate_{kind}": ["moderate", "--model", spec, "--region", "supnorm>1", "--x-grid", "100,1000"]
+       for kind, spec in OTHER_MODELS.items()},
+    **{f"simulate_event_{kind}": ["simulate", "--model", spec, "--x", "50", "--n", "2000", "--seed", "7",
+                                  "--event", f"z1>={level}"]
+       for (kind, spec), level in zip(OTHER_MODELS.items(), ("1.5", "1.5", "3"))},
 }
 # the sample dump; its --out path is appended
 CSV_COMMAND = ["simulate", "--model", "gamma:2,2", "--x", "10.5", "--n", "100000", "--seed", "11",
