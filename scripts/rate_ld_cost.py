@@ -4,19 +4,19 @@
 The grid is z1 in {0.6, 1.2, 2, 3, 5} times the model mean and z2/z1 in
 {1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1 - 1e-6}: the edges, the
 interior and the midline.  One counting pass wraps rates._second_order, through
-which rates.rate_ld's Newton ascent evaluates L with its gradient and Hessian
-(one call per Newton evaluation, line-search trials included), and reports
-evaluations and steps per call; then the unwrapped grid runs --repeats times and
-each pass gives its wall time per call.  ``per_kind`` reports the same per model
-kind, so that a change in one kind is not hidden in the mean over four.  Only
-noncentral chi-squared runs the ascent: the closed-form inverse-Gaussian rate
-reads 0 evaluations and 0 steps, and the exponential and gamma rates, phi* +
-shape kappa*, read 0 evaluations and the steps of kappa*.
+which the rates evaluate L with its gradient and Hessian, and reports those
+evaluations and the steps per call; then the unwrapped grid runs --repeats times
+and each pass gives its wall time per call.  ``per_kind`` reports the same per
+model kind, so that a change in one kind is not hidden in the mean over four.
+Every kind's joint rate is the model table's, so every kind reads 0 evaluations:
+the closed-form inverse-Gaussian rate 0 steps, the exponential and gamma rates,
+phi* + shape kappa*, the steps of kappa*, and noncentral chi-squared the Newton
+steps of its root in s = log(u1/u0).
 
 ``kernel`` reports, per model kind, the median over --repeats passes of the
 microseconds of one rates._second_order call (the model table's segment kernel
-behind the domain check) at the arguments that the counting pass recorded; a
-kind that records none reads null.
+behind the domain check) at the arguments that a counting pass over the
+``line_rate`` calls of ``duals`` recorded: line_rate is the only caller left.
 
 ``duals`` reports the one-dimensional duals the same way, as the steps of each
 call and the median microseconds per call over --repeats passes:
@@ -48,33 +48,36 @@ def grid() -> dict:
             for model in builtin_models()}
 
 
-def count_pass(points) -> tuple[list, int]:
-    """The arguments of every evaluation of L with its derivatives, and the Newton steps summed over the points."""
-    recorded = []
+def recorded(run) -> tuple[list, object]:
+    """The arguments of every evaluation of L with its derivatives while run() runs, and what it returns."""
+    calls = []
     evaluate = rates._second_order
 
     def counted(*args):
-        recorded.append(args)
+        calls.append(args)
         return evaluate(*args)
 
     rates._second_order = counted
     try:
-        iterations = sum(rates.rate_ld(model, z1, z2).iterations for model, z1, z2 in points)
+        return calls, run()
     finally:
         rates._second_order = evaluate
-    return recorded, iterations
 
 
-def kernel_cost(recorded, repeats: int) -> dict:
+def count_pass(points) -> tuple[list, int]:
+    """The evaluations of L with its derivatives, and the steps summed over the points."""
+    return recorded(lambda: sum(rates.rate_ld(model, z1, z2).iterations for model, z1, z2 in points))
+
+
+def kernel_cost(calls, repeats: int) -> dict:
     """The median over the passes of the microseconds per _second_order call at the recorded arguments."""
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for args in recorded:
+        for args in calls:
             rates._second_order(*args)
         seconds.append(time.perf_counter() - start)
-    return {"evaluations": len(recorded),
-            "us_per_call_median": round(1e6 * statistics.median(seconds) / len(recorded), 3) if recorded else None}
+    return {"evaluations": len(calls), "us_per_call_median": round(1e6 * statistics.median(seconds) / len(calls), 3)}
 
 
 def timed_pass(points) -> float:
@@ -120,7 +123,7 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    by_kind = grid()
+    by_kind, duals = grid(), dual_calls()
     counts = {kind: count_pass(points) for kind, points in by_kind.items()}
     seconds = {kind: [] for kind in by_kind}
     for _ in range(args.repeats):
@@ -140,9 +143,10 @@ def main() -> int:
         "ms_per_call": [round(v, 4) for v in ms],
         "ms_per_call_median": round(statistics.median(ms), 4),
         "per_kind": per_kind,
-        "kernel": {kind: kernel_cost(recorded, args.repeats) for kind, (recorded, _) in counts.items()},
+        "kernel": {kind: kernel_cost(recorded(lambda: [call() for call in calls])[0], args.repeats)
+                   for kind, calls in duals["line_rate"].items()},
         "duals": {dual: {kind: dual_cost(calls, args.repeats) for kind, calls in by_kind.items()}
-                  for dual, by_kind in dual_calls().items()},
+                  for dual, by_kind in duals.items()},
     }))
     return 0
 

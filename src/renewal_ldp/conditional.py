@@ -10,7 +10,6 @@ and the variational cross-check against the joint-minus-marginal rate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from functools import cache
 from typing import TYPE_CHECKING
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING
 # kappa and kappa' live in the model table's module, below rates, whose gamma-family joint rate reads kappa*;
 # they stay public names of this module
 from .models import INF, RateEvaluation, _kappa_d2_root, kappa, kappa_conjugate, kappa_d1, model_of, reject_nan
-from .rates import conditional_rate_J
+from .rates import conditional_rate_J, rate_ld_poisson
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,13 +143,12 @@ def chaganty_equality(lambda_param: float, z1: float, z2: float) -> dict:
     """Two independent routes to the conditional rate: conjugate CGF vs J.
 
     kappa* does not depend on lambda; the joint-minus-marginal route is
-    computed at the given lambda, with the joint rate from the Newton ascent
-    on the model table's L (rate_ld's own exponential rate is phi* + kappa*).
+    computed at the given lambda, with the joint rate from the independent
+    exponential g-root (rate_ld's own exponential rate is phi* + kappa*).
     Agreement is the variational identity.
     """
     if not (z1 > 0 and 0.0 < z2 < z1):
         raise ValueError("requires z1 > 0 and z2 in (0, z1)")
     ks = kappa_star(z2, z1).value
-    model = dataclasses.replace(model_of("exponential", lambda_param), joint_rate=None)
-    j = conditional_rate_J(model, z1, z2)
+    j = conditional_rate_J(model_of("exponential", lambda_param), z1, z2, joint=rate_ld_poisson(lambda_param, z1, z2))
     return {"kappa_star_value": ks, "J_value": j, "abs_diff": abs(ks - j)}

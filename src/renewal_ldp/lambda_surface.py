@@ -100,8 +100,7 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
 
 def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None:
     """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1 <= 0, else None; a2 = 0 is the caller's to refuse."""
-    # a2 = 0 is a segment of no width: line duals take it, rate_ld's ascent (a2 < 0 off the midline) does not;
-    # the Hessian is as model.segment gives it
+    # a2 = 0 is a segment of no width, which the line duals take; the Hessian is as model.segment gives it
     if (a2 := _interior_width(model, a1, a2)) is None or a2 > 0.0:
         return None
     value, d1, tail, hessian = model.segment(a1, a2)

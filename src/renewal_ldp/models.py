@@ -4,12 +4,12 @@ Every supported kind is one row of :data:`MODEL_TABLE`: its parameter names,
 the effective domain of phi, phi and its first three derivatives on the interior
 of that domain, the Legendre transform phi* and its tilt in closed form, closed
 forms of L(a1, a2) = integral_0^1 phi(a1 + a2*y) dy and of its gradient and
-Hessian as means over the segment of (a1, a2), an exact sampler and, where
-the kind has one, its joint rate off the midline (inverse-Gaussian in closed
-form, the gamma family as phi* + shape kappa*, with kappa the CGF of the
-uniform law that this module also holds).  All holding times are positive and
-light-tailed: phi is finite on a right neighborhood of 0 and its domain has a
-finite boundary.
+Hessian as means over the segment of (a1, a2), an exact sampler and its joint
+rate off the midline: inverse-Gaussian in closed form, the gamma family as
+phi* + shape kappa*, and noncentral chi-squared by one Newton root in
+s = log(u1/u0), with kappa the CGF of the uniform law that this module also
+holds.  All holding times are positive and light-tailed: phi is finite on a
+right neighborhood of 0 and its domain has a finite boundary.
 
 Every other one-dimensional dual sup_t [t c - K(t)] of the package is one
 :func:`dual_newton`, a damped Newton ascent on the curvature K'' that each
@@ -93,10 +93,10 @@ class HoldingTimeModel:
     cgf_d3: Callable[[float], float]  # read by no code of the package; benchmark tracers replace it
     conjugate: Callable[[float], tuple]  # z -> (tilt, phi*(z)) at z > 0
     _segment: Callable[[float, float, float], tuple] = field(repr=False)
+    # (z1, w) -> ((a1, a2, I), steps, method) off the midline, 0 < w < z1/2
+    joint_rate: Callable[[float, float], tuple] = field(repr=False)
     sampler_spec: str = ""
     _sampler: Callable = field(default=None, repr=False)
-    # (z1, w) -> ((a1, a2, I), steps, method) off the midline, 0 < w < z1/2, where the kind has it
-    joint_rate: Optional[Callable[[float, float], tuple]] = field(default=None, repr=False)
 
     @property
     def mean(self) -> float:
@@ -141,8 +141,8 @@ class HoldingTimeModel:
 # the domain of phi, the means of phi (that is L), of phi' (that is d1L) and of
 # (1 - y) phi'(lo + width y) over y in (0, 1), and those of phi'' times 1, (1 - y)
 # and (1 - y)^2 (the Hessian, as the square roots of the first and last and
-# their correlation), all from one pass; beside them phi* and the
-# inverse-Gaussian joint rate.  They are written so that nothing is divided by
+# their correlation), all from one pass; beside them phi* and the joint
+# rates.  They are written so that nothing is divided by
 # the width after a subtraction (finite differences of L at step 1e-5 must see
 # roundoff only at the last bit), and near the boundary they use the distance
 # of hi from it, which is what the domain check has seen.
@@ -290,6 +290,129 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
     return (a1, a2, _gamma_conjugate(shape, rate, z1)[1] + shape * max(value, 0.0)), steps, "kappa_star"
 
 
+# (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 as series in y^2, highest first: the n-th coefficients are 1/(2n + 1)!
+# and 2n/(2n + 1)!, n >= 1, all positive; below y = 2, 15 terms leave less than 1e-17
+_SINH_SERIES = tuple((1.0 / math.factorial(2 * n + 1), 2.0 * n / math.factorial(2 * n + 1)) for n in reversed(range(1, 16)))
+# (y - log1p(y))/u - y = -2 u^2 (1/3 + u^2/5 + ...) with u = y/(2 + y), from log1p(y) = 2 atanh(u): below |y| = 1/3,
+# where |u| <= 1/5, 12 terms leave less than 1e-17
+_ATANH_SERIES = tuple(1.0 / (2 * n + 1) for n in reversed(range(1, 13)))
+
+
+def _uniform_terms(s: float) -> tuple:
+    """(q, 1 - q, c/s, kappa'', kappa', g, kappa*) of the uniform law's CGF kappa(t; 1) at t = -s <= 0, to relative accuracy.
+
+    q = (s/2)/sinh(s/2), c = 1/2 - kappa'(-s), kappa''(-s) = (1 - q^2)/s^2, g = kappa'(-s) - s kappa''(-s) and
+    kappa*(kappa'(-s)) = s c + log q.  Below s = 4 from the positive series of sinh y - y and y cosh y - sinh y in
+    y = s/2, finite at s = 0; above it from e^-s.
+    """
+    if s <= 4.0:
+        y = 0.5 * s
+        m = n = 0.0
+        for b1, b2 in _SINH_SERIES:
+            m, n = b1 + y * y * m, b2 + y * y * n
+        # sinh y = y (1 + y^2 m), 1 - q = y^2 m q, c = (y cosh y - sinh y)/(s sinh y) = (y/2) n q
+        q = 1.0 / (1.0 + y * y * m)
+        c_s, k2 = 0.25 * n * q, 0.25 * m * q * (1.0 + q)
+        kd1 = 0.5 - s * c_s
+        return q, y * y * m * q, c_s, k2, kd1, kd1 - s * k2, y * y * n * q - math.log1p(y * y * m)
+    e, d = math.exp(-s), -math.expm1(-s)
+    q = s * math.exp(-0.5 * s) / d
+    # kappa*(kappa'(-s)) = s e^-s/(1 - e^-s) - 1 + log(s/(1 - e^-s)): no s/2 cancels
+    return (q, 1.0 - q, ((0.5 - 1.0 / s) + e / d) / s, (1.0 - q) * (1.0 + q) / s / s, 1.0 / s - e / d,
+            q * q * ((s - d) / s) / s, (s * e / d - 1.0) + math.log(s) - math.log1p(-e))
+
+
+def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> tuple:
+    """((a1, a2, I), steps, "s_root") at (z1, w), 0 < w < z1/2: the joint rate by one root in s = log(u1/u0).
+
+    RootError where the tilt is not a double.
+    """
+    # in u = 1 - 2a, phi = (k/2)(-log u) + (lam/2)(1/u - 1), and the optimal segment runs from u0 = 1 - 2 a1 up to
+    # u1 = u0 - 2 a2.  With s = log(u1/u0), q = (s/2)/sinh(s/2) and p = e^(s/2)/u1, the means of phi' = k/u + lam/u^2
+    # and y phi' are z1 = k x + lam p^2 and w(s) = k x kappa'(-s) + lam p^2 g(s), x = q p the mean of 1/u and kappa the
+    # uniform law's CGF.  So z1 fixes p as the root of a quadratic, and w(s), which falls from z1/2 at s = 0 to 0,
+    # fixes s; the tilt is a1 = (1 - e^(-s/2)/p)/2 and a2 = -s/(2x).  There the rate is a sum of nonnegative terms,
+    # I = (k/2)[x - 1 - log x + kappa*(kappa'(-s))] + (lam/2)[(p - q)^2 + s^2 kappa''(-s)] (phi*(z1) + (k/2) kappa* of
+    # gamma(k/2, 1/2) at lam = 0.
+    #
+    # Newton steps on log(w(s)/w) in a bracket from [0, 1/r], r = w/z1 (w(1/r) < w), from the moderate-deviation s
+    # at r >= 1/10 and below it from the larger of the roots of either term of w(s) alone at large s; a step that
+    # leaves the bracket halves it, by its geometric mean where it spans a factor 4.  From r = 1/4 on the residual is
+    # taken about the midline, z1/2 - w(s) against the exact z1/2 - w.  The means are taken relative to z1, which
+    # keeps them off the subnormals where z1 is tiny: z1 = k x + lam p^2 splits 1 = theta + phi
+    root_lz, mid, log_r = math.sqrt(lam) * math.sqrt(z1), (0.5 * z1 - w) / z1, math.log(w) - math.log(z1)
+    centred, r = w >= 0.25 * z1, w / z1
+
+    def state(s):
+        q, _, c_s, k2, kd1, g, kstar = terms = _uniform_terms(s)
+        kq = 0.5 * k * q
+        den = kq + math.hypot(kq, root_lz)  # z1/p
+        theta, phi = k * q / den, (root_lz / den) ** 2
+        wm = theta * kd1 + phi * g
+        if centred:  # 1/2 - w(s)/z1 = theta c + phi (c + s kappa'') from positive terms, against the exact 1/2 - r
+            gap = (theta + phi) * s * c_s + phi * s * k2 - mid
+            f = math.log1p(-gap / r)
+        else:
+            gap = r - wm
+            f = math.log(wm) - log_r if wm > 0.0 else -INF
+        # d(w/z1)/ds: q' = -q c, p' = p k q c/(2 lam p + k q) and g' = -2 q^2 c/s
+        slope = -(theta * k2 + 2.0 * phi * q * q * c_s + 2.0 * phi * theta * s * s * c_s * k2 / (theta + 2.0 * phi))
+        return f, (slope / wm if wm > 0.0 else math.nan), terms, den, theta, gap
+
+    lo, hi = 0.0, (1.0 / r if r > 0.0 else INF)
+    # z1/p at s = 0, where p is phi*'s tilt in 1/u; d0 - k = lam z1/d0 formed without cancelling
+    d0 = 0.5 * k + math.hypot(0.5 * k, root_lz)
+    if r >= 0.1:
+        s = mid / (k / d0 / 12.0 + (root_lz / d0) ** 2 / 6.0)
+    else:
+        # at large s, w(s)/z1 is about (k/sqrt(lam z1)) e^(-s/2) + s e^(-s) where lam p^2 is most of z1
+        s = min(hi, max(2.0 * (math.log(k) - math.log(root_lz) - log_r), -log_r + math.log(-log_r)))
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        f, slope, terms, den, theta, gap = state(s)
+        if f > 0.0:
+            lo = s
+        elif f < 0.0:
+            hi = s
+        step = -f / slope if slope else math.nan  # no step where w'(s) underflows: the bracket is halved
+        if not f or abs(step) <= _RTOL * s or hi - lo <= _RTOL * hi:
+            break
+        s = s + step
+        if not lo < s < hi:  # also a NaN step, where w(s) left the doubles
+            s = math.sqrt(lo * hi) if 4.0 * lo < hi < INF and lo > 0.0 else (0.5 * (lo + hi) if hi < INF else 2.0 * lo)
+    else:
+        raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
+    if not abs(f) <= 2.0**-26:  # the bracket closed on the edge where q, and with it w(s)/z1, leaves the doubles
+        raise RootError(f"w(s) leaves the doubles before it reaches w for z = ({z1}, {w})")
+    q, one_q, _, k2, _, _, kstar = terms
+    p0, p = z1 / d0, z1 / den
+    x = q * p
+    a1, a2 = min(0.5 - 0.5 * (math.exp(-0.5 * s) / p), math.nextafter(0.5, -INF)), -0.5 * s / x
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
+    # a1 and a2 times the residuals z1 - (k x + lam p^2) and w - w(s) leave the sum stationary in p and s, as a.z - L
+    # is in a, so the rounding of p and of the root in s does not reach it to first order.  Next to the
+    # law-of-large-numbers point p - 1 comes from the exact z1 - mean: by the two quadratics p0 - 1 =
+    # p0 (z1 - mean)/(z1 + d0 - k) and p - p0 = k (1 - q) p/(lam (p + p0) + k), so that x - 1 and p - q, and the
+    # residual, keep their relative accuracy
+    mean_gap = math.fsum((z1, -lam, -k))
+    p_1 = p0 * (mean_gap / (z1 + root_lz * (root_lz / d0))) + k * one_q * p / (lam * (p + p0) + k)
+    if abs(p_1) < 0.5:
+        z1_gap = math.fsum((mean_gap, k * one_q, -p_1 * (k * q + 2.0 * lam), -lam * p_1 * p_1))
+    else:
+        p_1, z1_gap = p - 1.0, z1 - (k * x + lam * p * p)
+    y = q * p_1 - one_q  # x - 1
+    if abs(y) < 1.0 / 3.0:  # x - 1 - log x = u (y - 2 u^2 (1/3 + u^2/5 + ...)), u = y/(2 + y)
+        u, series = y / (2.0 + y), 0.0
+        for b in _ATANH_SERIES:
+            series = b + u * u * series
+        t1 = u * (y - 2.0 * u * u * series)
+    else:
+        t1 = y - (math.log(x) if x >= sys.float_info.min else math.log(theta) + math.log(z1) - math.log(k))
+    value = math.fsum((0.5 * k * t1, 0.5 * k * kstar, 0.5 * lam * (p_1 + one_q) * (p_1 + one_q), 0.5 * lam * s * s * k2,
+                       a1 * z1_gap, a2 * gap * z1))
+    return (a1, a2, value), steps, "s_root"
+
+
 @dataclass(frozen=True)
 class ModelKind:
     """One row of the model table.
@@ -311,11 +434,10 @@ class ModelKind:
     # (*args, lo, hi, width) -> the means of phi, phi' and (1 - y) phi' and, as the roots of the first and
     # last and their correlation, those of (1 - y)^k phi'', k = 0, 1, 2: L, its gradient and its Hessian
     segment: Callable[..., tuple]
+    # (*args, z1, w) -> ((a1, a2, I), steps, method): the joint rate off the midline, w < z1/2, and its tilt
+    joint_rate: Callable[..., tuple]
     sampler: Callable            # (*args, rng, size) -> variates
     sampler_spec: str
-    # (*args, z1, w) -> ((a1, a2, I), steps, method): the joint rate off the midline, w < z1/2, and its tilt;
-    # rates.rate_ld runs its Newton ascent for a kind without one
-    joint_rate: Optional[Callable[..., tuple]] = None
 
 
 _GAMMA_FUNCTIONS = dict(
@@ -369,6 +491,7 @@ MODEL_TABLE = {
         cgf_d3=lambda lam, k, a: 24.0 * lam / ((u := 1.0 - 2.0 * a) * u * u * u) + 8.0 * k / (u * u * u),
         conjugate=_noncentral_chi_squared_conjugate,
         segment=lambda lam, k, lo, hi, width: _power_segment(0.5 * k, 0.5, lo, hi, width, 0.5 * lam),
+        joint_rate=_noncentral_chi_squared_rate,
         sampler=lambda lam, k, rng, size: rng.noncentral_chisquare(df=k, nonc=lam, size=size),
         sampler_spec="Poisson-mixed chi-squared (numpy noncentral_chisquare)",
     ),
@@ -417,9 +540,9 @@ def make_model(kind: str, params: dict) -> HoldingTimeModel:
         cgf_d3=partial(row.cgf_d3, *args),
         conjugate=partial(row.conjugate, *args),
         _segment=partial(row.segment, *args),
+        joint_rate=partial(row.joint_rate, *args),
         sampler_spec=row.sampler_spec,
         _sampler=partial(row.sampler, *args),
-        joint_rate=partial(row.joint_rate, *args) if row.joint_rate else None,
     )
 
 

@@ -2,12 +2,12 @@
 
 The bivariate rate is the Legendre-Fenchel transform I = L* of the limit
 function, and the marginal rates follow from it by contraction.  The joint rate
-is the model table's where a kind has one (inverse-Gaussian in closed form, the
-gamma family as phi* + shape kappa*) and otherwise, for noncentral chi-squared,
-one projected Newton ascent on the dual; the first marginal is phi*, in closed form for every
-kind, and every line rate is one :func:`models.dual_newton` on the Hessian of L
-along the line.  The specialized path for exponential holding times, where the
-optimal area tilt is the nonzero root of an explicit scalar equation, is kept
+is the model table's for every kind: inverse-Gaussian in closed form, the gamma
+family as phi* + shape kappa*, and noncentral chi-squared by one root in
+s = log(u1/u0); the first marginal is phi*, in closed form for every kind, and
+every line rate is one :func:`models.dual_newton` on the Hessian of L along the
+line.  The specialized path for exponential holding times, where the optimal
+area tilt is the nonzero root of an explicit scalar equation, is kept
 independent of both as a reference.
 """
 
@@ -17,8 +17,7 @@ import math
 import sys
 
 from .lambda_surface import _second_order
-from .models import _RTOL, INF, MAX_NEWTON_STEPS, HoldingTimeModel, RateEvaluation, RootError, dual_newton
-from .models import phi_star, reject_nan
+from .models import INF, HoldingTimeModel, RateEvaluation, dual_newton, phi_star, reject_nan
 
 # the Poisson root is resolved down to s = -log(eps) of this size; below it the
 # rate differs from the midline value phi*(z1) by O(s^2)
@@ -34,15 +33,16 @@ def in_support_cone(z1: float, z2: float) -> bool:
 
 
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
-    """Bivariate rate function sup_a {a.z - L(a)}, from the model table's joint rate or by one projected Newton ascent.
+    """Bivariate rate function sup_a {a.z - L(a)}, from phi* on the midline and the model table's joint rate off it.
 
     Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every
     built-in phi tends to -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area
     onto w = min(z2, z1 - z2) <= z1/2, where the optimal a2 is <= 0; on the midline a2 = 0 and
-    I = phi*(z1).  Elsewhere a kind's ``joint_rate`` gives it (the inverse-Gaussian closed form,
-    ``closed_form``; the gamma family's phi*(z1) + shape kappa*(w/z1), ``kappa_star``, ``iterations``
-    counting the steps of kappa*), and for the other kinds :func:`_newton_ascent` gives the optimum,
-    ``iterations`` counting its steps.  ValueError for a NaN level.
+    I = phi*(z1).  Elsewhere the kind's ``joint_rate`` gives it: the inverse-Gaussian closed form
+    (``closed_form``), the gamma family's phi*(z1) + shape kappa*(w/z1) (``kappa_star``, ``iterations``
+    counting the steps of kappa*) and noncentral chi-squared's root in s = log(u1/u0) (``s_root``,
+    ``iterations`` counting its Newton steps).  RootError where the optimal tilt is not a double;
+    ValueError for a NaN level.
     """
     reject_nan(z1, z2)
     if not in_support_cone(z1, z2) or z1 == INF:
@@ -53,90 +53,10 @@ def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     if 2.0 * w == z1:
         mid = phi_star(model, z1)
         a1, a2, value, iterations, method = mid.argmax_tilt[0], 0.0, mid.value, mid.iterations, mid.method
-    elif model.joint_rate is not None:
-        (a1, a2, value), iterations, method = model.joint_rate(z1, w)
     else:
-        ((a1, a2, value), iterations), method = _newton_ascent(model, z1, w), "newton"
+        (a1, a2, value), iterations, method = model.joint_rate(z1, w)
     tilt = (a1, a2) if w == z2 else (a1 + a2, -a2)
     return RateEvaluation(max(value, 0.0), argmax_tilt=tilt, iterations=iterations, method=method)
-
-
-def _newton_ascent(model: HoldingTimeModel, z1: float, w: float) -> tuple[tuple, int]:
-    """((a1, a2, g), steps): the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, for w < z1/2.
-
-    rate_ld runs it for the kinds without a joint rate in the model table (noncentral chi-squared); it
-    solves every kind with an open boundary.  On an open boundary, where the optimum is interior: Newton
-    steps from the moderate-deviation tilt C^-1 (z - p), halved until they land in D(L) with a2 < 0 and
-    g no lower up to its roundoff (or a decrement four times smaller), and stopped short of the top of
-    the search.  One step past convergence ends it.  RootError where a step or L leaves the doubles: the
-    optimal tilt is beyond them.
-    """
-    top = model.domain.search_top(finite_at_face=False)
-
-    def state(a1, a2):
-        # None off the interior and on a2 = 0
-        if (terms := _second_order(model, a1, a2)) is None or terms[0] == 0.0:
-            return None
-        a2, value, (d1, d2), hessian = terms
-        if not (-INF < value < INF and (g := a1 * z1 + a2 * w - value) == g):
-            raise RootError(f"L or g leaves the doubles at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
-        return a1, a2, g, _RTOL * (abs(a1 * z1) + abs(a2 * w) + abs(value)), z1 - d1, w - d2, hessian
-
-    inv, mean = 1.0 / model.cgf_d2(0.0), model.mean
-    # C^-1 (z - p) with C^-1 = [[4, -6], [-6, 12]] / phi''(0), the products hessian_origin's C_inv holds;
-    # its second row (-1/2, 1) C_inv[1, 1] applied as (w - z1/2) C_inv[1, 1]; scaled down onto
-    # a1 = top/2, and with a width that fl(a1 + a2) resolves (min puts it in place of the NaN that an
-    # overflowed a1 leaves, too)
-    a1 = (4.0 * inv) * (z1 - mean) + (-6.0 * inv) * (w - 0.5 * mean)
-    a2 = (12.0 * inv) * (w - 0.5 * z1)
-    if a1 > 0.5 * top:
-        a1, a2 = 0.5 * top, a2 * (0.5 * top / a1)
-    a2 = min(-_RTOL * max(abs(a1), top), a2)
-    if (current := state(a1, a2)) is None:
-        raise RootError(f"no start of the ascent in D(L) for z = ({z1}, {w})")
-    restarted, settled = False, 0
-    for steps in range(1, MAX_NEWTON_STEPS + 1):
-        a1, a2, g, roundoff, g1, g2, (r1, r2, rho) = current
-        # the step in the coordinates (a1 r1, a2 r2), where the Hessian is [[1, rho], [rho, 1]]: a1 by
-        # elimination of a2; kappa = H12/r2
-        u2, kappa = g2 / r2, rho * r1
-        s1 = (g1 / r1 - rho * u2) / r1 / (1.0 - rho * rho)
-        # a1 moves t s1 or up to the stop, 99% of the way to the top, and a2 to the best of the
-        # quadratic model given that move; a step up that overflows goes to the stop
-        stop = a1 + 0.99 * (top - a1)
-        s1 = stop - a1 if s1 == INF else s1
-        if not (math.isfinite(s1) and math.isfinite(u2 / r2)):
-            raise RootError(f"no Newton step at the tilt ({a1}, {a2}) for z = ({z1}, {w})")
-        decrement = g1 * (move := min(a1 + s1, stop) - a1) + u2 * (u2 - kappa * move)
-        # a step is taken where g is no lower up to its roundoff, or, for the whole step, where the
-        # Newton decrement falls fourfold: L can carry more error than that roundoff (the
-        # noncentral chi-squared form near a = 0), and the gradient still tells the way
-        t = 1.0
-        while True:
-            b1 = min(a1 + t * s1, stop)
-            new = state(b1, a2 + (t * u2 - kappa * (b1 - a1)) / r2)
-            if new and (new[2] + roundoff >= g or t == 1.0 and _decrement(new) < 0.25 * _decrement(current)):
-                break
-            t *= 0.5
-        current = new
-        # converged after a step that moves a by at most 4 eps |a| or whose decrement is below the
-        # roundoff of g; the second converged step in a row ends it (the first settles the last
-        # digits, which that roundoff can hide where g cancels).  A step that ends on the top with
-        # d1L > z1 beyond its roundoff, where the optimum lies below, restarts that count once
-        converged = decrement <= roundoff or (abs(new[0] - a1) <= _RTOL * abs(a1)
-                                              and abs(new[1] - a2) <= _RTOL * abs(a2))
-        if converged and not (restarted or new[0] != top or new[4] >= -_RTOL * z1):
-            restarted, settled = True, 0
-        elif (settled := settled + 1 if converged else 0) == 2:
-            return new[:3], steps
-    raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
-
-
-def _decrement(state: tuple) -> float:
-    """The Newton decrement g^T H^-1 g of an ascent state, from the gradient of g and the factored Hessian."""
-    g1, g2, (r1, r2, rho) = state[4:]
-    u1, u2 = g1 / r1, g2 / r2
-    return (u1 * u1 - 2.0 * rho * u1 * u2 + u2 * u2) / (1.0 - rho * rho)
 
 
 def rate_ld_poisson(lambda_param: float, z1: float, z2: float) -> RateEvaluation:
@@ -265,14 +185,14 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     return RateEvaluation(max(value, 0.0), argmax_tilt=(a1, a2), iterations=iterations, method="newton")
 
 
-def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:
+def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float, joint: RateEvaluation | None = None) -> float:
     """Conditional rate of the scaled area given the scaled passage time.
 
-    Defined as the joint rate minus the first marginal; nonnegative by the
+    Defined as the joint rate (``joint``, by default rate_ld's) minus the first marginal; nonnegative by the
     variational definitions, clamped against roundoff at the level
     max(1e-8, J_ROUNDOFF * I): at large levels the two rates agree to tens of ulps of I.
     """
-    joint = rate_ld(model, z1, z2).value
+    joint = (joint or rate_ld(model, z1, z2)).value
     if joint == INF:
         return INF
     diff = joint - marginal_I1(model, z1).value  # a finite joint rate means 0 < z2 < z1

@@ -324,9 +324,9 @@ MP_PHI_INTEGRAL = {
     "noncentral_chi_squared": lambda a: (-mpmath.log(1 - 2 * a) + (1 - 2 * a) * mpmath.log(1 - 2 * a)) / 4,
     "gamma": lambda a: 2 * ((2 - a) * mpmath.log(1 - a / 2) + a),
 }
-# the models whose joint rate is a Newton ascent, with the Hessian of L in the table; the
-# inverse-Gaussian rate is in closed form
-ASCENT_MODELS = [m for m in builtin_models() if m.kind in MP_PHI_PRIME]
+# the models of the power-law segment kernel, whose Hessian of L the line duals read; the
+# inverse-Gaussian kernel has its own checks
+POWER_MODELS = [m for m in builtin_models() if m.kind in MP_PHI_PRIME]
 
 
 def mp_curvatures(model, lo, hi):
@@ -365,7 +365,7 @@ def unfactored(hessian):
 class TestCurvatures:
     """The table's means of phi'', (1 - y) phi'' and (1 - y)^2 phi'' over a segment: the Hessian of L at a2 < 0."""
 
-    @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", POWER_MODELS, ids=lambda m: m.kind)
     def test_seeded_tilts_against_mpmath(self, model):
         # 300 a2 < 0 tilts per model: boundary distance 1e-12 to 20 and |a2| 1e-14 to 30, in
         # boundary units; the (1 - y)^2 closed form loses eps/r^2 below its series at r = 1/10
@@ -376,7 +376,7 @@ class TestCurvatures:
             (a1, a2), segment = folded_tilt(b - float(gap) * b, -float(size) * b)
             assert model.segment(a1, a2)[3] == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", POWER_MODELS, ids=lambda m: m.kind)
     def test_few_ulp_segments_next_to_the_boundary(self, model):
         # the segments of TestGradient's test of the same name, all finite
         b = model.domain.boundary
@@ -392,7 +392,7 @@ class TestCurvatures:
             assert all(0.0 < v < INF for v in got)
             assert got == pytest.approx(mp_curvatures(model, *segment), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", POWER_MODELS, ids=lambda m: m.kind)
     def test_far_tilts_stay_in_range(self, model):
         # out to |a| = 1e280 boundary units H12 and H22 fall like 1/|a|^2, out of the doubles, and
         # H11/H22 reaches 1e296 at the top; the factors hold them to 1e-12.  At 1e300 units they are
@@ -407,7 +407,7 @@ class TestCurvatures:
             r1, r2, rho = model.segment(a1, -1e300 * b)[3]
             assert 0.0 < r2 < r1 < INF and 0.0 < rho < 0.5 * math.sqrt(3.0)
 
-    @pytest.mark.parametrize("model", ASCENT_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", POWER_MODELS, ids=lambda m: m.kind)
     def test_meets_the_origin_hessian_as_a2_vanishes(self, model):
         # at a2 = 0 the Hessian of L is phi''(a1) [[1, 1/2], [1/2, 1/3]], hessian_origin's C at a1 = 0,
         # and it is continuous there from below; at a2 > 0, outside the folded half-plane, there is none

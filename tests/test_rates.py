@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -27,6 +26,7 @@ from renewal_ldp import (
 from renewal_ldp.conditional import kappa_star
 from renewal_ldp.lambda_surface import in_lambda_domain
 from renewal_ldp.moderate import HalfPlane
+from renewal_ldp import models as models_module
 from renewal_ldp import rates
 from renewal_ldp.models import RateEvaluation, RootError, model_of, parse_model_spec
 from renewal_ldp.rates import line_rate
@@ -54,10 +54,32 @@ def grid_search_rate(model, z1, z2, a1_range, a2_range, n=251):
     return best
 
 
-def ascent_rate(model, z1, z2):
-    """rate_ld with the Newton ascent in place of the model table's joint rate; inverse-Gaussian keeps its
-    closed form, as the ascent has no step on the closed face."""
-    return rate_ld(model if model.kind == "inverse_gaussian" else dataclasses.replace(model, joint_rate=None), z1, z2)
+def mp_noncentral_chi_squared_rate(lam, k, z1, w, tilt):
+    """The noncentral chi-squared rate at (z1, w), w < z1/2, from grad L(a) = (z1, w) solved at 40 digits.
+
+    In the logs of u0 = 1 - 2 a1 and D = -2 a2, where the means of phi' = k/u + lam/u^2 and y phi' over
+    u in [u0, u0 + D] are d1L = k log(u1/u0)/D + lam/(u0 u1) and d2L = k (1 - u0 log(u1/u0)/D)/D +
+    lam (log(u1/u0) - D/u1)/D^2, each equation relative to its level.  The start is the double ``tilt``,
+    except that where a1 is the last double below 1/2 u0 comes from d1L = z1 with the lam term alone.
+    """
+    with mpmath.workdps(60):
+        lam, k, z1, w = map(mpmath.mpf, (lam, k, z1, w))
+        a1, a2 = map(mpmath.mpf, tilt)
+
+        def terms(log_u0, log_d):
+            u0, d = mpmath.exp(log_u0), mpmath.exp(log_d)
+            u1, log_ratio = u0 + d, mpmath.log1p(d / u0)
+            d1 = k * log_ratio / d + lam / (u0 * u1)
+            d2 = k * (1 - u0 * log_ratio / d) / d + lam * (log_ratio - d / u1) / d**2
+            L = -k / 2 * ((u1 * mpmath.log(u1) - u0 * mpmath.log(u0)) / d - 1) + lam / 2 * (log_ratio / d - 1)
+            return d1 / z1 - 1, d2 / w - 1, (1 - u0) / 2 * z1 - d / 2 * w - L
+
+        d = -2 * a2
+        u0 = 1 - 2 * a1 if 1 - 2 * a1 > 1e-15 else 2 * lam / z1 / (d + mpmath.sqrt(d * d + 4 * lam / z1))
+        log_u0 = mpmath.findroot(lambda x: terms(x, mpmath.log(d))[0], mpmath.log(u0))
+        root = mpmath.findroot(lambda x, y: terms(x, y)[:2], (log_u0, mpmath.log(d)), tol=mpmath.mpf(10) ** -80,
+                               maxsteps=400)
+        return float(terms(*root)[2])
 
 
 class TestSupportCone:
@@ -353,14 +375,15 @@ class TestEdgesAndMidline:
                                           rel=1e-12, abs=1e-14)
 
     def test_fewer_iterations_on_a_fixed_grid(self):
-        # the 200-point grid of scripts/rate_ld_cost.py, with the Newton ascent for every kind but the
-        # inverse-Gaussian; the bound is a quarter below 132.8 iterations a call
-        cold_mean = 132.795
+        # the 200-point grid of scripts/rate_ld_cost.py: no more iterations a call than the 8.65 of the Newton
+        # ascent that ran every kind but the inverse-Gaussian (132.8 by the nested roots before it); 1.94 by
+        # the model table's joint rates, 3.64 for noncentral chi-squared
+        ascent_mean = 8.65
         grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
                 for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
                 for f in (1e-6, 0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.9, 0.99, 1.0 - 1e-6)]
-        mean = sum(ascent_rate(m, z1, z2).iterations for m, z1, z2 in grid) / len(grid)
-        assert mean <= 0.75 * cold_mean
+        mean = sum(rate_ld(m, z1, z2).iterations for m, z1, z2 in grid) / len(grid)
+        assert mean <= ascent_mean
 
 
 def gamma_like(kind, r):
@@ -435,21 +458,23 @@ class TestScaleFree:
 
 
 class TestNewtonStepsFreeOfTheScale:
-    @pytest.mark.parametrize("kind", ["exponential", "gamma"])
+    @pytest.mark.parametrize("kind", ["exponential", "gamma", "noncentral_chi_squared"])
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 1e3, 1e6])
     def test_within_one_step_of_scale_one(self, kind, r):
-        # Newton's method is affine-invariant: the scaled problem takes the same steps, so the
-        # counts move by at most the last step's roundoff.  The ascent, which rate_ld runs for
-        # noncentral chi-squared, here on the gamma family; its own rate takes kappa*'s steps at
-        # w/z1, which the scale moves by at most an ulp
-        unit, scaled = gamma_like(kind, 1.0), gamma_like(kind, r)
+        # the scaled problem takes the same steps, so the counts move by at most the last step's roundoff:
+        # the gamma family's kappa* steps at w/z1, which the scale moves by at most an ulp, and noncentral
+        # chi-squared's root in s, which is that of (lam, k, z/r) for (r lam, r k, z)
+        if kind == "noncentral_chi_squared":
+            unit, scaled, method = model_of(kind, 1.0, 1.0), model_of(kind, r, r), "s_root"
+        else:
+            unit, scaled, method = gamma_like(kind, 1.0), gamma_like(kind, r), "kappa_star"
         for c1, c2 in [(3.0, 1.0), (0.7, 0.21), (1.5, 0.1), (5.0, 1.5), (1.0, 0.2), (2.0, 1.2)]:
             z1, z2 = c1 * unit.mean, c2 * unit.mean
-            one, other = ascent_rate(unit, z1, z2), ascent_rate(scaled, z1 / r, z2 / r)
-            assert one.method == other.method == "newton"
-            assert abs(other.iterations - one.iterations) <= 1
-            one, other = rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)
-            assert one.method == other.method == "kappa_star"
+            if kind == "noncentral_chi_squared":
+                one, other = rate_ld(unit, z1, z2), rate_ld(scaled, r * z1, r * z2)
+            else:
+                one, other = rate_ld(unit, z1, z2), rate_ld(scaled, z1 / r, z2 / r)
+            assert one.method == other.method == method
             assert abs(other.iterations - one.iterations) <= 1
 
 
@@ -459,27 +484,25 @@ def folded_optimum(model, z1, w, solve=rate_ld):
     return res.argmax_tilt, lambda_grad(model, *res.argmax_tilt)
 
 
-class TestNewtonAscent:
-    """rate_ld by one projected Newton ascent on g(a) = a1 z1 + a2 w - L(a) over a2 < 0: noncentral chi-squared,
-    and here the gamma family too, whose rate_ld reads phi* + shape kappa* instead."""
+class TestJointRateOptimum:
+    """The tilt of rate_ld's joint rate is the maximiser of g(a) = a1 z1 + a2 w - L(a) over a2 < 0, by the
+    model table's gradient of L."""
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     def test_stationary_at_interior_optima(self, model):
         # grad L(a*) = (z1, w) where a1* lies a thousandth of the boundary below the top of the
-        # search; closer to it d1L changes by 1e13 per unit of a1, and a1 is a double.  By rate_ld
-        # and by the Newton ascent
+        # search; closer to it d1L changes by 1e13 per unit of a1, and a1 is a double
         top = model.domain.search_top(finite_at_face=True)
-        for solve in (rate_ld, ascent_rate):
-            interior = 0
-            for c1 in (0.3, 0.6, 1.2, 2.0, 3.0, 5.0):
-                for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
-                    z1 = c1 * model.mean
-                    (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1, solve)
-                    assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
-                    if top - a1 > 1e-3 * top:
-                        interior += 1
-                        assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
-            assert interior >= (8 if model.domain.boundary_closed else 30)
+        interior = 0
+        for c1 in (0.3, 0.6, 1.2, 2.0, 3.0, 5.0):
+            for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+                z1 = c1 * model.mean
+                (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1)
+                assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
+                if top - a1 > 1e-3 * top:
+                    interior += 1
+                    assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+        assert interior >= (8 if model.domain.boundary_closed else 30)
 
     @pytest.mark.parametrize("c1", [0.3, 1.2, 5.0])
     @pytest.mark.parametrize("f", [1e-6, 0.02, 0.2, 0.3])
@@ -491,27 +514,12 @@ class TestNewtonAscent:
         assert d1 <= z1 * (1.0 + 1e-12)
         assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("model, z1, f", [(EXP1, 1.0, 0.0256)], ids=["exponential-1"])
-    def test_resumes_below_the_top(self, model, z1, f, monkeypatch):
-        # a step lands on the top of the search, whose optimum has d1L > z1: the ascent goes on below
-        # it and ends stationary
-        top, tops = model.domain.search_top(finite_at_face=False), []
-
-        def second_order(m, a1, a2):
-            tops.append(a1 == top)
-            return second_order.inner(m, a1, a2)
-
-        second_order.inner = rates._second_order
-        monkeypatch.setattr(rates, "_second_order", second_order)
-        (a1, _), (d1, d2) = folded_optimum(model, z1, f * z1, ascent_rate)
-        assert any(tops) and a1 < top
-        assert d2 == pytest.approx(f * z1, rel=1e-12, abs=0.0)
-
     def test_where_g_cancels_against_40_digits(self):
         # noncentral chi-squared:1,1 at (2, 0.94), row 21 of the `rate` grid 0.5:3:6;0.1:1.5:6, where a1 z1
         # and a2 w cancel 30:1 in g.  The tilt is the optimum: g there, with L by quadrature at 50
-        # digits, meets the 40-digit rate to 1e-15.  The value is off by the error of L's closed form
-        # at that tilt (6e-17 of 2.8e-3) and the rounding of g's terms, 1.9e-14 of the value
+        # digits, meets the 40-digit rate to 1e-15.  The Newton ascent's value, g at its tilt, was 1.9e-14 off
+        # by the error of L's closed form there (6e-17 of 2.8e-3) and the rounding of g's terms; the sum
+        # of nonnegative terms of the root in s forms no g
         phi = lambda a: a / (1 - 2 * a) - mpmath.log(1 - 2 * a) / 2  # noqa: E731
         model, z1, z2 = model_of("noncentral_chi_squared", 1.0, 1.0), 2.0, 0.9399999999999998
         res = rate_ld(model, z1, z2)
@@ -530,6 +538,7 @@ class TestNewtonAscent:
         assert float(at_tilt) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
         assert abs(res.value - float(exact)) <= table_error + 4e-16 * (abs(a1 * z1) + abs(a2 * z2))
         assert res.value == pytest.approx(float(exact), rel=2e-14, abs=0.0)
+        assert res.value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_midline_is_phi_star(self):
         for model in MODELS:
@@ -541,8 +550,8 @@ class TestNewtonAscent:
         # scales 1e-12 to 1e6 on six models (about 1 s).  No call raises; each value is finite,
         # the exponential ones within 1e-13 of the independent rate_ld_poisson, and d2L = w at
         # the tilt of every folded point.  The inverse-Gaussian rate is in closed form; the gamma
-        # family's, phi* + shape kappa*, is within 1e-13 of the Newton ascent, whose steps are
-        # counted with noncentral chi-squared's
+        # family's, phi* + shape kappa*, is within 1e-13 of its 40-digit value, and noncentral chi-squared's
+        # root in s takes at most 20 steps (the Newton ascent took up to 80, 30 in the mean)
         rng = np.random.default_rng(3600)
         kinds = [("exponential", 1.0), ("gamma", 2.0), ("inverse_gaussian", None),
                  ("noncentral_chi_squared", (1.0, 1.0)), ("gamma", 0.5), ("noncentral_chi_squared", (3.0, 0.5))]
@@ -564,18 +573,17 @@ class TestNewtonAscent:
             if kind == "inverse_gaussian":
                 assert (res.method, res.iterations) == ("closed_form", 0)
             elif kind == "noncentral_chi_squared":
-                assert res.method == "newton"
+                assert res.method == "s_root"
                 steps.append(res.iterations)
-            elif 2.0 * min(z2, z1 - z2) != z1:
+            elif 2.0 * (w := min(z2, z1 - z2)) != z1:
                 assert res.method == "kappa_star"
-                ascent = ascent_rate(model, z1, z2)
-                assert res.value == pytest.approx(ascent.value, rel=1e-13, abs=0.0)
-                steps.append(ascent.iterations)
+                exact = float(mp_gamma_rate(param, model.domain.boundary, z1, w))
+                assert res.value == pytest.approx(exact, rel=1e-13, abs=0.0)
             if kind == "exponential":
                 assert res.value == pytest.approx(rate_ld_poisson(model.domain.boundary, z1, z2).value, rel=1e-13)
             if z2 <= 0.5 * z1:
                 assert lambda_grad(model, *res.argmax_tilt)[1] == pytest.approx(z2, rel=1e-12)
-        assert np.mean(steps) < 30 and max(steps) <= 80
+        assert np.mean(steps) < 5 and max(steps) <= 20
 
 
 def mp_inverse_gaussian_rate(mu, z1, w):
@@ -686,17 +694,18 @@ class TestGammaFamilyRate:
 
     def test_against_40_digits(self):
         # within 1e-14 of the 40-digit rate at every point with I >= 1e-6, and on the mean at least as
-        # close as the Newton ascent (both are a few ulps off: 6e-17 and 8e-17 in the mean here)
+        # close as the Newton ascent that rate_ld ran before (both are a few ulps off: 6.3e-17 and 8.353e-17
+        # in the mean here)
+        ascent_mean = 8.353e-17
         errors = []
         for model, shape, z1, z2 in seeded_gamma_family(37, 300):
             exact = mp_gamma_rate(shape, model.domain.boundary, z1, min(z2, z1 - z2))
             if exact < 1e-6:
                 continue
-            errors.append([float(abs(solve(model, z1, z2).value - exact) / exact) for solve in (rate_ld, ascent_rate)])
-        errors = np.array(errors)
+            errors.append(float(abs(rate_ld(model, z1, z2).value - exact) / exact))
         assert len(errors) >= 200
-        assert errors[:, 0].max() <= 1e-14
-        assert errors[:, 0].mean() <= errors[:, 1].mean()
+        assert max(errors) <= 1e-14
+        assert np.mean(errors) <= ascent_mean
 
     def test_scaling_identity(self):
         # phi of gamma(k, lam) is k times that of exponential(lam): I_{k,lam}(z) = k I_{1,lam}(z/k).  On the
@@ -725,16 +734,17 @@ class TestGammaFamilyRate:
     @pytest.mark.parametrize("kind, slope", [("exponential", -1.1), ("gamma", -0.55)])
     def test_moderate_deviation_limit(self, kind, slope):
         # I(p + d v)/(d^2 psi*(v)) - 1 = slope d + O(d^2) at v = (1, 0.3), from d = 1e-2 down to 1e-7, where
-        # I is about 4e-15 and the roundoff of phi* is a few percent of the O(d) term; the Newton ascent's
-        # ratio carries a few times more there
+        # I is about 4e-15 and the roundoff of phi* is a few percent of the O(d) term; the same ratio of the
+        # 40-digit rate is as close (the Newton ascent's ratio carried a few times more there)
         model = gamma_like(kind, 1.0)
-        scale = psi_star(model, 1.0, 0.3)
+        scale, shape = psi_star(model, 1.0, 0.3), (2.0 if kind == "gamma" else 1.0)
         for k in range(2, 8):
             d = 10.0**-k
             z1, z2 = model.mean + d, 0.5 * model.mean + 0.3 * d
-            ratio, ascent = (solve(model, z1, z2).value / (d * d * scale) - 1.0 for solve in (rate_ld, ascent_rate))
+            ratio = rate_ld(model, z1, z2).value / (d * d * scale) - 1.0
+            exact = float(mp_gamma_rate(shape, model.domain.boundary, z1, z2) / (d * d * scale) - 1)
             assert abs(ratio - slope * d) <= 0.1 * d
-            assert abs(ratio - ascent) <= 0.1 * d
+            assert abs(ratio - exact) <= 0.1 * d
 
     def test_exactly_reflection_symmetric(self):
         for model, shape, z1, z2 in seeded_gamma_family(40, 300):
@@ -765,6 +775,146 @@ class TestGammaFamilyRate:
                         assert math.isfinite(rate_ld(EXP1, z1, f * z1).value)
                     except RootError:  # where -1/z2 or 1/z1 overflows
                         assert f * z1 < 1e-290 or z1 < 1e-290
+
+
+def seeded_noncentral_family(seed, count):
+    """(model, z1, z2): noncentral chi-squared (1, 1), (3, 0.5) and (0.2, 4), each scaled by 10^U(-6, 6), at
+    test_seeded_sweep's levels."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        lam, k = ((1.0, 1.0), (3.0, 0.5), (0.2, 4.0))[i % 3]
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        model = model_of("noncentral_chi_squared", lam * scale, k * scale)
+        z1 = model.mean * 10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0))
+        f = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        yield model, z1, (z1 - f * z1 if rng.random() < 0.5 else f * z1)
+
+
+def mp_folded_rate(model, z1, z2):
+    """The 40-digit noncentral chi-squared rate at (z1, z2), started from rate_ld's tilt at the folded w."""
+    w = min(z2, z1 - z2)
+    return mp_noncentral_chi_squared_rate(model.params["lam"], model.params["k"], z1, w, rate_ld(model, z1, w).argmax_tilt)
+
+
+def counted_steps(monkeypatch):
+    """The list that collects s of each evaluation of the noncentral chi-squared root, one per Newton step."""
+    steps, terms = [], models_module._uniform_terms
+    monkeypatch.setattr(models_module, "_uniform_terms", lambda s: steps.append(s) or terms(s))
+    return steps
+
+
+class TestNoncentralChiSquaredRate:
+    """The noncentral chi-squared joint rate by one Newton root in s = log(u1/u0), as nonnegative terms."""
+
+    def test_against_40_digits(self):
+        # within 1e-14 of the 40-digit rate, by the stationarity of a.z - L(a) in a, at every point with I >= 1e-6,
+        # and on the mean at least as close as the Newton ascent that rate_ld ran before: 7.95e-17 against its
+        # 1.2708e-16 here, where the ascent was up to 1.28e-14 off
+        ascent_mean = 1.2708e-16
+        errors = []
+        for model, z1, z2 in seeded_noncentral_family(41, 300):
+            exact = mp_folded_rate(model, z1, z2)
+            if exact < 1e-6:
+                continue
+            errors.append(abs(rate_ld(model, z1, z2).value - exact) / exact)
+        assert len(errors) >= 200
+        assert max(errors) <= 1e-14
+        assert np.mean(errors) <= ascent_mean
+
+    def test_scaling_identity(self):
+        # phi of noncentral chi-squared(c lam, c k) is c times that of (lam, k) at the same tilt: I_{c lam, c k}(z) =
+        # c I_{lam, k}(z/c).  On the folded area w
+        for model, z1, z2 in seeded_noncentral_family(42, 300):
+            w, lam, k = min(z2, z1 - z2), model.params["lam"], model.params["k"]
+            for c in (3.0, 1e-3):
+                scaled = model_of("noncentral_chi_squared", c * lam, c * k)
+                assert rate_ld(scaled, z1, w).value == pytest.approx(c * rate_ld(model, z1 / c, w / c).value,
+                                                                     rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 4.0])
+    def test_gamma_limit(self, k):
+        # at lam = 1e-30 the rate is gamma(k/2, 1/2)'s phi* + (k/2) kappa*, which reads kappa_conjugate, to 1e-30
+        # of it: the lam term moves the optimal tilt (lam/u^2 is large at the segment's top below fractions of
+        # about 1/50) but L only by (lam/2)(mean of 1/u - 1)
+        ncx2, gamma = model_of("noncentral_chi_squared", 1e-30, k), model_of("gamma", 0.5 * k, 0.5)
+        for c1 in (0.3, 1.0, 3.0):
+            z1 = c1 * gamma.mean
+            for f in (0.01, 0.05, 0.2, 0.4, 0.49, 0.6, 0.99):
+                res = rate_ld(ncx2, z1, f * z1)
+                assert res.method == "s_root"
+                assert res.value == pytest.approx(rate_ld(gamma, z1, f * z1).value, rel=1e-13, abs=0.0)
+
+    def test_stationary_at_the_tilt(self):
+        # d2L = w at the folded tilt, and d1L = z1 where a1 is not within a thousandth of the boundary
+        interior = 0
+        for model, z1, z2 in seeded_noncentral_family(43, 300):
+            w = min(z2, z1 - z2)
+            a1, a2 = rate_ld(model, z1, w).argmax_tilt
+            d1, d2 = lambda_grad(model, a1, a2)
+            assert d2 == pytest.approx(w, rel=1e-12, abs=0.0)
+            if 0.5 - a1 > 5e-4:
+                interior += 1
+                assert d1 == pytest.approx(z1, rel=1e-12, abs=0.0)
+        assert interior >= 30
+
+    def test_moderate_deviation_limit(self):
+        # I(p + d v)/(d^2 psi*(v)) - 1 = -0.488 d + O(d^2) at v = (1, 0.3) on (1, 1), from d = 1e-2 down to 1e-7, as
+        # does the ratio of the 40-digit rate; the Newton ascent's was 3.7e-4 off at 1e-6 and 6.8e-2 at 1e-7,
+        # where a.z - L cancels
+        model = model_of("noncentral_chi_squared", 1.0, 1.0)
+        scale = psi_star(model, 1.0, 0.3)
+        for k in range(2, 8):
+            d = 10.0**-k
+            z1, z2 = model.mean + d, 0.5 * model.mean + 0.3 * d
+            ratio = rate_ld(model, z1, z2).value / (d * d * scale) - 1.0
+            exact = mp_folded_rate(model, z1, z2) / (d * d * scale) - 1.0
+            assert abs(ratio + 0.488 * d) <= 0.1 * d
+            assert abs(ratio - exact) <= 0.1 * d
+
+    def test_exactly_reflection_symmetric(self):
+        for model, z1, z2 in seeded_noncentral_family(44, 300):
+            z2, c = exact_pair(z1, z2 / z1)
+            low, high = rate_ld(model, z1, z2), rate_ld(model, z1, c)
+            assert low.value == high.value
+            (a1, a2), (b1, b2) = low.argmax_tilt, high.argmax_tilt
+            assert (b1, b2) == (a1 + a2, -a2) or (a1, a2) == (b1 + b2, -b2)
+
+    def test_tiny_area_in_few_steps(self):
+        # (1, 1e-300) times the mean took 1,002 steps of the Newton ascent; the root in s starts from its
+        # large-s asymptote there
+        model = model_of("noncentral_chi_squared", 1.0, 1.0)
+        res = rate_ld(model, model.mean, 1e-300 * model.mean)
+        assert res.iterations <= 20
+        assert res.value == pytest.approx(mp_folded_rate(model, model.mean, 1e-300 * model.mean), rel=1e-12, abs=0.0)
+
+    def test_large_level_next_to_the_midline(self):
+        # z1 = 4.68e36, z2 = 0.5001 z1: the Newton ascent gave I - phi*(z1) = -3.48e22.  The exact J = I - I1 is
+        # 3.24e10, 1.4e-26 of I and far below its ulp, and the nonnegative terms give I1 to the bit
+        model = model_of("noncentral_chi_squared", 1.0, 1.0)
+        z1 = 4.67548469024955e36
+        res = rate_ld(model, z1, 0.5001 * z1)
+        assert res.value - phi_star(model, z1).value == 0.0
+        assert res.value == pytest.approx(mp_folded_rate(model, z1, 0.5001 * z1), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c1", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("f", [1e-8, 0.25, 0.4999])
+    def test_levels_from_1e_300_to_1e300(self, c1, f, monkeypatch):
+        # z1 = c1 times the mean, w = f z1: each within 1e-12 of the 40-digit rate, in at most 100 steps
+        model = model_of("noncentral_chi_squared", 1.0, 1.0)
+        steps = counted_steps(monkeypatch)
+        res = rate_ld(model, c1 * model.mean, f * c1 * model.mean)
+        assert len(steps) == res.iterations <= 100
+        assert res.value == pytest.approx(mp_folded_rate(model, c1 * model.mean, f * c1 * model.mean),
+                                          rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z1, w", [(2.0, 5e-324), (1e-300, 1e-310), (1e-320, 1e-321), (1e30, 1e-300)])
+    def test_tilt_beyond_the_doubles_raises(self, z1, w, monkeypatch):
+        # the area tilt -s/(2x) overflows, or the mean of y phi' leaves the doubles before it falls to w: the
+        # documented RootError, within 100 steps
+        steps = counted_steps(monkeypatch)
+        with pytest.raises(RootError):
+            rate_ld(model_of("noncentral_chi_squared", 1.0, 1.0), z1, w)
+        assert len(steps) <= 100
 
 
 class TestPoissonPath:
