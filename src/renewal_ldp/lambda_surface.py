@@ -99,12 +99,11 @@ def lambda_grad(model: HoldingTimeModel, a1: float, a2: float) -> tuple[float, f
 
 
 def _second_order(model: HoldingTimeModel, a1: float, a2: float) -> tuple | None:
-    """(a2, L, gradient, Hessian) at a2 = fl(a1 + a2) - a1 <= 0, else None; a2 = 0 is the caller's to refuse."""
-    # a2 = 0 is a segment of no width, which the line duals take; the Hessian is as model.segment gives it
+    """(L, d1L, d2L, Hessian) at a2 = fl(a1 + a2) - a1 <= 0, else None, as model.segment gives them there."""
+    # a2 = 0 is a segment of no width, which the line duals take
     if (a2 := _interior_width(model, a1, a2)) is None or a2 > 0.0:
         return None
-    value, d1, tail, hessian = model.segment(a1, a2)
-    return a2, value, (d1, tail), hessian
+    return model.segment(a1, a2)
 
 
 def hessian_origin(model: HoldingTimeModel) -> CovarianceStructure:

@@ -292,29 +292,25 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
 
 # (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 as series in y^2, highest first: the n-th coefficients are 1/(2n + 1)!
 # and 2n/(2n + 1)!, n >= 1, all positive; below y = 2, 15 terms leave less than 1e-17
-_SINH_SERIES = tuple((1.0 / math.factorial(2 * n + 1), 2.0 * n / math.factorial(2 * n + 1)) for n in reversed(range(1, 16)))
+_SINH_SERIES = tuple((1.0 / (f := math.factorial(2 * n + 1)), 2.0 * n / f) for n in reversed(range(1, 16)))
 # (y - log1p(y))/u - y = -2 u^2 (1/3 + u^2/5 + ...) with u = y/(2 + y), from log1p(y) = 2 atanh(u): below |y| = 1/3,
 # where |u| <= 1/5, 12 terms leave less than 1e-17
 _ATANH_SERIES = tuple(1.0 / (2 * n + 1) for n in reversed(range(1, 13)))
 
 
 def _uniform_terms(s: float) -> tuple:
-    """(q, 1 - q, c/s, kappa'', kappa', g, kappa*) of the uniform law's CGF kappa(t; 1) at t = -s <= 0, to relative accuracy.
-
-    q = (s/2)/sinh(s/2), c = 1/2 - kappa'(-s), kappa''(-s) = (1 - q^2)/s^2, g = kappa'(-s) - s kappa''(-s) and
-    kappa*(kappa'(-s)) = s c + log q.  Below s = 4 from the positive series of sinh y - y and y cosh y - sinh y in
-    y = s/2, finite at s = 0; above it from e^-s.
-    """
+    # (q, 1 - q, c/s, kappa'', kappa', g, kappa*) of the uniform law's CGF kappa(t; 1) at t = -s <= 0, each to its
+    # relative accuracy: q = (s/2)/sinh(s/2), c = 1/2 - kappa'(-s), kappa''(-s) = (1 - q^2)/s^2,
+    # g = kappa'(-s) - s kappa''(-s) and kappa*(kappa'(-s)) = s c + log q.  Below s = 4 from the positive series of
+    # sinh y - y and y cosh y - sinh y in y = s/2, finite at s = 0; above it from e^-s
     if s <= 4.0:
-        y = 0.5 * s
-        m = n = 0.0
+        y, m, n = 0.5 * s, 0.0, 0.0
         for b1, b2 in _SINH_SERIES:
             m, n = b1 + y * y * m, b2 + y * y * n
         # sinh y = y (1 + y^2 m), 1 - q = y^2 m q, c = (y cosh y - sinh y)/(s sinh y) = (y/2) n q
         q = 1.0 / (1.0 + y * y * m)
         c_s, k2 = 0.25 * n * q, 0.25 * m * q * (1.0 + q)
-        kd1 = 0.5 - s * c_s
-        return q, y * y * m * q, c_s, k2, kd1, kd1 - s * k2, y * y * n * q - math.log1p(y * y * m)
+        return q, y * y * m * q, c_s, k2, 0.5 - s * c_s, 0.5 - s * c_s - s * k2, y * y * n * q - math.log1p(y * y * m)
     e, d = math.exp(-s), -math.expm1(-s)
     q = s * math.exp(-0.5 * s) / d
     # kappa*(kappa'(-s)) = s e^-s/(1 - e^-s) - 1 + log(s/(1 - e^-s)): no s/2 cancels
@@ -332,47 +328,37 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
     # and y phi' are z1 = k x + lam p^2 and w(s) = k x kappa'(-s) + lam p^2 g(s), x = q p the mean of 1/u and kappa the
     # uniform law's CGF.  So z1 fixes p as the root of a quadratic, and w(s), which falls from z1/2 at s = 0 to 0,
     # fixes s; the tilt is a1 = (1 - e^(-s/2)/p)/2 and a2 = -s/(2x).  There the rate is a sum of nonnegative terms,
-    # I = (k/2)[x - 1 - log x + kappa*(kappa'(-s))] + (lam/2)[(p - q)^2 + s^2 kappa''(-s)] (phi*(z1) + (k/2) kappa* of
-    # gamma(k/2, 1/2) at lam = 0.
+    # I = (k/2)[x - 1 - log x + kappa*(kappa'(-s))] + (lam/2)[(p - q)^2 + s^2 kappa''(-s)], which at lam = 0 is
+    # gamma(k/2, 1/2)'s phi*(z1) + (k/2) kappa*.
     #
     # Newton steps on log(w(s)/w) in a bracket from [0, 1/r], r = w/z1 (w(1/r) < w), from the moderate-deviation s
     # at r >= 1/10 and below it from the larger of the roots of either term of w(s) alone at large s; a step that
     # leaves the bracket halves it, by its geometric mean where it spans a factor 4.  From r = 1/4 on the residual is
     # taken about the midline, z1/2 - w(s) against the exact z1/2 - w.  The means are taken relative to z1, which
     # keeps them off the subnormals where z1 is tiny: z1 = k x + lam p^2 splits 1 = theta + phi
-    root_lz, mid, log_r = math.sqrt(lam) * math.sqrt(z1), (0.5 * z1 - w) / z1, math.log(w) - math.log(z1)
-    centred, r = w >= 0.25 * z1, w / z1
+    root_lz, r, mid, log_r = math.sqrt(lam) * math.sqrt(z1), w / z1, (0.5 * z1 - w) / z1, math.log(w) - math.log(z1)
 
     def state(s):
         q, _, c_s, k2, kd1, g, kstar = terms = _uniform_terms(s)
-        kq = 0.5 * k * q
-        den = kq + math.hypot(kq, root_lz)  # z1/p
+        den = (kq := 0.5 * k * q) + math.hypot(kq, root_lz)  # z1/p
         theta, phi = k * q / den, (root_lz / den) ** 2
         wm = theta * kd1 + phi * g
-        if centred:  # 1/2 - w(s)/z1 = theta c + phi (c + s kappa'') from positive terms, against the exact 1/2 - r
-            gap = (theta + phi) * s * c_s + phi * s * k2 - mid
-            f = math.log1p(-gap / r)
-        else:
-            gap = r - wm
-            f = math.log(wm) - log_r if wm > 0.0 else -INF
+        # about the midline 1/2 - w(s)/z1 = theta c + phi (c + s kappa'') from positive terms, against the exact 1/2 - r
+        gap = (theta + phi) * s * c_s + phi * s * k2 - mid if r >= 0.25 else r - wm
+        f = math.log1p(-gap / r) if r >= 0.25 else (math.log(wm) - log_r if wm > 0.0 else -INF)
         # d(w/z1)/ds: q' = -q c, p' = p k q c/(2 lam p + k q) and g' = -2 q^2 c/s
         slope = -(theta * k2 + 2.0 * phi * q * q * c_s + 2.0 * phi * theta * s * s * c_s * k2 / (theta + 2.0 * phi))
-        return f, (slope / wm if wm > 0.0 else math.nan), terms, den, theta, gap
+        return f, (slope / wm if wm > 0.0 else math.nan), terms, den, gap
 
     lo, hi = 0.0, (1.0 / r if r > 0.0 else INF)
     # z1/p at s = 0, where p is phi*'s tilt in 1/u; d0 - k = lam z1/d0 formed without cancelling
     d0 = 0.5 * k + math.hypot(0.5 * k, root_lz)
-    if r >= 0.1:
-        s = mid / (k / d0 / 12.0 + (root_lz / d0) ** 2 / 6.0)
-    else:
-        # at large s, w(s)/z1 is about (k/sqrt(lam z1)) e^(-s/2) + s e^(-s) where lam p^2 is most of z1
-        s = min(hi, max(2.0 * (math.log(k) - math.log(root_lz) - log_r), -log_r + math.log(-log_r)))
+    # at large s, w(s)/z1 is about (k/sqrt(lam z1)) e^(-s/2) + s e^(-s) where lam p^2 is most of z1
+    s = (mid / (k / d0 / 12.0 + (root_lz / d0) ** 2 / 6.0) if r >= 0.1 else
+         min(hi, max(2.0 * (math.log(k) - math.log(root_lz) - log_r), -log_r + math.log(-log_r))))
     for steps in range(1, MAX_NEWTON_STEPS + 1):
-        f, slope, terms, den, theta, gap = state(s)
-        if f > 0.0:
-            lo = s
-        elif f < 0.0:
-            hi = s
+        f, slope, terms, den, gap = state(s)
+        lo, hi = (s, hi) if f > 0.0 else (lo, s)
         step = -f / slope if slope else math.nan  # no step where w'(s) underflows: the bracket is halved
         if not f or abs(step) <= _RTOL * s or hi - lo <= _RTOL * hi:
             break
@@ -381,14 +367,12 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
             s = math.sqrt(lo * hi) if 4.0 * lo < hi < INF and lo > 0.0 else (0.5 * (lo + hi) if hi < INF else 2.0 * lo)
     else:
         raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
-    if not abs(f) <= 2.0**-26:  # the bracket closed on the edge where q, and with it w(s)/z1, leaves the doubles
-        raise RootError(f"w(s) leaves the doubles before it reaches w for z = ({z1}, {w})")
     q, one_q, _, k2, _, _, kstar = terms
     p0, p = z1 / d0, z1 / den
-    x = q * p
-    a1, a2 = min(0.5 - 0.5 * (math.exp(-0.5 * s) / p), math.nextafter(0.5, -INF)), -0.5 * s / x
-    if not (math.isfinite(a1) and math.isfinite(a2)):
-        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
+    a1, a2 = min(0.5 - 0.5 * (math.exp(-0.5 * s) / p), math.nextafter(0.5, -INF)), -0.5 * s / (x := q * p)
+    # a residual left where the bracket closed on the edge at which q, and with it w(s)/z1, leaves the doubles
+    if not (math.isfinite(a1) and math.isfinite(a2) and abs(f) <= 2.0**-26):
+        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double (residual {f})")
     # a1 and a2 times the residuals z1 - (k x + lam p^2) and w - w(s) leave the sum stationary in p and s, as a.z - L
     # is in a, so the rounding of p and of the root in s does not reach it to first order.  Next to the
     # law-of-large-numbers point p - 1 comes from the exact z1 - mean: by the two quadratics p0 - 1 =
@@ -396,18 +380,13 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
     # residual, keep their relative accuracy
     mean_gap = math.fsum((z1, -lam, -k))
     p_1 = p0 * (mean_gap / (z1 + root_lz * (root_lz / d0))) + k * one_q * p / (lam * (p + p0) + k)
-    if abs(p_1) < 0.5:
-        z1_gap = math.fsum((mean_gap, k * one_q, -p_1 * (k * q + 2.0 * lam), -lam * p_1 * p_1))
-    else:
-        p_1, z1_gap = p - 1.0, z1 - (k * x + lam * p * p)
-    y = q * p_1 - one_q  # x - 1
-    if abs(y) < 1.0 / 3.0:  # x - 1 - log x = u (y - 2 u^2 (1/3 + u^2/5 + ...)), u = y/(2 + y)
-        u, series = y / (2.0 + y), 0.0
-        for b in _ATANH_SERIES:
-            series = b + u * u * series
-        t1 = u * (y - 2.0 * u * u * series)
-    else:
-        t1 = y - (math.log(x) if x >= sys.float_info.min else math.log(theta) + math.log(z1) - math.log(k))
+    p_1, z1_gap = ((p_1, math.fsum((mean_gap, k * one_q, -p_1 * (k * q + 2.0 * lam), -lam * p_1 * p_1)))
+                   if abs(p_1) < 0.5 else (p - 1.0, z1 - (k * x + lam * p * p)))
+    # with y = x - 1, x - 1 - log x = u (y - 2 u^2 (1/3 + u^2/5 + ...)), u = y/(2 + y)
+    u, series = (y := q * p_1 - one_q) / (2.0 + y), 0.0
+    for b in _ATANH_SERIES:
+        series = b + u * u * series
+    t1 = u * (y - 2.0 * u * u * series) if abs(y) < 1.0 / 3.0 else y - math.log(x)
     value = math.fsum((0.5 * k * t1, 0.5 * k * kstar, 0.5 * lam * (p_1 + one_q) * (p_1 + one_q), 0.5 * lam * s * s * k2,
                        a1 * z1_gap, a2 * gap * z1))
     return (a1, a2, value), steps, "s_root"

@@ -35,14 +35,12 @@ def in_support_cone(z1: float, z2: float) -> bool:
 def rate_ld(model: HoldingTimeModel, z1: float, z2: float) -> RateEvaluation:
     """Bivariate rate function sup_a {a.z - L(a)}, from phi* on the midline and the model table's joint rate off it.
 
-    Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every
-    built-in phi tends to -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area
-    onto w = min(z2, z1 - z2) <= z1/2, where the optimal a2 is <= 0; on the midline a2 = 0 and
-    I = phi*(z1).  Elsewhere the kind's ``joint_rate`` gives it: the inverse-Gaussian closed form
-    (``closed_form``), the gamma family's phi*(z1) + shape kappa*(w/z1) (``kappa_star``, ``iterations``
-    counting the steps of kappa*) and noncentral chi-squared's root in s = log(u1/u0) (``s_root``,
-    ``iterations`` counting its Newton steps).  RootError where the optimal tilt is not a double;
-    ValueError for a NaN level.
+    Infinite off the support cone, at z1 = inf, and on the cone's edges z2 in {0, z1}: every built-in phi tends to
+    -inf at -inf.  The reflection I(z1, z2) = I(z1, z1 - z2) folds the area onto w = min(z2, z1 - z2) <= z1/2, where
+    the optimal a2 is <= 0; on the midline a2 = 0 and I = phi*(z1).  Elsewhere the kind's ``joint_rate`` gives it:
+    inverse-Gaussian in closed form (``closed_form``), the gamma family as phi*(z1) + shape kappa*(w/z1)
+    (``kappa_star``) and noncentral chi-squared by one root in s = log(u1/u0) (``s_root``), ``iterations`` counting
+    the steps of kappa* or of the root.  RootError where the optimal tilt is not a double; ValueError for a NaN level.
     """
     reject_nan(z1, z2)
     if not in_support_cone(z1, z2) or z1 == INF:
@@ -174,7 +172,7 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
         m1, m2 = (n1 + n2, -n2) if t * n2 > 0.0 else (n1, n2)
         if (second := _second_order(model, t * m1, t * m2)) is None:
             return None
-        _, value, (d1, d2), (r1, r2, rho) = second
+        value, d1, d2, (r1, r2, rho) = second
         # n^T H n = (m1 r1 + rho m2 r2)^2 + (1 - rho^2)(m2 r2)^2, inf on a closed face
         return value, m1 * d1 + m2 * d2, math.hypot(m1 * r1 + rho * m2 * r2, math.sqrt(1.0 - rho * rho) * m2 * r2)
 

@@ -459,8 +459,8 @@ class TestCurvatures:
         # the one domain check: None where lambda_grad raises ValueError, and at a2 > 0
         for a1, a2 in [(1.0, -0.3), (0.7, 0.3), (0.2, 0.3), (1.0, 0.0)]:
             assert _second_order(EXP1, a1, a2) is None
-        a2, value, gradient, hessian = _second_order(EXP1, 0.5, -0.3)
-        assert (value, gradient) == (lambda_eval(EXP1, 0.5, -0.3), lambda_grad(EXP1, 0.5, -0.3))
+        value, d1, d2, hessian = _second_order(EXP1, 0.5, -0.3)
+        assert (value, (d1, d2)) == (lambda_eval(EXP1, 0.5, -0.3), lambda_grad(EXP1, 0.5, -0.3))
         assert all(0.0 < v < INF for v in hessian)
 
 
