@@ -291,8 +291,8 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
 
 
 # (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 as series in y^2, highest first: the n-th coefficients are 1/(2n + 1)!
-# and 2n/(2n + 1)!, n >= 1, all positive; below y = 2, 15 terms leave less than 1e-17
-_SINH_SERIES = tuple((1.0 / (f := math.factorial(2 * n + 1)), 2.0 * n / f) for n in reversed(range(1, 16)))
+# and 2n/(2n + 1)!, n >= 1, all positive; below y = 1, 9 terms leave less than 1e-18
+_SINH_SERIES = tuple((1.0 / (f := math.factorial(2 * n + 1)), 2.0 * n / f) for n in reversed(range(1, 10)))
 # (y - log1p(y))/u - y = -2 u^2 (1/3 + u^2/5 + ...) with u = y/(2 + y), from log1p(y) = 2 atanh(u): below |y| = 1/3,
 # where |u| <= 1/5, 12 terms leave less than 1e-17
 _ATANH_SERIES = tuple(1.0 / (2 * n + 1) for n in reversed(range(1, 13)))
@@ -301,9 +301,9 @@ _ATANH_SERIES = tuple(1.0 / (2 * n + 1) for n in reversed(range(1, 13)))
 def _uniform_terms(s: float) -> tuple:
     # (q, 1 - q, c/s, kappa'', kappa', g, kappa*) of the uniform law's CGF kappa(t; 1) at t = -s <= 0, each to its
     # relative accuracy: q = (s/2)/sinh(s/2), c = 1/2 - kappa'(-s), kappa''(-s) = (1 - q^2)/s^2,
-    # g = kappa'(-s) - s kappa''(-s) and kappa*(kappa'(-s)) = s c + log q.  Below s = 4 from the positive series of
+    # g = kappa'(-s) - s kappa''(-s) and kappa*(kappa'(-s)) = s c + log q.  Below s = 2 from the positive series of
     # sinh y - y and y cosh y - sinh y in y = s/2, finite at s = 0; above it from e^-s
-    if s <= 4.0:
+    if s <= 2.0:
         y, m, n = 0.5 * s, 0.0, 0.0
         for b1, b2 in _SINH_SERIES:
             m, n = b1 + y * y * m, b2 + y * y * n
@@ -348,7 +348,7 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
         f = math.log1p(-gap / r) if r >= 0.25 else (math.log(wm) - log_r if wm > 0.0 else -INF)
         # d(w/z1)/ds: q' = -q c, p' = p k q c/(2 lam p + k q) and g' = -2 q^2 c/s
         slope = -(theta * k2 + 2.0 * phi * q * q * c_s + 2.0 * phi * theta * s * s * c_s * k2 / (theta + 2.0 * phi))
-        return f, (slope / wm if wm > 0.0 else math.nan), terms, den, gap
+        return f, (slope / wm if wm > 0.0 else math.nan), terms, den, theta, phi, gap
 
     lo, hi = 0.0, (1.0 / r if r > 0.0 else INF)
     # z1/p at s = 0, where p is phi*'s tilt in 1/u; d0 - k = lam z1/d0 formed without cancelling
@@ -357,22 +357,28 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
     s = (mid / (k / d0 / 12.0 + (root_lz / d0) ** 2 / 6.0) if r >= 0.1 else
          min(hi, max(2.0 * (math.log(k) - math.log(root_lz) - log_r), -log_r + math.log(-log_r))))
     for steps in range(1, MAX_NEWTON_STEPS + 1):
-        f, slope, terms, den, gap = state(s)
+        f, slope, terms, den, theta, phi, gap = state(s)
         lo, hi = (s, hi) if f > 0.0 else (lo, s)
         step = -f / slope if slope else math.nan  # no step where w'(s) underflows: the bracket is halved
-        if not f or abs(step) <= _RTOL * s or hi - lo <= _RTOL * hi:
+        if not f or abs(step) <= 1e-9 * s:
             break
+        if hi - lo <= _RTOL * hi:  # the bracket closed on the edge where q, and with it w(s)/z1, leaves the doubles
+            raise RootError(f"w(s) leaves the doubles before it reaches w for z = ({z1}, {w})")
         s = s + step
         if not lo < s < hi:  # also a NaN step, where w(s) left the doubles
             s = math.sqrt(lo * hi) if 4.0 * lo < hi < INF and lo > 0.0 else (0.5 * (lo + hi) if hi < INF else 2.0 * lo)
     else:
         raise RootError(f"no convergence in {MAX_NEWTON_STEPS} Newton steps for z = ({z1}, {w})")
-    q, one_q, _, k2, _, _, kstar = terms
+    q, one_q, c_s, k2, _, _, kstar = terms
     p0, p = z1 / d0, z1 / den
-    a1, a2 = min(0.5 - 0.5 * (math.exp(-0.5 * s) / p), math.nextafter(0.5, -INF)), -0.5 * s / (x := q * p)
-    # a residual left where the bracket closed on the edge at which q, and with it w(s)/z1, leaves the doubles
-    if not (math.isfinite(a1) and math.isfinite(a2) and abs(f) <= 2.0**-26):
-        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double (residual {f})")
+    # the last Newton step, below 1e-9 s, leaves s within about 1e-18 s of the root: the tilt takes it to first
+    # order, by d log p/ds = theta c/(theta + 2 phi) and d log x/ds = d log p/ds - c
+    d = step if abs(step) <= 1e-9 * s else 0.0
+    d_log_p = theta * s * c_s / (theta + 2.0 * phi) * d
+    a1 = min(0.5 - 0.5 * (math.exp(-0.5 * (s + d) - d_log_p) / p), math.nextafter(0.5, -INF))
+    a2 = -0.5 * (s + d) / (x := q * p) * math.exp(s * c_s * d - d_log_p)
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise RootError(f"the optimal tilt ({a1}, {a2}) for z = ({z1}, {w}) is not a double")
     # a1 and a2 times the residuals z1 - (k x + lam p^2) and w - w(s) leave the sum stationary in p and s, as a.z - L
     # is in a, so the rounding of p and of the root in s does not reach it to first order.  Next to the
     # law-of-large-numbers point p - 1 comes from the exact z1 - mean: by the two quadratics p0 - 1 =
@@ -382,11 +388,12 @@ def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> t
     p_1 = p0 * (mean_gap / (z1 + root_lz * (root_lz / d0))) + k * one_q * p / (lam * (p + p0) + k)
     p_1, z1_gap = ((p_1, math.fsum((mean_gap, k * one_q, -p_1 * (k * q + 2.0 * lam), -lam * p_1 * p_1)))
                    if abs(p_1) < 0.5 else (p - 1.0, z1 - (k * x + lam * p * p)))
-    # with y = x - 1, x - 1 - log x = u (y - 2 u^2 (1/3 + u^2/5 + ...)), u = y/(2 + y)
-    u, series = (y := q * p_1 - one_q) / (2.0 + y), 0.0
-    for b in _ATANH_SERIES:
-        series = b + u * u * series
-    t1 = u * (y - 2.0 * u * u * series) if abs(y) < 1.0 / 3.0 else y - math.log(x)
+    t1 = (y := q * p_1 - one_q) - math.log(x)  # x - 1 - log x
+    if abs(y) < 1.0 / 3.0:  # u (y - 2 u^2 (1/3 + u^2/5 + ...)), u = y/(2 + y), without cancelling
+        u, series = y / (2.0 + y), 0.0
+        for b in _ATANH_SERIES:
+            series = b + u * u * series
+        t1 = u * (y - 2.0 * u * u * series)
     value = math.fsum((0.5 * k * t1, 0.5 * k * kstar, 0.5 * lam * (p_1 + one_q) * (p_1 + one_q), 0.5 * lam * s * s * k2,
                        a1 * z1_gap, a2 * gap * z1))
     return (a1, a2, value), steps, "s_root"
