@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 # kappa and kappa' live in the model table's module, below rates, whose gamma-family joint rate reads kappa*;
 # they stay public names of this module
-from .models import INF, RateEvaluation, _kappa_d2_root, kappa, kappa_conjugate, kappa_d1, model_of, reject_nan
-from .rates import conditional_rate_J, rate_ld_poisson
+from .models import INF, RateEvaluation, _kappa_d2_root, kappa, kappa_conjugate, kappa_d1, model_of, phi_star, reject_nan
+from .rates import rate_ld_poisson
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,12 +143,12 @@ def chaganty_equality(lambda_param: float, z1: float, z2: float) -> dict:
     """Two independent routes to the conditional rate: conjugate CGF vs J.
 
     kappa* does not depend on lambda; the joint-minus-marginal route is
-    computed at the given lambda, with the joint rate from the independent
-    exponential g-root (rate_ld's own exponential rate is phi* + kappa*).
-    Agreement is the variational identity.
+    computed at the given lambda as the independent exponential g-root minus
+    phi* (rate_ld's own exponential rate is phi* + kappa*).  Agreement is the
+    variational identity.
     """
     if not (z1 > 0 and 0.0 < z2 < z1):
         raise ValueError("requires z1 > 0 and z2 in (0, z1)")
     ks = kappa_star(z2, z1).value
-    j = conditional_rate_J(model_of("exponential", lambda_param), z1, z2, joint=rate_ld_poisson(lambda_param, z1, z2))
+    j = rate_ld_poisson(lambda_param, z1, z2).value - phi_star(model_of("exponential", lambda_param), z1).value
     return {"kappa_star_value": ks, "J_value": j, "abs_diff": abs(ks - j)}

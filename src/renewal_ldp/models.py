@@ -302,7 +302,9 @@ def _uniform_terms(s: float) -> tuple:
     # (q, 1 - q, c/s, kappa'', kappa', g, kappa*) of the uniform law's CGF kappa(t; 1) at t = -s <= 0, each to its
     # relative accuracy: q = (s/2)/sinh(s/2), c = 1/2 - kappa'(-s), kappa''(-s) = (1 - q^2)/s^2,
     # g = kappa'(-s) - s kappa''(-s) and kappa*(kappa'(-s)) = s c + log q.  Below s = 2 from the positive series of
-    # sinh y - y and y cosh y - sinh y in y = s/2, finite at s = 0; above it from e^-s
+    # sinh y - y and y cosh y - sinh y in y = s/2, finite at s = 0; above it from e^-s.  kappa_conjugate's terms, a
+    # Bernoulli series only below |t| = 1/2, lose up to 25 eps in 1 - q and kappa* between there and s = 2; they
+    # are left as they are, so that the gamma family's rate keeps its bits
     if s <= 2.0:
         y, m, n = 0.5 * s, 0.0, 0.0
         for b1, b2 in _SINH_SERIES:
@@ -321,7 +323,7 @@ def _uniform_terms(s: float) -> tuple:
 def _noncentral_chi_squared_rate(lam: float, k: float, z1: float, w: float) -> tuple:
     """((a1, a2, I), steps, "s_root") at (z1, w), 0 < w < z1/2: the joint rate by one root in s = log(u1/u0).
 
-    RootError where the tilt is not a double.
+    RootError where the tilt, or the mean w(s) on the way to it, leaves the doubles.
     """
     # in u = 1 - 2a, phi = (k/2)(-log u) + (lam/2)(1/u - 1), and the optimal segment runs from u0 = 1 - 2 a1 up to
     # u1 = u0 - 2 a2.  With s = log(u1/u0), q = (s/2)/sinh(s/2) and p = e^(s/2)/u1, the means of phi' = k/u + lam/u^2

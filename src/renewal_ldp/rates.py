@@ -183,14 +183,14 @@ def line_rate(model: HoldingTimeModel, normal, offset: float) -> RateEvaluation:
     return RateEvaluation(max(value, 0.0), argmax_tilt=(a1, a2), iterations=iterations, method="newton")
 
 
-def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float, joint: RateEvaluation | None = None) -> float:
+def conditional_rate_J(model: HoldingTimeModel, z1: float, z2: float) -> float:
     """Conditional rate of the scaled area given the scaled passage time.
 
-    Defined as the joint rate (``joint``, by default rate_ld's) minus the first marginal; nonnegative by the
+    Defined as the joint rate minus the first marginal; nonnegative by the
     variational definitions, clamped against roundoff at the level
     max(1e-8, J_ROUNDOFF * I): at large levels the two rates agree to tens of ulps of I.
     """
-    joint = (joint or rate_ld(model, z1, z2)).value
+    joint = rate_ld(model, z1, z2).value
     if joint == INF:
         return INF
     diff = joint - marginal_I1(model, z1).value  # a finite joint rate means 0 < z2 < z1

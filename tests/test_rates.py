@@ -376,8 +376,8 @@ class TestEdgesAndMidline:
 
     def test_fewer_iterations_on_a_fixed_grid(self):
         # the 200-point grid of scripts/rate_ld_cost.py: no more iterations a call than the 8.65 of the Newton
-        # ascent that ran every kind but the inverse-Gaussian (132.8 by the nested roots before it); 1.94 by
-        # the model table's joint rates, 3.64 for noncentral chi-squared
+        # ascent that ran every kind but the inverse-Gaussian (132.8 by the nested roots before it); 1.755 by
+        # the model table's joint rates, 2.9 for noncentral chi-squared
         ascent_mean = 8.65
         grid = [(m, c1 * m.mean, f * c1 * m.mean) for m in MODELS
                 for c1 in (0.6, 1.2, 2.0, 3.0, 5.0)
@@ -808,7 +808,7 @@ class TestNoncentralChiSquaredRate:
 
     def test_against_40_digits(self):
         # within 1e-14 of the 40-digit rate, by the stationarity of a.z - L(a) in a, at every point with I >= 1e-6,
-        # and on the mean at least as close as the Newton ascent that rate_ld ran before: 7.95e-17 against its
+        # and on the mean at least as close as the Newton ascent that rate_ld ran before: 7.96e-17 against its
         # 1.2708e-16 here, where the ascent was up to 1.28e-14 off
         ascent_mean = 1.2708e-16
         errors = []
