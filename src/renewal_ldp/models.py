@@ -291,7 +291,7 @@ def _gamma_rate(shape: float, rate: float, z1: float, w: float) -> tuple:
 
 
 # (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 as series in y^2, highest first: the n-th coefficients are 1/(2n + 1)!
-# and 2n/(2n + 1)!, n >= 1, all positive; below y = 1, 9 terms leave less than 1e-18
+# and 2n/(2n + 1)!, n >= 1, all positive; below y = 1, 9 terms leave less than 1e-17
 _SINH_SERIES = tuple((1.0 / (f := math.factorial(2 * n + 1)), 2.0 * n / f) for n in reversed(range(1, 10)))
 # (y - log1p(y))/u - y = -2 u^2 (1/3 + u^2/5 + ...) with u = y/(2 + y), from log1p(y) = 2 atanh(u): below |y| = 1/3,
 # where |u| <= 1/5, 12 terms leave less than 1e-17

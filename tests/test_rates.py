@@ -719,7 +719,7 @@ class TestGammaFamilyRate:
 
     def test_stationary_at_the_tilt(self):
         # d2L = w at the folded tilt, and d1L = z1 where a1 is not within a thousandth of the boundary
-        # (most of these areas are small, and their a1 is; TestNewtonAscent checks d1L on a grid)
+        # (most of these areas are small, and their a1 is; TestJointRateOptimum checks d1L on a grid)
         interior = 0
         for model, shape, z1, z2 in seeded_gamma_family(39, 300):
             w = min(z2, z1 - z2)
